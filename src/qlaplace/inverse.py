@@ -10,7 +10,7 @@ modes are provided:
 
 * fixed power m: the literal estimator above with xi = xi_factor(q, m),
   exact up to a computable finite-k factor when F is a single power
-  s**-m;
+  s**-m (statmech.density_of_states evaluates that case in closed form);
 * per-term (default): each series term uses its index-matched scaling,
   which in the k -> inf limit reduces to the coefficient rule
 
@@ -20,7 +20,7 @@ modes are provided:
   power-function forward map).
 
 All k-dependent factorial factors are combined in log magnitude so the
-schedule can run to large k without overflow.
+schedule can run to large k; a result past double range raises QLaplaceError.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ class WidderConfig:
             raise DomainError("k_schedule must contain positive integers")
         if any(b <= a for a, b in zip(ks[:-1], ks[1:])):
             raise DomainError("k_schedule must be strictly increasing")
-        if self.fixed_m is not None and self.fixed_m < 2:
-            raise DomainError("fixed-power mode requires m >= 2 (scale factor undefined below)")
+        if self.fixed_m is not None:
+            if not float(self.fixed_m).is_integer() or self.fixed_m < 2:
+                raise DomainError(f"fixed-power mode requires an integer m >= 2, got {self.fixed_m}")
+            object.__setattr__(self, "fixed_m", int(self.fixed_m))
 
 
 @dataclass(frozen=True)
@@ -153,29 +155,25 @@ def classical_post_widder(F_deriv, t: float, k: int) -> float:
         raise QLaplaceError("estimate overflows double precision despite log-domain handling")
 
 
-def _fixed_estimate(q: QParam, F: PowerSeriesTransform, t: float, k: int, m: int) -> float:
-    """Literal fixed-power estimator at s = k*xi_m/t.
+def _fixed_estimates(q: QParam, F: PowerSeriesTransform, t: float, ks: tuple[int, ...], m: int) -> list[float]:
+    """Literal fixed-power estimator at s = k*xi_m/t, for every k at once.
 
     Per series term the alternating sign and the s**(k+1) growth cancel
     analytically, leaving (2-q) * c_n * C(n+k, n) * s**-n; the binomial
-    factor is accumulated as a running log.
+    factor is a running log along n, summed over a (k, n) array.
     """
-    xi = xi_factor(q, m)
-    s = k * xi / t
-    log_s = math.log(s)
-    total = 0.0
-    log_binom = 0.0
-    for n, c in enumerate(F.coeffs):
-        if n:
-            log_binom += math.log((k + n) / n)
-        if c == 0.0:
-            continue
-        try:
-            term = math.copysign(math.exp(math.log(abs(c)) + log_binom - n * log_s), c)
-        except OverflowError:
-            raise QLaplaceError("estimate overflows double precision despite log-domain handling")
-        total += term
-    return (2.0 - q.q) * total
+    c = np.asarray(F.coeffs)
+    k = np.asarray(ks, dtype=float)[:, None]
+    n = np.arange(1, len(c))
+    log_binom = np.zeros((len(ks), len(c)))
+    np.cumsum(np.log((k + n) / n), axis=1, out=log_binom[:, 1:])
+    nz = np.flatnonzero(c)
+    log_terms = np.log(np.abs(c[nz])) + log_binom[:, nz] - nz * np.log(k * xi_factor(q, m) / t)
+    with np.errstate(over="ignore"):
+        values = (2.0 - q.q) * (np.exp(log_terms) * np.sign(c[nz])).sum(axis=1)
+    if not np.all(np.isfinite(values)):
+        raise QLaplaceError("estimate overflows double precision despite log-domain handling")
+    return values.tolist()
 
 
 def _per_term_estimate(taylor: list[float], t: float, k: int) -> float:
@@ -208,7 +206,7 @@ def q_post_widder(
     if not any(c != 0.0 for c in F.coeffs):
         raise DomainError("empty transform series")
     if cfg.fixed_m is not None:
-        values = [_fixed_estimate(q, F, t, k, cfg.fixed_m) for k in cfg.k_schedule]
+        values = _fixed_estimates(q, F, t, cfg.k_schedule, cfg.fixed_m)
     else:
         taylor = list(series_invert(q, F).coeffs)
         values = [_per_term_estimate(taylor, t, k) for k in cfg.k_schedule]

@@ -16,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,22 +105,24 @@ def q_poly(q_arg: float, m: int) -> float:
     return out
 
 
-def _q_poly_real(q_arg: float, m: float) -> float:
-    """Gamma-ratio continuation of q_poly to real order m >= 0.
-
-    Requires ``q_arg > 1`` (the ``2 - q`` regime) or ``q_arg == 1``; agrees
-    with the integer product there.  Used for transforms whose power is a
-    half-integer (e.g. an ideal gas with D*N odd).
-    """
+def _log_q_poly_real(q_arg: float, m: float) -> float:
+    """log of the gamma-ratio continuation of q_poly to real order m >= 0, for
+    ``q_arg >= 1`` (the ``2 - q`` regime), where it agrees with the log of the
+    integer product; finite at orders where q_poly itself overflows."""
     if m < 0:
         raise DomainError("order must be nonnegative")
     d = q_arg - 1.0
     if d == 0.0:
-        return 1.0
+        return 0.0
     if d < 0.0:
         raise DomainError("real-order continuation requires q_arg >= 1")
     z = 1.0 / d
-    return math.exp(m * math.log(d) + math.lgamma(z + m + 1.0) - math.lgamma(z + 1.0))
+    return m * math.log(d) + math.lgamma(z + m + 1.0) - math.lgamma(z + 1.0)
+
+
+def _q_poly_real(q_arg: float, m: float) -> float:
+    """Gamma-ratio continuation of q_poly to real order m >= 0 (may overflow)."""
+    return math.exp(_log_q_poly_real(q_arg, m))
 
 
 def xi_factor(q: QParam, m: int) -> float:
@@ -141,7 +144,7 @@ def _xi_factor_real(q: QParam, m: float) -> float:
         raise DomainError("xi_factor requires m >= 2")
     if q.classical:
         return 1.0
-    return ((2.0 - q.q) / _q_poly_real(2.0 - q.q, m)) ** (1.0 / (m - 1.0))
+    return math.exp((math.log(2.0 - q.q) - _log_q_poly_real(2.0 - q.q, m)) / (m - 1.0))
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -152,6 +155,14 @@ def pochhammer(x: float, n: int) -> float:
     for i in range(n):
         out *= x + i
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factorials(bits: int) -> np.ndarray:
+    """Read-only table of log(j!) for j < 2**bits, built once per size."""
+    table = np.array([math.lgamma(j + 1.0) for j in range(1 << bits)])
+    table.flags.writeable = False
+    return table
 
 
 def log_gamma(x: float) -> float:

@@ -18,7 +18,8 @@ second-constraint (linear-average) formulation:
 Because the Gamma ratio equals 1/q_poly(2-q, m) for transform power m,
 Z_q is exactly the deformed transform of a q-independent power law: the
 density of states g(E) = prefactor * E**(m-1) / Gamma(m) recovered by the
-Post-Widder inversion carries no q dependence.
+Post-Widder inversion carries no q dependence.  For a single power that
+inversion is closed form: one log-domain path serves integer and real m.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
-from .inverse import WidderConfig, WidderEstimate, extrapolate_schedule, q_post_widder
-from .qmath import QParam, _q_poly_real, _xi_factor_real
+from .errors import DomainError, QLaplaceError
+# perfbench/spans.py wraps q_post_widder and _q_poly_real here in its traced run: keep both importable.
+from .inverse import WidderConfig, WidderEstimate, extrapolate_schedule, q_post_widder  # noqa: F401
+from .qmath import QParam, _log_q_poly_real, _q_poly_real, _xi_factor_real  # noqa: F401
 from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate
-from .transform import PowerSeriesTransform
 
 __all__ = [
     "IdealGasModel",
@@ -116,7 +117,14 @@ def _log_power_coefficient(q: QParam, model: ThermoModel) -> float:
     """log C where Z_q(beta) = C * beta**-m; the Gamma-ratio part equals
     1/q_poly(2-q, m) via its real-order continuation."""
     m = model.transform_power
-    return model.log_prefactor - math.log(_q_poly_real(2.0 - q.q, m))
+    return model.log_prefactor - _log_q_poly_real(2.0 - q.q, m)
+
+
+def _exp(log_x: float, what: str) -> float:
+    try:
+        return math.exp(log_x)
+    except OverflowError:
+        raise QLaplaceError(f"{what} overflows double precision") from None
 
 
 def _check_deformed(q: QParam) -> None:
@@ -124,20 +132,21 @@ def _check_deformed(q: QParam) -> None:
         raise DomainError("partition functions are defined for q < 1 here")
 
 
-def ideal_gas_partition(q: QParam, model: IdealGasModel, beta: float) -> float:
-    """Closed-form Z_q(beta) for the ideal gas, evaluated in log domain."""
+def _partition(q: QParam, model: ThermoModel, beta: float) -> float:
     _check_deformed(q)
     if beta <= 0.0:
         raise DomainError("beta must be positive")
-    return math.exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta))
+    return _exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta), "Z_q")
+
+
+def ideal_gas_partition(q: QParam, model: IdealGasModel, beta: float) -> float:
+    """Closed-form Z_q(beta) for the ideal gas, evaluated in log domain."""
+    return _partition(q, model, beta)
 
 
 def oscillator_partition(q: QParam, model: OscillatorModel, beta: float) -> float:
     """Closed-form Z_q(beta) for the oscillator bath, log domain."""
-    _check_deformed(q)
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
-    return math.exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta))
+    return _partition(q, model, beta)
 
 
 def ideal_gas_partition_quadrature(
@@ -203,22 +212,22 @@ class DensityOfStates:
 
 
 def _real_power_estimates(
-    q: QParam, log_c: float, m: float, E: float, cfg: WidderConfig
-) -> list[WidderEstimate]:
-    """Finite-k estimates for F = C * s**-m with real (non-integer) m >= 2."""
-    xi = _xi_factor_real(q, m)
-    values = []
-    for k in cfg.k_schedule:
-        s = k * xi / E
-        log_est = (
-            log_c
-            + math.lgamma(m + k)
-            - math.lgamma(m)
-            - math.lgamma(k + 1)
-            - (m - 1.0) * math.log(s)
-        )
-        values.append((2.0 - q.q) * math.exp(log_est))
-    return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)
+    q: QParam, log_c: float, m: float, energies: list[float], cfg: WidderConfig
+) -> list[tuple[WidderEstimate, ...]]:
+    """Finite-k estimates for F = C * s**-m, real m >= 2, one tuple per energy:
+    (2-q) * C * Gamma(m+k) / (Gamma(m) k!) * s**-(m-1) at s = k*xi/E, in log
+    magnitude, with xi at order ``cfg.fixed_m`` when that is set, else m."""
+    xi = _xi_factor_real(q, cfg.fixed_m or m)
+    log_per_k = [
+        math.lgamma(m + k) - math.lgamma(m) - math.lgamma(k + 1) - (m - 1.0) * math.log(k * xi)
+        for k in cfg.k_schedule
+    ]
+    log_est = np.add.outer((m - 1.0) * np.log(energies), np.array(log_per_k) + log_c)
+    with np.errstate(over="ignore"):
+        values = (2.0 - q.q) * np.exp(log_est)
+    if not np.all(np.isfinite(values)):
+        raise QLaplaceError("estimate overflows double precision despite log-domain handling")
+    return [tuple(extrapolate_schedule(cfg.k_schedule, row, cfg.extrapolate)) for row in values.tolist()]
 
 
 def density_of_states(
@@ -229,40 +238,25 @@ def density_of_states(
 ) -> DensityOfStates:
     """Recover g(E) from Z_q by treating beta as the transform variable.
 
-    Z_q(beta) = C * beta**-m is inverted per energy-grid point with the
-    finite-k estimator; the analytic limit
-    g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is carried alongside
-    and is independent of q.  Requires transform power m >= 2 (the
-    fixed-power scale factor is undefined below that).
+    Z_q(beta) = C * beta**-m is one power, so the finite-k estimator has a
+    closed form at every real m >= 2, integer or not, evaluated for all
+    energies and k at once in log magnitude (QLaplaceError, never inf, on
+    overflow).  The analytic limit g(E) = exp(log_prefactor) * E**(m-1) /
+    Gamma(m) is carried alongside and is independent of q.
     """
     _check_deformed(q)
     m = model.transform_power
     if m < 2:
-        raise DomainError(
-            "transform power m must be >= 2: the inversion scale factor is undefined for m < 2"
-        )
+        raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
     energies = [float(e) for e in E_grid]
     if not energies or any(e <= 0.0 for e in energies):
         raise DomainError("energy grid must be positive and nonempty")
     log_c = _log_power_coefficient(q, model)
-    per_e: list[tuple[float, tuple[WidderEstimate, ...]]] = []
-    if m == int(m):
-        mi = int(m)
-        coeffs = [0.0] * mi
-        coeffs[mi - 1] = math.exp(log_c)
-        series = PowerSeriesTransform(tuple(coeffs), 0.0, q)
-        run_cfg = cfg if cfg.fixed_m is not None else WidderConfig(
-            cfg.k_schedule, mi, cfg.extrapolate
-        )
-        for e in energies:
-            per_e.append((e, tuple(q_post_widder(q, series, e, run_cfg))))
-    else:
-        for e in energies:
-            per_e.append((e, tuple(_real_power_estimates(q, log_c, m, e, cfg))))
+    per_e = list(zip(energies, _real_power_estimates(q, log_c, m, energies, cfg)))
     samples = []
     for e, ests in per_e:
         last = ests[-1]
         value = last.extrapolated if (cfg.extrapolate and last.extrapolated is not None) else last.value
         samples.append((e, float(value)))
-    prefactor = math.exp(model.log_prefactor - math.lgamma(m))
+    prefactor = _exp(model.log_prefactor - math.lgamma(m), "g(E) prefactor")
     return DensityOfStates(prefactor, m - 1.0, tuple(samples), tuple(per_e))

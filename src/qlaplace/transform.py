@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CatalogFunction, Monomial
-from .errors import DomainError
+from .errors import DomainError, QLaplaceError
 from .hypergeom import PFQParams, pfq_term_coefficients
-from .qmath import QParam, q_exp, q_poly
+from .qmath import QParam, _log_factorials, q_exp, q_poly
 from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
@@ -99,22 +99,19 @@ class PowerSeriesTransform:
 
     def derivative_value(self, k: int, s: float) -> float:
         """F^(k)(s) with the factorial growth handled in log magnitude."""
+        if k < 0:
+            raise DomainError("derivative order must be >= 0")
         if s <= 0.0:
             raise DomainError("s must be positive")
-        sign_k = -1.0 if k % 2 else 1.0
-        log_s = math.log(s)
-        total = 0.0
-        for n, c in enumerate(self.coeffs):
-            if c == 0.0:
-                continue
-            log_mag = (
-                math.log(abs(c))
-                + math.lgamma(n + k + 1)
-                - math.lgamma(n + 1)
-                - (n + k + 1) * log_s
-            )
-            total += math.copysign(math.exp(log_mag), c)
-        return sign_k * total
+        c = np.asarray(self.coeffs)
+        n = np.flatnonzero(c)
+        log_fact = _log_factorials(int(len(c) + k).bit_length())
+        log_mag = np.log(np.abs(c[n])) + log_fact[n + k] - log_fact[n] - (n + k + 1) * math.log(s)
+        with np.errstate(over="ignore"):
+            total = float((np.exp(log_mag) * np.sign(c[n])).sum())
+        if not math.isfinite(total):
+            raise QLaplaceError(f"F^({k})({s}) overflows double precision")
+        return -total if k % 2 else total
 
     def derivative_oracle(self):
         """Adapter matching the (k, s) -> F^(k)(s) oracle contract."""

@@ -241,6 +241,15 @@ class TestStatmechCommand:
         _, rows = data_rows(res.output)
         assert len(rows) == 10
 
+    def test_overflow_exits_3(self, runner):
+        res = runner.invoke(
+            main,
+            ["statmech", "--model", "oscillator", "--D", "2", "--N", "100", "--hbar", "1e-5", "--q", "0.5",
+             "--e-grid", "1:2:3"],
+        )
+        assert res.exit_code == 3
+        assert "numeric failure" in res.output
+
     def test_power_too_small_exits_2(self, runner):
         res = runner.invoke(
             main,

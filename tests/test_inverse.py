@@ -12,6 +12,7 @@ from qlaplace import (
     PowerSeriesTransform,
     QGaussian,
     QCosh,
+    QLaplaceError,
     QParam,
     Sine,
     TaylorSeries,
@@ -22,6 +23,7 @@ from qlaplace import (
     roundtrip,
     series_invert,
     widder_weight,
+    xi_factor,
 )
 
 Q5 = QParam(0.5)
@@ -72,7 +74,40 @@ class TestClassicalPostWidder:
         assert F.derivative_oracle()(k, s) == direct
 
 
+def loop_fixed_estimate(q, F, t, k, m):
+    """Plain-loop fixed-power estimator, term by term with a running log
+    binomial: the reference the vectorised estimator is pinned to."""
+    s = k * xi_factor(q, m) / t
+    total = 0.0
+    log_binom = 0.0
+    for n, c in enumerate(F.coeffs):
+        if n:
+            log_binom += math.log((k + n) / n)
+        if c != 0.0:
+            total += math.copysign(math.exp(math.log(abs(c)) + log_binom - n * math.log(s)), c)
+    return (2.0 - q.q) * total
+
+
 class TestQPostWidderFixed:
+    @pytest.mark.parametrize("qv", (0.2, 0.6, 0.9))
+    @pytest.mark.parametrize(
+        "f", (Monomial(3), Exponential(1.0, -1), Sine(1.0), QGaussian(QParam(0.7), 1.0), QCosh(QParam(0.6), 0.8)),
+        ids=lambda f: f.kind,
+    )
+    def test_matches_loop_reference(self, qv, f):
+        q = QParam(qv)
+        F = catalog_transform(q, f, 40)
+        for m in (2, 3, 5):
+            cfg = WidderConfig((4, 8, 16, 32, 64), fixed_m=m, extrapolate=False)
+            for t in (0.1, 0.5, 1.3):
+                for est in q_post_widder(q, F, t, cfg):
+                    assert est.value == pytest.approx(loop_fixed_estimate(q, F, t, est.k, m), rel=1e-12)
+
+    def test_overflow_is_typed(self):
+        F = PowerSeriesTransform((0.0, 1e300, 1e300), 0.0, Q5)
+        with pytest.raises(QLaplaceError):
+            q_post_widder(Q5, F, 1e6, WidderConfig((16, 32, 64), fixed_m=2))
+
     def test_monomial_law(self):
         # estimate = t^(m-1) * Gamma(m+k) / (k^(m-1) Gamma(k+1)) exactly
         for qv in (0.5, 0.9):
@@ -146,6 +181,9 @@ class TestQPostWidderPerTerm:
             WidderConfig((8, 4))
         with pytest.raises(DomainError):
             WidderConfig((4, 8), fixed_m=1)
+        with pytest.raises(DomainError):
+            WidderConfig((4, 8), fixed_m=2.5)
+        assert WidderConfig((4, 8), fixed_m=3.0).fixed_m == 3
 
 
 class TestSeriesInvert:

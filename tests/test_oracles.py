@@ -1,0 +1,94 @@
+"""High-precision oracles: series derivatives and density-of-states estimates
+recomputed term by term in mpmath from the same inputs."""
+
+import math
+
+import pytest
+
+from qlaplace import (
+    Cosine,
+    Exponential,
+    IdealGasModel,
+    Monomial,
+    OscillatorModel,
+    QCosh,
+    QGaussian,
+    QParam,
+    Sine,
+    WidderConfig,
+    catalog_transform,
+    density_of_states,
+)
+
+mpmath = pytest.importorskip("mpmath")
+
+FAMILIES = (
+    Monomial(4),
+    Exponential(1.0, -1),
+    Exponential(0.7, 1),
+    Sine(1.2),
+    Cosine(0.8),
+    QGaussian(QParam(0.7), 1.0),
+    QCosh(QParam(0.6), 0.8),
+)
+
+
+def mp_derivative(F, k, s):
+    """(F^(k)(s), sum of |terms|) of the series, at 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        terms = [
+            mpmath.mpf(c) * mpmath.rf(n + 1, k) * s ** -(n + k + 1)
+            for n, c in enumerate(F.coeffs)
+            if c != 0.0
+        ]
+        return (-1) ** k * mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("qv", (0.2, 0.6, 0.9))
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.kind)
+def test_derivative_value(qv, f):
+    # error measured against the absolute term sum, so that cancellation in
+    # alternating series (which no double-precision sum avoids) is not charged
+    F = catalog_transform(QParam(qv), f, 60)
+    for k in (1, 8, 64):
+        for scale in (1.0, 2.0, 5.0):
+            s = max(F.s_min, 0.5) * scale
+            want, abs_sum = mp_derivative(F, k, s)
+            assert abs(F.derivative_value(k, s) - want) <= 1e-12 * abs_sum
+
+
+def mp_dos_estimate(q, model, E, k, xi_order):
+    """(2-q) C Gamma(m+k)/(Gamma(m) k!) s**-(m-1) at s = k*xi/E, with
+    q_poly(2-q, .) as the plain integer product, at 50 digits."""
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q.q)
+
+        def q_poly(n):
+            return mpmath.fprod(1 + (1 - qm) * j for j in range(1, n + 1))
+
+        m = int(model.transform_power)
+        c = mpmath.exp(model.log_prefactor) / q_poly(m)
+        xi = ((2 - qm) / q_poly(xi_order)) ** (mpmath.mpf(1) / (xi_order - 1))
+        s = k * xi / mpmath.mpf(E)
+        ratio = mpmath.gamma(m + k) / (mpmath.gamma(m) * mpmath.factorial(k))
+        return float((2 - qm) * c * ratio * s ** -(m - 1))
+
+
+@pytest.mark.parametrize(
+    "model",
+    (IdealGasModel(3, 2), IdealGasModel(2, 7, V=0.7, mass=1.3), OscillatorModel(1, 3),
+     OscillatorModel(2, 20, omega=1.7, hbar=0.8)),
+    ids=lambda m: f"{type(m).__name__}-{m.D}x{m.N}",
+)
+@pytest.mark.parametrize("fixed_m", (None, 2, 5))
+def test_density_of_states_integer_power(model, fixed_m):
+    cfg = WidderConfig((4, 8, 16, 32, 64), fixed_m, extrapolate=False)
+    energies = [0.3, 1.0, model.transform_power]
+    for qv in (0.1, 0.5, 0.9):
+        q = QParam(qv)
+        dos = density_of_states(q, model, energies, cfg)
+        for E, ests in dos.k_estimates:
+            for est in ests:
+                want = mp_dos_estimate(q, model, E, est.k, fixed_m or int(model.transform_power))
+                assert est.value == pytest.approx(want, rel=1e-12)

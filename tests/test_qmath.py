@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlaplace import DomainError, QParam, log_gamma, pochhammer, q_exp, q_log, q_poly, q_product_arg, xi_factor
+from qlaplace.qmath import _log_q_poly_real, _xi_factor_real
 
 Q_GRID = (0.3, 0.6, 0.9)
 
@@ -165,6 +166,22 @@ class TestXiFactor:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             xi_factor(QParam(0.5), 1)
+
+
+class TestRealOrderQPoly:
+    def test_log_matches_integer_product(self):
+        for qv in (0.1, 0.5, 0.9):
+            for m in (0, 1, 2, 7, 40):
+                got = _log_q_poly_real(2.0 - qv, m)
+                assert got == pytest.approx(math.log(q_poly(2.0 - qv, m)), rel=1e-13, abs=1e-14)
+
+    def test_log_domain_past_overflow(self):
+        # q_poly(1.5, 600) ~ exp(2.5e3) is beyond double range; its log is not
+        m = 600
+        want = sum(math.log1p(0.5 * j) for j in range(1, m + 1))
+        assert _log_q_poly_real(1.5, m) == pytest.approx(want, rel=1e-13)
+        xi = _xi_factor_real(QParam(0.5), m)
+        assert math.log(xi) == pytest.approx((math.log(1.5) - want) / (m - 1), rel=1e-13)
 
 
 class TestPochhammer:

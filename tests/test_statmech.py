@@ -8,6 +8,7 @@ from qlaplace import (
     DomainError,
     IdealGasModel,
     OscillatorModel,
+    QLaplaceError,
     QParam,
     WidderConfig,
     density_of_states,
@@ -83,6 +84,34 @@ class TestOscillatorPartition:
         classical = 1.0 / (beta * model.hbar * model.omega)
         err = abs(oscillator_partition(QParam(0.9999), model, beta) / classical - 1.0)
         assert err < 1e-3
+
+
+class TestLargeOrder:
+    """D*N near the 200 guard, where q_poly(2-q, m) itself can overflow a double."""
+
+    def test_partition_stays_in_log_domain(self):
+        model = OscillatorModel(2, 100)
+        log_qpoly = sum(math.log1p(0.5 * j) for j in range(1, 201))
+        z = oscillator_partition(Q5, model, 1e-3)
+        assert z == pytest.approx(math.exp(-log_qpoly - 200 * math.log(1e-3)), rel=1e-11)
+        assert math.isfinite(oscillator_partition(Q5, model, 1e3))
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(QLaplaceError):
+            oscillator_partition(Q5, OscillatorModel(2, 100, hbar=1e-5), 1.0)
+        with pytest.raises(QLaplaceError):
+            density_of_states(Q5, OscillatorModel(2, 100, hbar=1e-5), [1.0, 2.0])
+
+    def test_density_of_states_finite_k_factor(self):
+        cfg = WidderConfig((16, 32, 64), None, extrapolate=False)
+        for qv in (0.05, 0.5):
+            dos = density_of_states(QParam(qv), OscillatorModel(1, 180), [180.0], cfg)
+            m = 180
+            for est in dos.k_estimates[0][1]:
+                k = est.k
+                log_g = (m - 1) * math.log(180.0) - math.lgamma(m)
+                log_factor = math.lgamma(m + k) - math.lgamma(k + 1) - (m - 1) * math.log(k)
+                assert est.value == pytest.approx(math.exp(log_g + log_factor), rel=1e-10)
 
 
 class TestBruteForceCrossCheck:

@@ -11,6 +11,7 @@ from qlaplace import (
     Monomial,
     PowerSeriesTransform,
     QExponential,
+    QLaplaceError,
     QParam,
     Sine,
     catalog_transform,
@@ -107,6 +108,16 @@ class TestCatalogTransform:
         for k in (1, 2, 5):
             via_series = F.derivative_series(k).value(s)
             assert F.derivative_value(k, s) == pytest.approx(via_series, rel=1e-12)
+
+    def test_derivative_order_validated(self):
+        F = catalog_transform(Q5, Sine(1.0))
+        with pytest.raises(DomainError):
+            F.derivative_value(-1, 3.0)
+
+    def test_derivative_overflow_is_typed(self):
+        F = PowerSeriesTransform((1e300, 1e300), 0.0, Q5)
+        with pytest.raises(QLaplaceError):
+            F.derivative_value(64, 1e-3)
 
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
