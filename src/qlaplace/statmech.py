@@ -200,15 +200,24 @@ def ideal_gas_partition_quadrature(
 
 @dataclass(frozen=True)
 class DensityOfStates:
-    """g(E) = prefactor * E**exponent plus finite-k numeric samples."""
+    """g(E) = exp(log_prefactor) * E**exponent plus finite-k numeric samples."""
 
-    prefactor: float
+    log_prefactor: float
     exponent: float
     samples: tuple[tuple[float, float], ...]
     k_estimates: tuple[tuple[float, tuple[WidderEstimate, ...]], ...]
 
+    @property
+    def prefactor(self) -> float:
+        return _exp(self.log_prefactor, "g(E) prefactor")
+
     def analytic(self, E):
-        return self.prefactor * np.asarray(E, dtype=float) ** self.exponent
+        """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow)."""
+        with np.errstate(over="ignore", divide="ignore"):
+            g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(E, 0.0)))
+        if np.any(np.isinf(g)):
+            raise QLaplaceError("g(E) overflows double precision")
+        return g
 
 
 def _real_power_estimates(
@@ -258,5 +267,4 @@ def density_of_states(
         last = ests[-1]
         value = last.extrapolated if (cfg.extrapolate and last.extrapolated is not None) else last.value
         samples.append((e, float(value)))
-    prefactor = _exp(model.log_prefactor - math.lgamma(m), "g(E) prefactor")
-    return DensityOfStates(prefactor, m - 1.0, tuple(samples), tuple(per_e))
+    return DensityOfStates(model.log_prefactor - math.lgamma(m), m - 1.0, tuple(samples), tuple(per_e))

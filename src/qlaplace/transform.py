@@ -26,7 +26,7 @@ from .catalog import CatalogFunction, Monomial
 from .errors import DomainError, QLaplaceError
 from .hypergeom import PFQParams, pfq_term_coefficients
 from .qmath import QParam, _log_factorials, q_exp, q_poly
-from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate, integrate_half_line
+from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
     "PowerSeriesTransform",
@@ -122,16 +122,6 @@ class PowerSeriesTransform:
 # numeric forward transform
 
 
-def _as_vector_fn(f):
-    def call(t: np.ndarray) -> np.ndarray:
-        y = np.asarray(f(t), dtype=float)
-        if y.shape != t.shape:
-            y = np.fromiter((float(f(ti)) for ti in t), dtype=float, count=len(t))
-        return y
-
-    return call
-
-
 def forward_numeric(
     q: QParam,
     f,
@@ -146,9 +136,9 @@ def forward_numeric(
     q = 1 the caller is responsible for f being integrable against
     exp(-s*t); the tail substitution t = u/((1-u)s) is used.
     """
-    if s <= 0.0:
-        raise DomainError("forward transform requires s > 0")
-    fv = _as_vector_fn(f)
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"forward transform requires finite s > 0, got s = {s}")
+    fv = _vectorized(f)
     if q.classical:
         def integrand(t: np.ndarray) -> np.ndarray:
             w = np.exp(-s * t)

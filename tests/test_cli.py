@@ -1,6 +1,7 @@
 """Command-line interface: row contents, formats, config file, exit codes."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -249,6 +250,21 @@ class TestStatmechCommand:
         )
         assert res.exit_code == 3
         assert "numeric failure" in res.output
+
+    def test_large_power_analytic_column_finite(self, runner):
+        # prefactor 1/Gamma(180) underflows and E**179 overflows; their product does not
+        res = runner.invoke(
+            main,
+            ["statmech", "--model", "oscillator", "--D", "1", "--N", "180", "--q", "0.5",
+             "--e-grid", "170:180:2", "--no-extrapolate"],
+        )
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row), row
+            e, g_ana = float(row[0]), float(row[2])
+            assert g_ana == pytest.approx(math.exp(179 * math.log(e) - math.lgamma(180)), rel=1e-12)
 
     def test_power_too_small_exits_2(self, runner):
         res = runner.invoke(

@@ -1,5 +1,6 @@
 """High-precision oracles: series derivatives and density-of-states estimates
-recomputed term by term in mpmath from the same inputs."""
+recomputed term by term in mpmath from the same inputs, and the numeric
+forward transform against mpmath quadrature of its defining integral."""
 
 import math
 
@@ -8,16 +9,19 @@ import pytest
 from qlaplace import (
     Cosine,
     Exponential,
+    Gaussian,
     IdealGasModel,
     Monomial,
     OscillatorModel,
     QCosh,
     QGaussian,
     QParam,
+    QSine,
     Sine,
     WidderConfig,
     catalog_transform,
     density_of_states,
+    forward_numeric,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -92,3 +96,41 @@ def test_density_of_states_integer_power(model, fixed_m):
             for est in ests:
                 want = mp_dos_estimate(q, model, E, est.k, fixed_m or int(model.transform_power))
                 assert est.value == pytest.approx(want, rel=1e-12)
+
+
+# criterion-1 bounds: 1e-8 for the power/exponential families, 1e-6 otherwise
+FORWARD_CASES = (
+    (Exponential(0.8, 1), lambda t: mpmath.exp(0.8 * t), 1e-8),
+    (Exponential(1.3, -1), lambda t: mpmath.exp(-1.3 * t), 1e-8),
+    (Gaussian(0.9), lambda t: mpmath.exp(-0.9 * t**2), 1e-6),
+    # e_q'(i x) = [1 + (1-q') i x]**(1/(1-q')), straight from the definition
+    (QSine(QParam(0.7), 1.1), lambda t: mpmath.im(mpmath.power(1 + 0.3j * 1.1 * t, 1 / mpmath.mpf(0.3))), 1e-6),
+)
+
+
+@pytest.mark.parametrize("f, mp_f, tol", FORWARD_CASES, ids=lambda v: getattr(v, "label", ""))
+def test_forward_numeric_against_mpmath_quadrature(f, mp_f, tol):
+    q = QParam(0.6)
+    for s in (0.5, 1.3, 3.0):
+        with mpmath.workdps(30):
+            eps, s_mp = 1 - mpmath.mpf(q.q), mpmath.mpf(s)
+            t_star = 1 / (eps * s_mp)
+            want = mpmath.quad(lambda t: max(1 - eps * s_mp * t, 0) ** (1 / eps) * mp_f(t),
+                               mpmath.linspace(0, t_star, 9))
+        assert abs(forward_numeric(q, f, s) - float(want)) <= tol * abs(float(want))
+
+
+@pytest.mark.parametrize(
+    "model, energies",
+    ((OscillatorModel(1, 180), (170.0, 180.0)), (OscillatorModel(2, 100, omega=3.0), (50.0, 150.0)),
+     (IdealGasModel(3, 60, V=2.0), (0.1, 400.0)), (OscillatorModel(1, 3), (0.5, 2.0))),
+    ids=lambda v: f"{type(v).__name__}-{v.D}x{v.N}" if hasattr(v, "D") else "",
+)
+def test_density_of_states_analytic_large_power(model, energies):
+    cfg = WidderConfig((4, 8, 16, 32, 64), None, extrapolate=False)
+    dos = density_of_states(QParam(0.5), model, energies, cfg)
+    m = model.transform_power
+    for E in energies:
+        with mpmath.workdps(40):
+            want = mpmath.exp(model.log_prefactor) * mpmath.mpf(E) ** (m - 1) / mpmath.gamma(m)
+        assert float(dos.analytic(E)) == pytest.approx(float(want), rel=1e-12)

@@ -1,11 +1,34 @@
 """Adaptive integration engine basics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qlaplace import DomainError, QuadratureConfig, QuadratureError, integrate, integrate_half_line
+from qlaplace import (
+    Cosh,
+    Cosine,
+    DomainError,
+    Exponential,
+    Gaussian,
+    Monomial,
+    QCosh,
+    QCosine,
+    QExponential,
+    QGaussian,
+    QParam,
+    QSine,
+    QSinh,
+    QuadratureConfig,
+    QuadratureError,
+    Sine,
+    Sinh,
+    forward_numeric,
+    integrate,
+    integrate_half_line,
+)
+from qlaplace import quadrature
 from qlaplace.quadrature import dyadic_breakpoints
 
 
@@ -51,6 +74,18 @@ def test_empty_and_reversed_interval():
         integrate(lambda t: t, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)))
+def test_non_finite_limits(a, b):
+    with pytest.raises(DomainError, match="finite"):
+        integrate(lambda t: t, a, b)
+
+
+@pytest.mark.parametrize("scale", (math.nan, math.inf, 0.0))
+def test_half_line_scale_validation(scale):
+    with pytest.raises(DomainError, match="scale"):
+        integrate_half_line(np.exp, scale=scale)
+
+
 def test_non_finite_sample():
     with pytest.raises(QuadratureError):
         integrate(lambda t: np.where(t < 0.5, np.inf, 1.0), 0.0, 1.0)
@@ -67,3 +102,106 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_depth=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, what",
+    (
+        ({"rel_tol": math.nan}, "tolerances"),
+        ({"abs_tol": math.nan}, "tolerances"),
+        ({"rel_tol": math.inf}, "tolerances"),
+        ({"max_depth": 2.5}, "max_depth"),
+        ({"max_depth": math.nan}, "max_depth"),
+    ),
+)
+def test_config_rejects_nan_and_fractional(kwargs, what):
+    with pytest.raises(DomainError, match=what):
+        QuadratureConfig(**kwargs)
+
+
+def test_callable_failing_on_scalars_keeps_its_message():
+    def broken(t):
+        raise TypeError("boom")
+
+    with pytest.raises(QuadratureError, match="boom"):
+        integrate(broken, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="boom"):
+        integrate_half_line(broken)
+    for q in (QParam(0.5), QParam(1.0)):
+        with pytest.raises(QuadratureError, match="boom"):
+            forward_numeric(q, broken, 2.0)
+
+
+# --------------------------------------------------------------------------
+# one integrand call per panel measurement
+
+
+def _reference_panel_rule(f, a, b):
+    """Reference rule: one 15-node integrand call, three per panel measurement."""
+    h = 0.5 * (b - a)
+    x = a + h * (quadrature._NODES + 1.0)
+    y = f(x)
+    if not np.all(np.isfinite(y)):
+        bad = x[~np.isfinite(y)][0]
+        raise QuadratureError(f"non-finite integrand sample at t = {bad}")
+    return h * float(quadrature._WEIGHTS @ y)
+
+
+def _reference_measure(f, a, b):
+    whole = _reference_panel_rule(f, a, b)
+    mid = 0.5 * (a + b)
+    halves = _reference_panel_rule(f, a, mid) + _reference_panel_rule(f, mid, b)
+    return halves, abs(whole - halves)
+
+
+QP = QParam(0.7)
+ALL_FAMILIES = (
+    Monomial(3), Exponential(0.8, 1), QExponential(QP, 0.8, -1), Gaussian(0.9), QGaussian(QP, 0.9),
+    Cosine(1.1), Sine(1.1), QCosine(QP, 1.1), QSine(QP, 1.1), Cosh(0.7), Sinh(0.7),
+    QCosh(QP, 0.7), QSinh(QP, 0.7),
+)
+CLASSICAL_DECAYING = (Monomial(3), Exponential(0.8, -1), Gaussian(0.9), Cosine(1.1), Sine(1.1))
+
+
+@pytest.mark.parametrize(
+    "qv, f",
+    [(qv, f) for qv in (0.3, 0.6, 0.9) for f in ALL_FAMILIES]
+    + [(1.0, f) for f in CLASSICAL_DECAYING],
+    ids=lambda v: v.label if hasattr(v, "label") else f"q={v}",
+)
+def test_single_call_measure_matches_three_call_reference(monkeypatch, qv, f):
+    q = QParam(qv)
+    s_grid = (0.6, 1.7, 4.0)
+    got = [forward_numeric(q, f, s) for s in s_grid]
+    monkeypatch.setattr(quadrature, "_measure", _reference_measure)
+    want = [forward_numeric(q, f, s) for s in s_grid]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def test_one_45_point_call_per_panel():
+    sizes = []
+    fam = Exponential(1.0)
+
+    def counting(t):
+        sizes.append(np.size(t))
+        return fam(t)
+
+    forward_numeric(QParam(0.5), counting, 2.0)
+    assert sizes == [45] * 64
+    assert sum(sizes) == 2880
+
+
+@pytest.mark.parametrize("node", (3, 15 + 7, 30 + 11), ids=("whole", "left-half", "right-half"))
+def test_nan_at_one_node_is_named(node):
+    # first panel measured is [0, 1]: 15 whole-panel nodes, then each half's
+    x = np.concatenate([0.0 + 0.5 * (quadrature._NODES + 1.0),
+                        0.0 + 0.25 * (quadrature._NODES + 1.0),
+                        0.5 + 0.25 * (quadrature._NODES + 1.0)])
+    bad = float(x[node])
+
+    def f(t):
+        return np.where(t == bad, np.nan, 1.0)
+
+    with pytest.raises(QuadratureError, match=re.escape(f"t = {bad}")):
+        integrate(f, 0.0, 1.0)

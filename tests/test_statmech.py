@@ -143,6 +143,16 @@ class TestDensityOfStates:
         assert dos.analytic(1.0) == pytest.approx(0.5, rel=1e-13)
         assert dos.analytic(2.0) == pytest.approx(2.0, rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_analytic_vanishes_below_zero_energy(self):
+        dos = density_of_states(QParam(0.6), OscillatorModel(1, 3), [1.0])
+        assert list(dos.analytic([-1.0, 0.0, 2.0])) == [0.0, 0.0, pytest.approx(2.0, rel=1e-13)]
+
+    def test_analytic_overflow_raises(self):
+        dos = density_of_states(QParam(0.5), OscillatorModel(1, 180), [170.0])
+        with pytest.raises(QLaplaceError, match="overflows"):
+            dos.analytic(1e6)
+
     def test_q_independence(self):
         cfg = WidderConfig((64,), None, extrapolate=False)
         values = []

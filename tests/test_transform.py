@@ -1,5 +1,7 @@
 """Forward transform, closed-form catalog, and the identity/diagnostic suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,18 @@ class TestForwardNumeric:
     def test_requires_positive_s(self):
         with pytest.raises(DomainError):
             forward_numeric(Q5, Monomial(2), 0.0)
+
+    @pytest.mark.parametrize("q", (Q5, Q1), ids=("q=0.5", "q=1"))
+    @pytest.mark.parametrize("s", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf"))
+    def test_rejects_non_finite_s(self, q, s):
+        with pytest.raises(DomainError, match="finite s > 0"):
+            forward_numeric(q, Exponential(1.0), s)
+
+    def test_scalar_only_callable(self):
+        f = lambda t: math.exp(-t)  # noqa: E731  (rejects arrays: TypeError)
+        want = catalog_transform(Q5, Exponential(1.0, -1), 80).value(2.0)
+        assert forward_numeric(Q5, f, 2.0) == pytest.approx(want, rel=1e-10)
+        assert forward_numeric(Q1, f, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_support_monotonicity(self):
         # anything past the kernel cutoff cannot contribute
