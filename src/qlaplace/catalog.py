@@ -1,7 +1,12 @@
 """Catalog of input functions with closed-form deformed transforms.
 
-Thirteen families: powers, plain/deformed exponentials and Gaussians, and
-plain/deformed circular and hyperbolic functions.  Each entry knows how to
+Seven families: powers t**(m-1), and the deformed exponential, Gaussian,
+circular (cos/sin) and hyperbolic (cosh/sinh) functions.  Each deformed
+family carries its own deformation parameter ``qprime`` in (0, 1],
+independent of the transform's ``q``, and at ``qprime = 1`` it is the
+classical function.  The plain names ``Exponential``, ``Gaussian``,
+``Cosine``, ``Sine``, ``Cosh`` and ``Sinh`` build that q'=1 member, whose
+``kind`` and ``label`` read as the plain name.  Each entry knows how to
 
 * evaluate itself on numpy arrays,
 * hand out an exact derivative of any order as a callable,
@@ -9,11 +14,10 @@ plain/deformed circular and hyperbolic functions.  Each entry knows how to
   formulas (used as the independent reference when checking the
   transform/inversion round trip).
 
-Deformed entries carry their own deformation parameter ``qprime``,
-independent of the transform's ``q``.  Deformed functions of a negative
-argument use the cutoff convention (value 0 once the base hits zero);
-closed-form transforms are quoted for ``s`` large enough that the kernel
-support stays inside the positivity domain, where the cutoff is invisible.
+Deformed functions of a negative argument use the cutoff convention
+(value 0 once the base hits zero); closed-form transforms are quoted for
+``s`` large enough that the kernel support stays inside the positivity
+domain, where the cutoff is invisible.
 """
 
 from __future__ import annotations
@@ -47,15 +51,12 @@ __all__ = [
     "make_catalog_function",
 ]
 
+_CLASSICAL = QParam(1.0)
+
 
 def _check_alpha(alpha: float) -> None:
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-
-
-def _check_qprime(qprime: QParam) -> None:
-    if qprime.q >= 1.0:
-        raise DomainError("deformed catalog entries require qprime < 1")
 
 
 def _check_sign(sign: int) -> None:
@@ -72,17 +73,50 @@ def _masked_power(base, expo: float) -> np.ndarray:
     return out.reshape(np.shape(base))
 
 
-_SNAP = 32.0 * np.finfo(float).eps
+def _qexp_power(eps: float, c: float, u, order: int = 0) -> np.ndarray:
+    """(1 + eps*c*u)**(1/eps - order), cut to 0 where the base is not
+    positive; exp(c*u) at eps = 0."""
+    if eps == 0.0:
+        return np.exp(c * u)
+    return _masked_power(1.0 + eps * c * u, 1.0 / eps - order)
+
+
+def _qexp_coef(eps: float, c: float, order: int) -> float:
+    """c**order * prod_{i<order} (1 - i*eps): the factor in front of
+    (1 + eps*c*u)**(1/eps - order) in the order-th u-derivative of q_exp(c*u)."""
+    coef = c**order
+    for i in range(order):
+        coef *= 1.0 - i * eps
+    return coef
+
+
+def _qexp_derivative(eps: float, c: float, u, order: int) -> np.ndarray:
+    """The order-th u-derivative of q_exp(c*u)."""
+    return _qexp_coef(eps, c, order) * _qexp_power(eps, c, u, order)
+
+
+_SNAP = 32.0 * float(np.finfo(float).eps)
 
 
 def _dfactor(j: float, eps_prime: float) -> float:
     """The series step factor 1 - j*(1-q'), snapped to exact 0 within a few
     ulps so that terminating deformed series (integer 1/(1-q')) terminate
-    exactly instead of trailing rounding noise."""
+    exactly instead of trailing rounding noise.  At q' = 1 it is 1, returned
+    without the snap test, which would otherwise dominate classical series."""
+    if eps_prime == 0.0:
+        return 1.0
     v = 1.0 - j * eps_prime
     if abs(v) <= _SNAP * max(1.0, j * eps_prime):
         return 0.0
     return v
+
+
+def _qexp_taylor(eps: float, c: float, n_max: int) -> list[float]:
+    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max."""
+    coeffs = [1.0]
+    for n in range(1, n_max + 1):
+        coeffs.append(coeffs[-1] * (_dfactor(n - 1, eps) * c / n))
+    return coeffs
 
 
 def _scalar_ok(t, out):
@@ -134,86 +168,62 @@ class Monomial:
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """f(t) = exp(sign * alpha * t)."""
+class _Family:
+    """Fields and naming shared by the deformed families.
 
+    ``_name`` is the classical (q' = 1) name; ``kind`` and ``label`` use it
+    at q' = 1 and prefix it with ``q`` otherwise.  Subclasses implement
+    ``__call__`` and either ``_eval(t, order)``, the order-th derivative,
+    or ``derivative`` itself.
+    """
+
+    qprime: QParam
     alpha: float
-    sign: int = 1
-    kind = "exponential"
+    _name = ""
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        _check_sign(self.sign)
-
-    def __call__(self, t):
-        return _scalar_ok(t, np.exp(self.sign * self.alpha * np.asarray(t, dtype=float)))
 
     def derivative(self, order: int) -> Callable:
-        coef = (self.sign * self.alpha) ** order
+        return lambda t: self._eval(t, order)
 
-        def d(t):
-            return _scalar_ok(t, coef * np.exp(self.sign * self.alpha * np.asarray(t, dtype=float)))
-
-        return d
-
-    def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [1.0]
-        for n in range(1, n_max + 1):
-            coeffs.append(coeffs[-1] * self.sign * self.alpha / n)
-        return coeffs
+    def _params(self) -> str:
+        return f"alpha={self.alpha}"
 
     @property
-    def value_at_zero(self) -> float:
-        return 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return 0.0 if self.sign < 0 else None
+    def kind(self) -> str:
+        return self._name if self.qprime.classical else "q" + self._name
 
     @property
     def label(self) -> str:
-        return f"exponential(sign={self.sign:+d}, alpha={self.alpha})"
+        deform = "" if self.qprime.classical else f"q'={self.qprime.q}, "
+        return f"{self.kind}({deform}{self._params()})"
 
 
 @dataclass(frozen=True)
-class QExponential:
+class QExponential(_Family):
     """f(t) = q_exp(qprime, sign * alpha * t), cut to 0 past its zero."""
 
-    qprime: QParam
-    alpha: float
     sign: int = 1
-    kind = "qexponential"
+    _name = "exponential"
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        super().__post_init__()
         _check_sign(self.sign)
-        _check_qprime(self.qprime)
-
-    def _base(self, t: np.ndarray) -> np.ndarray:
-        return 1.0 + self.qprime.eps * self.sign * self.alpha * t
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        return _scalar_ok(t, _masked_power(self._base(arr), 1.0 / self.qprime.eps))
+        return _scalar_ok(t, _qexp_power(self.qprime.eps, self.sign * self.alpha, arr))
 
-    def derivative(self, order: int) -> Callable:
-        a = 1.0 / self.qprime.eps
-        coef = (self.sign * self.alpha) ** order
-        for i in range(order):
-            coef *= 1.0 - i * self.qprime.eps
-
-        def d(t):
-            arr = np.asarray(t, dtype=float)
-            return _scalar_ok(t, coef * _masked_power(self._base(arr), a - order))
-
-        return d
+    def _eval(self, t, order: int):
+        arr = np.asarray(t, dtype=float)
+        return _scalar_ok(t, _qexp_derivative(self.qprime.eps, self.sign * self.alpha, arr, order))
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [1.0]
-        for n in range(1, n_max + 1):
-            step = _dfactor(n - 1, self.qprime.eps) * self.sign * self.alpha / n
-            coeffs.append(coeffs[-1] * step)
-        return coeffs
+        return _qexp_taylor(self.qprime.eps, self.sign * self.alpha, n_max)
+
+    def _params(self) -> str:
+        return f"sign={self.sign:+d}, alpha={self.alpha}"
 
     @property
     def value_at_zero(self) -> float:
@@ -223,108 +233,36 @@ class QExponential:
     def limit_at_infinity(self) -> float | None:
         return 0.0 if self.sign < 0 else None
 
-    @property
-    def label(self) -> str:
-        return f"qexponential(q'={self.qprime.q}, sign={self.sign:+d}, alpha={self.alpha})"
 
-
-def _poly_eval(coeffs: list[float], t: np.ndarray) -> np.ndarray:
-    return npp.polyval(t, np.asarray(coeffs, dtype=float))
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """f(t) = exp(-alpha * t**2)."""
-
-    alpha: float
-    kind = "gaussian"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        return _scalar_ok(t, np.exp(-self.alpha * arr**2))
-
-    def derivative(self, order: int) -> Callable:
-        # d/dt [P * exp(-a t^2)] = (P' - 2 a t P) * exp(-a t^2)
-        p = np.array([1.0])
-        for _ in range(order):
-            p = npp.polyadd(npp.polyder(p), -2.0 * self.alpha * npp.polymulx(p))
-        poly = list(p)
-
-        def d(t):
-            arr = np.asarray(t, dtype=float)
-            return _scalar_ok(t, _poly_eval(poly, arr) * np.exp(-self.alpha * arr**2))
-
-        return d
-
-    def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
-        g = 1.0
-        for k in range(n_max // 2 + 1):
-            if k:
-                g *= -self.alpha / k
-            coeffs[2 * k] = g
-        return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return 0.0
-
-    @property
-    def label(self) -> str:
-        return f"gaussian(alpha={self.alpha})"
-
-
-@dataclass(frozen=True)
-class QGaussian:
+class QGaussian(_Family):
     """f(t) = q_exp(qprime, -alpha * t**2), cut to 0 past its zero."""
 
-    qprime: QParam
-    alpha: float
-    kind = "qgaussian"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_qprime(self.qprime)
-
-    def _base_poly(self) -> np.ndarray:
-        return np.array([1.0, 0.0, -self.qprime.eps * self.alpha])
+    _name = "gaussian"
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        base = 1.0 - self.qprime.eps * self.alpha * arr**2
-        return _scalar_ok(t, _masked_power(base, 1.0 / self.qprime.eps))
+        return _scalar_ok(t, _qexp_power(self.qprime.eps, -self.alpha, arr**2))
 
     def derivative(self, order: int) -> Callable:
-        # f^(n) = R_n * base**(p - n) with R_{n+1} = R_n' * base + (p - n) R_n base'
-        p = 1.0 / self.qprime.eps
-        base = self._base_poly()
-        dbase = npp.polyder(base)
+        # f^(n) = R_n * base**(1/eps' - n) with base = 1 - eps' alpha t**2 and
+        # R_{n+1} = R_n' base + (1 - n eps') R_n base'/eps', base'/eps' = -2 alpha t;
+        # at eps' = 0 this is the Hermite recurrence R_n' - 2 alpha t R_n.
+        e = self.qprime.eps
+        base = np.array([1.0, 0.0, -e * self.alpha])
+        dbase = np.array([0.0, -2.0 * self.alpha])
         r = np.array([1.0])
         for n in range(order):
-            r = npp.polyadd(npp.polymul(npp.polyder(r), base), (p - n) * npp.polymul(r, dbase))
-        poly = list(r)
+            r = npp.polyadd(npp.polymul(npp.polyder(r), base), (1.0 - n * e) * npp.polymul(r, dbase))
 
         def d(t):
             arr = np.asarray(t, dtype=float)
-            b = 1.0 - self.qprime.eps * self.alpha * arr**2
-            return _scalar_ok(t, _poly_eval(poly, arr) * _masked_power(b, p - order))
+            return _scalar_ok(t, npp.polyval(arr, r) * _qexp_power(e, -self.alpha, arr**2, order))
 
         return d
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
-        g = 1.0
-        for k in range(n_max // 2 + 1):
-            if k:
-                g *= -_dfactor(k - 1, self.qprime.eps) * self.alpha / k
-            coeffs[2 * k] = g
+        coeffs[::2] = _qexp_taylor(self.qprime.eps, -self.alpha, n_max // 2)
         return coeffs
 
     @property
@@ -335,40 +273,29 @@ class QGaussian:
     def limit_at_infinity(self) -> float | None:
         return 0.0
 
-    @property
-    def label(self) -> str:
-        return f"qgaussian(q'={self.qprime.q}, alpha={self.alpha})"
 
+class _Paired(_Family):
+    """Even (delta = 0) or odd (delta = 1) member of a circular/hyperbolic
+    pair.  ``_square_sign`` is the sign of (i*alpha)**2 or alpha**2 in the
+    Taylor step, and ``_classical`` the numpy function of alpha*t at q' = 1."""
 
-class _Trig:
-    """Shared machinery for cos/sin (delta = 0/1) with derivative cycling."""
-
-    alpha: float
-    delta: int
+    delta = 0
+    _square_sign = 1.0
+    _classical = np.cosh
 
     def __call__(self, t):
-        arr = self.alpha * np.asarray(t, dtype=float)
-        out = np.sin(arr) if self.delta else np.cos(arr)
-        return _scalar_ok(t, out)
-
-    def derivative(self, order: int) -> Callable:
-        coef = self.alpha**order
-        phase = order * math.pi / 2.0
-        use_sin = bool(self.delta)
-
-        def d(t):
-            arr = self.alpha * np.asarray(t, dtype=float) + phase
-            return _scalar_ok(t, coef * (np.sin(arr) if use_sin else np.cos(arr)))
-
-        return d
+        if self.qprime.eps == 0.0:
+            return _scalar_ok(t, self._classical(self.alpha * np.asarray(t, dtype=float)))
+        return self._eval(t, 0)
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
+        e = self.qprime.eps
         g = self.alpha if self.delta else 1.0
         for k in range((n_max - self.delta) // 2 + 1):
             n = 2 * k + self.delta
             if k:
-                g *= -self.alpha**2 / ((n - 1) * n)
+                g *= self._square_sign * _dfactor(n - 2, e) * _dfactor(n - 1, e) * self.alpha**2 / ((n - 1) * n)
             coeffs[n] = g
         return coeffs
 
@@ -381,294 +308,113 @@ class _Trig:
         return None
 
 
-@dataclass(frozen=True)
-class Cosine(_Trig):
-    alpha: float
-    delta = 0
-    kind = "cosine"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    @property
-    def label(self) -> str:
-        return f"cosine(alpha={self.alpha})"
-
-
-@dataclass(frozen=True)
-class Sine(_Trig):
-    alpha: float
-    delta = 1
-    kind = "sine"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    @property
-    def label(self) -> str:
-        return f"sine(alpha={self.alpha})"
-
-
-class _Hyper:
-    """Shared machinery for cosh/sinh (delta = 0/1)."""
-
-    alpha: float
-    delta: int
-
-    def __call__(self, t):
-        arr = self.alpha * np.asarray(t, dtype=float)
-        out = np.sinh(arr) if self.delta else np.cosh(arr)
-        return _scalar_ok(t, out)
-
-    def derivative(self, order: int) -> Callable:
-        coef = self.alpha**order
-        use_sinh = (order + self.delta) % 2 == 1
-
-        def d(t):
-            arr = self.alpha * np.asarray(t, dtype=float)
-            return _scalar_ok(t, coef * (np.sinh(arr) if use_sinh else np.cosh(arr)))
-
-        return d
-
-    def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
-        g = self.alpha if self.delta else 1.0
-        for k in range((n_max - self.delta) // 2 + 1):
-            n = 2 * k + self.delta
-            if k:
-                g *= self.alpha**2 / ((n - 1) * n)
-            coeffs[n] = g
-        return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 0.0 if self.delta else 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return None
-
-
-@dataclass(frozen=True)
-class Cosh(_Hyper):
-    alpha: float
-    delta = 0
-    kind = "cosh"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    @property
-    def label(self) -> str:
-        return f"cosh(alpha={self.alpha})"
-
-
-@dataclass(frozen=True)
-class Sinh(_Hyper):
-    alpha: float
-    delta = 1
-    kind = "sinh"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-
-    @property
-    def label(self) -> str:
-        return f"sinh(alpha={self.alpha})"
-
-
-class _QTrig:
+class _QTrig(_Paired):
     """Deformed circular functions in polar form.
 
     With w = (1-q')*alpha*t, a = 1/(1-q'), rho = sqrt(1 + w**2) and
     theta = arctan(w), the deformed exponential of an imaginary argument is
     rho**a * exp(i*a*theta); its real/imaginary parts give the deformed
     cosine (delta = 0) and sine (delta = 1).  Derivatives follow the same
-    polar pattern with the modulus exponent lowered by the order.
+    polar pattern with the modulus exponent lowered by the order.  At
+    q' = 1 the modulus is 1 and the phase alpha*t.
     """
 
-    qprime: QParam
-    alpha: float
-    delta: int
-
-    def _polar(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self.qprime.eps * self.alpha * t
-        return np.sqrt(1.0 + w**2), np.arctan(w)
+    _square_sign = -1.0
 
     def _eval(self, t, order: int):
         arr = np.asarray(t, dtype=float)
-        a = 1.0 / self.qprime.eps
-        coef = self.alpha**order
-        for i in range(order):
-            coef *= 1.0 - i * self.qprime.eps
-        rho, theta = self._polar(arr)
-        angle = (a - order) * theta + order * math.pi / 2.0
-        circ = np.sin(angle) if self.delta else np.cos(angle)
-        return _scalar_ok(t, coef * rho ** (a - order) * circ)
-
-    def __call__(self, t):
-        return self._eval(t, 0)
-
-    def derivative(self, order: int) -> Callable:
-        return lambda t: self._eval(t, order)
-
-    def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
         e = self.qprime.eps
-        g = self.alpha if self.delta else 1.0
-        for k in range((n_max - self.delta) // 2 + 1):
-            n = 2 * k + self.delta
-            if k:
-                g *= -_dfactor(n - 2, e) * _dfactor(n - 1, e) * self.alpha**2 / ((n - 1) * n)
-            coeffs[n] = g
-        return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 0.0 if self.delta else 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return None
+        if e == 0.0:
+            angle, scale = self.alpha * arr, self.alpha**order
+        else:
+            w = e * self.alpha * arr
+            a = 1.0 / e - order
+            angle, scale = a * np.arctan(w), _qexp_coef(e, self.alpha, order) * np.sqrt(1.0 + w**2) ** a
+        if order:
+            angle = angle + order * math.pi / 2.0
+        circ = np.sin(angle) if self.delta else np.cos(angle)
+        return _scalar_ok(t, scale * circ)
 
 
-@dataclass(frozen=True)
 class QCosine(_QTrig):
-    qprime: QParam
-    alpha: float
-    delta = 0
-    kind = "qcosine"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_qprime(self.qprime)
-
-    @property
-    def label(self) -> str:
-        return f"qcosine(q'={self.qprime.q}, alpha={self.alpha})"
+    _name = "cosine"
+    _classical = np.cos
 
 
-@dataclass(frozen=True)
 class QSine(_QTrig):
-    qprime: QParam
-    alpha: float
     delta = 1
-    kind = "qsine"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_qprime(self.qprime)
-
-    @property
-    def label(self) -> str:
-        return f"qsine(q'={self.qprime.q}, alpha={self.alpha})"
+    _name = "sine"
+    _classical = np.sin
 
 
-class _QHyper:
+class _QHyper(_Paired):
     """Deformed hyperbolic functions as even/odd parts of q_exp(+-alpha t).
 
     Within the series' radius 1/((1-q')*alpha) this matches the
     hypergeometric definition; past the radius the negative branch is cut,
     which closed-form transforms never see (the kernel support stays inside
-    the radius for s >= s_min).
+    the radius for s >= s_min).  At q' = 1 they are cosh/sinh themselves:
+    sinh as a difference of exponentials would lose relative accuracy near
+    t = 0.
     """
 
-    qprime: QParam
-    alpha: float
-    delta: int
-
-    def _branches(self) -> tuple[QExponential, QExponential]:
-        return (
-            QExponential(self.qprime, self.alpha, 1),
-            QExponential(self.qprime, self.alpha, -1),
-        )
-
-    def __call__(self, t):
-        plus, minus = self._branches()
-        sgn = -1.0 if self.delta else 1.0
-        return _scalar_ok(t, 0.5 * (plus(t) + sgn * minus(t)))
-
-    def derivative(self, order: int) -> Callable:
-        plus, minus = self._branches()
-        dp, dm = plus.derivative(order), minus.derivative(order)
-        sgn = -1.0 if self.delta else 1.0
-
-        def d(t):
-            return _scalar_ok(t, 0.5 * (dp(t) + sgn * dm(t)))
-
-        return d
-
-    def taylor_coefficients(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
+    def _eval(self, t, order: int):
+        arr = np.asarray(t, dtype=float)
         e = self.qprime.eps
-        g = self.alpha if self.delta else 1.0
-        for k in range((n_max - self.delta) // 2 + 1):
-            n = 2 * k + self.delta
-            if k:
-                g *= _dfactor(n - 2, e) * _dfactor(n - 1, e) * self.alpha**2 / ((n - 1) * n)
-            coeffs[n] = g
-        return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 0.0 if self.delta else 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return None
+        if e == 0.0:
+            odd = (order + self.delta) % 2 == 1
+            return _scalar_ok(t, self.alpha**order * (np.sinh if odd else np.cosh)(self.alpha * arr))
+        sgn = -1.0 if self.delta else 1.0
+        plus = _qexp_derivative(e, self.alpha, arr, order)
+        minus = _qexp_derivative(e, -self.alpha, arr, order)
+        return _scalar_ok(t, 0.5 * (plus + sgn * minus))
 
 
-@dataclass(frozen=True)
 class QCosh(_QHyper):
-    qprime: QParam
-    alpha: float
-    delta = 0
-    kind = "qcosh"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_qprime(self.qprime)
-
-    @property
-    def label(self) -> str:
-        return f"qcosh(q'={self.qprime.q}, alpha={self.alpha})"
+    _name = "cosh"
 
 
-@dataclass(frozen=True)
 class QSinh(_QHyper):
-    qprime: QParam
-    alpha: float
     delta = 1
-    kind = "qsinh"
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_qprime(self.qprime)
-
-    @property
-    def label(self) -> str:
-        return f"qsinh(q'={self.qprime.q}, alpha={self.alpha})"
+    _name = "sinh"
+    _classical = np.sinh
 
 
-CatalogFunction = Union[
-    Monomial,
-    Exponential,
-    QExponential,
-    Gaussian,
-    QGaussian,
-    Cosine,
-    Sine,
-    QCosine,
-    QSine,
-    Cosh,
-    Sinh,
-    QCosh,
-    QSinh,
-]
+def Exponential(alpha: float, sign: int = 1) -> QExponential:
+    """f(t) = exp(sign * alpha * t), the q' = 1 member of QExponential."""
+    return QExponential(_CLASSICAL, alpha, sign)
 
-CATALOG: dict[str, type] = {
-    cls.kind: cls
-    for cls in (
+
+def Gaussian(alpha: float) -> QGaussian:
+    """f(t) = exp(-alpha * t**2), the q' = 1 member of QGaussian."""
+    return QGaussian(_CLASSICAL, alpha)
+
+
+def Cosine(alpha: float) -> QCosine:
+    """f(t) = cos(alpha * t), the q' = 1 member of QCosine."""
+    return QCosine(_CLASSICAL, alpha)
+
+
+def Sine(alpha: float) -> QSine:
+    """f(t) = sin(alpha * t), the q' = 1 member of QSine."""
+    return QSine(_CLASSICAL, alpha)
+
+
+def Cosh(alpha: float) -> QCosh:
+    """f(t) = cosh(alpha * t), the q' = 1 member of QCosh."""
+    return QCosh(_CLASSICAL, alpha)
+
+
+def Sinh(alpha: float) -> QSinh:
+    """f(t) = sinh(alpha * t), the q' = 1 member of QSinh."""
+    return QSinh(_CLASSICAL, alpha)
+
+
+CatalogFunction = Union[Monomial, QExponential, QGaussian, QCosine, QSine, QCosh, QSinh]
+
+CATALOG: dict[str, Callable[..., CatalogFunction]] = {
+    fn.__name__.lower(): fn
+    for fn in (
         Monomial,
         Exponential,
         QExponential,
@@ -694,25 +440,25 @@ def make_catalog_function(
     qprime: float | None = None,
     sign: int = 1,
 ) -> CatalogFunction:
-    """Build a catalog entry from CLI-style fields, validating the combination."""
+    """Build a catalog entry from CLI-style fields, validating the combination.
+
+    A plain name builds the q' = 1 member of its family and ignores
+    ``qprime``; a ``q``-prefixed name requires it.
+    """
     key = name.strip().lower().replace("-", "").replace("_", "")
     if key not in CATALOG:
         raise DomainError(f"unknown catalog function {name!r}; choose from {sorted(CATALOG)}")
-    cls = CATALOG[key]
-    if cls is Monomial:
+    if key == "monomial":
         if m is None:
             raise DomainError("monomial requires m")
         return Monomial(m)
     if alpha is None:
         raise DomainError(f"{key} requires alpha")
-    needs_qprime = key.startswith("q")
-    if needs_qprime:
+    if key.startswith("q"):
         if qprime is None:
             raise DomainError(f"{key} requires qprime")
         qp = QParam(qprime)
-        if cls is QExponential:
-            return QExponential(qp, alpha, sign)
-        return cls(qp, alpha)
-    if cls is Exponential:
-        return Exponential(alpha, sign)
-    return cls(alpha)
+    else:
+        qp, key = _CLASSICAL, "q" + key
+    family = CATALOG[key]
+    return family(qp, alpha, sign) if family is QExponential else family(qp, alpha)

@@ -13,16 +13,13 @@ numbers are printed with 17 significant digits so values round-trip.  An
 optional flat ``key=value`` config file mirrors the flags (flags win).
 
 Exit codes: 0 all good, 1 hard assertion failed, 2 invalid configuration,
-3 numeric failure.  The environment variable QLT_THREADS caps the thread
-pool used for grid evaluation (default 1).
+3 numeric failure.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 from click.core import ParameterSource
@@ -182,23 +179,6 @@ def _qparam(q: float) -> QParam:
         raise click.UsageError(str(exc))
 
 
-def _workers(n_items: int) -> int:
-    raw = os.environ.get("QLT_THREADS", "1")
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        cap = 1
-    return min(cap, max(1, n_items))
-
-
-def _map_ordered(fn, items):
-    w = _workers(len(items))
-    if w <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -278,7 +258,7 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
             scale = max(abs(num), abs(cat))
             return (s, num, cat, abs(num - cat) / scale if scale else 0.0)
 
-        return _map_ordered(one, grid)
+        return [one(s) for s in grid]
 
     rows = _numeric_guard(run)
     meta = {"command": f"transform q={q} fn={f.label} n-terms={n_terms}"}
@@ -322,7 +302,7 @@ def invert(
                 out.append((t, est.k, est.value, truth, err))
             return out
 
-        return [row for chunk in _map_ordered(one, grid) for row in chunk]
+        return [row for t in grid for row in one(t)]
 
     rows = _numeric_guard(run)
     meta = {"command": f"invert q={q} fn={f.label} k-schedule={','.join(map(str, ks))}"}

@@ -138,14 +138,25 @@ def forward_numeric(
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"forward transform requires finite s > 0, got s = {s}")
-    fv = _vectorized(f)
+    return _kernel_quadrature(q, _vectorized(f), s, ctl)
+
+
+def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float = 0.0) -> float:
+    """Integral of q_exp(-s*t) * g(t - t0) over t >= t0, for a vectorised g.
+
+    For q < 1 the kernel support ends at t* = 1/((1-q)s), and the initial
+    panels on [t0, t*] accumulate geometrically toward both ends.  At q = 1
+    the half line t = t0 + u is mapped by the tail substitution in u.  The
+    shift by t0 is skipped when t0 = 0: it is one array operation per
+    integrand call, a few percent of a forward transform.
+    """
     if q.classical:
-        def integrand(t: np.ndarray) -> np.ndarray:
-            w = np.exp(-s * t)
-            out = np.zeros_like(t)
+        def integrand(u: np.ndarray) -> np.ndarray:
+            w = np.exp(-s * (u + t0 if t0 else u))
+            out = np.zeros_like(u)
             live = w > 0.0
             if np.any(live):
-                out[live] = w[live] * fv(t[live])
+                out[live] = w[live] * g(u[live])
             return out
 
         return integrate_half_line(integrand, ctl, scale=1.0 / s)
@@ -155,10 +166,10 @@ def forward_numeric(
 
     def integrand(t: np.ndarray) -> np.ndarray:
         base = np.maximum(1.0 - q.eps * s * t, 0.0)
-        return base**expo * fv(t)
+        return base**expo * g(t - t0 if t0 else t)
 
-    pts = dyadic_breakpoints(0.0, t_star, toward_a=True, toward_b=True)
-    return integrate(integrand, 0.0, t_star, ctl, breakpoints=pts)
+    pts = dyadic_breakpoints(t0, t_star, toward_a=True, toward_b=True)
+    return integrate(integrand, t0, t_star, ctl, breakpoints=pts)
 
 
 # --------------------------------------------------------------------------
@@ -304,17 +315,8 @@ def kernel_pair_integral(
 
         return integrate_half_line(integrand, ctl, scale=1.0 / (s - s_prime))
 
-    t_star = 1.0 / (q.eps * s)
-    expo1 = 1.0 / q.eps
     expo2 = (2.0 * q.q - 3.0) / q.eps
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        first = np.maximum(1.0 - q.eps * s * t, 0.0) ** expo1
-        second = (1.0 - q.eps * s_prime * t) ** expo2
-        return first * second
-
-    pts = dyadic_breakpoints(0.0, t_star, toward_a=True, toward_b=True)
-    return integrate(integrand, 0.0, t_star, ctl, breakpoints=pts)
+    return _kernel_quadrature(q, lambda t: (1.0 - q.eps * s_prime * t) ** expo2, s, ctl)
 
 
 # --------------------------------------------------------------------------
@@ -461,27 +463,7 @@ def translation_check(
     if c <= 0.0:
         raise DomainError("t0 lies at or beyond the kernel cutoff for this s")
 
-    if q.classical:
-        def integrand(u: np.ndarray) -> np.ndarray:
-            w = np.exp(-s * (u + t0))
-            out = np.zeros_like(u)
-            live = w > 0.0
-            if np.any(live):
-                out[live] = w[live] * np.asarray(f(u[live]), dtype=float)
-            return out
-
-        rhs = integrate_half_line(integrand, ctl, scale=1.0 / s)
-    else:
-        t_star = 1.0 / (q.eps * s)
-        expo = 1.0 / q.eps
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            base = np.maximum(1.0 - q.eps * s * t, 0.0)
-            return base**expo * np.asarray(f((t - t0) / c), dtype=float)
-
-        pts = dyadic_breakpoints(t0, t_star, toward_a=True, toward_b=True)
-        rhs = integrate(integrand, t0, t_star, ctl, breakpoints=pts)
-
+    rhs = _kernel_quadrature(q, lambda u: np.asarray(f(u / c), dtype=float), s, ctl, t0)
     base_transform = forward_numeric(q, f, s, ctl)
     power = 2.0 - q.q
     lhs_proof = base_transform * q_exp(q, -s * t0) ** power

@@ -22,6 +22,7 @@ from qlaplace import (
     QSinh,
     Sine,
     Sinh,
+    catalog_transform,
     make_catalog_function,
 )
 
@@ -155,6 +156,12 @@ class TestMetadata:
     def test_registry_complete(self):
         assert len(CATALOG) == 13
 
+    def test_classical_members_keep_plain_names(self):
+        assert Cosine(1.1).kind == "cosine"
+        assert QCosine(QParam(1.0), 1.1).label == "cosine(alpha=1.1)"
+        assert Exponential(0.8, -1).label == "exponential(sign=-1, alpha=0.8)"
+        assert QSinh(QP, 0.7).label == "qsinh(q'=0.7, alpha=0.7)"
+
 
 class TestFactory:
     def test_monomial(self):
@@ -170,6 +177,15 @@ class TestFactory:
         f = make_catalog_function("exponential", alpha=2.0, sign=-1)
         assert f.sign == -1
 
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_kind_is_registry_key(self, key):
+        f = make_catalog_function(key, m=2, alpha=0.8, qprime=0.7, sign=-1)
+        assert f.kind == key
+
+    def test_classical_qprime_is_plain_member(self):
+        assert make_catalog_function("qgaussian", alpha=0.9, qprime=1.0) == Gaussian(0.9)
+        assert make_catalog_function("sinh", alpha=0.7) == QSinh(QParam(1.0), 0.7)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             make_catalog_function("nope", alpha=1.0)
@@ -179,9 +195,46 @@ class TestFactory:
             make_catalog_function("gaussian")
         with pytest.raises(DomainError):
             make_catalog_function("qgaussian", alpha=1.0)
-        with pytest.raises(DomainError):
-            QExponential(QParam(1.0), 1.0, 1)
+        assert QExponential(QParam(1.0), 1.0, -1) == Exponential(1.0, -1)
         with pytest.raises(DomainError):
             Exponential(-1.0, 1)
         with pytest.raises(DomainError):
             Monomial(0)
+
+
+DEFORMED = [
+    lambda qp: QExponential(qp, 0.8, 1),
+    lambda qp: QExponential(qp, 0.8, -1),
+    lambda qp: QGaussian(qp, 0.9),
+    lambda qp: QCosine(qp, 1.1),
+    lambda qp: QSine(qp, 1.1),
+    lambda qp: QCosh(qp, 0.7),
+    lambda qp: QSinh(qp, 0.7),
+]
+
+
+@pytest.mark.parametrize("make", DEFORMED, ids=lambda make: make(QParam(1.0)).label)
+@pytest.mark.parametrize("gap", [1e-4, 1e-6])
+class TestClassicalContinuity:
+    """q' -> 1-: each deformed family approaches its q' = 1 member, with
+    differences of order (1 - q')."""
+
+    def test_values_and_derivatives(self, make, gap):
+        f, ref = make(QParam(1.0 - gap)), make(QParam(1.0))
+        t = np.linspace(0.0, 1.2, 25)
+        for order in range(4):
+            want = ref.derivative(order)(t)
+            got = f.derivative(order)(t)
+            assert np.all(np.abs(got - want) <= 10.0 * gap * np.maximum(np.abs(want), 1.0))
+        assert np.all(np.abs(f(t) - ref(t)) <= gap * np.maximum(np.abs(ref(t)), 1.0))
+
+    def test_taylor_coefficients(self, make, gap):
+        got = np.array(make(QParam(1.0 - gap)).taylor_coefficients(40))
+        want = np.array(make(QParam(1.0)).taylor_coefficients(40))
+        assert np.all(np.abs(got - want) <= 1e3 * gap * np.abs(want))
+
+    def test_closed_form_coefficients(self, make, gap):
+        q = QParam(0.6)
+        got = np.array(catalog_transform(q, make(QParam(1.0 - gap)), 40).coeffs)
+        want = np.array(catalog_transform(q, make(QParam(1.0)), 40).coeffs)
+        assert np.all(np.abs(got - want) <= 1e3 * gap * np.abs(want))

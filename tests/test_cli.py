@@ -36,12 +36,12 @@ class TestTransformCommand:
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
-    def test_threaded_matches_sequential(self, runner, monkeypatch):
-        args = ["transform", "--q", "0.5", "--fn", "monomial", "--m", "3", "--s-grid", "1:5:5"]
-        seq = runner.invoke(main, args).output
-        monkeypatch.setenv("QLT_THREADS", "4")
-        par = runner.invoke(main, args).output
-        assert seq == par
+    def test_classical_qprime_is_the_plain_function(self, runner):
+        grid = ["--q", "0.5", "--alpha", "1", "--sign", "-1", "--s-grid", "4:20:5"]
+        plain = runner.invoke(main, ["transform", "--fn", "exponential", *grid])
+        deformed = runner.invoke(main, ["transform", "--fn", "qexponential", "--qprime", "1", *grid])
+        assert plain.exit_code == deformed.exit_code == 0, deformed.output
+        assert deformed.output == plain.output
 
     def test_json_format(self, runner):
         res = runner.invoke(
