@@ -1,7 +1,7 @@
 """Deformed Laplace transform toolkit.
 
 Forward transforms with the q-exponential kernel, closed-form transform
-catalog via generalized hypergeometric series, real-variable Post-Widder
+catalog as the term-wise image of Taylor series, real-variable Post-Widder
 inversion, and partition-function / density-of-states applications.
 """
 

@@ -442,12 +442,17 @@ def make_catalog_function(
 ) -> CatalogFunction:
     """Build a catalog entry from CLI-style fields, validating the combination.
 
-    A plain name builds the q' = 1 member of its family and ignores
-    ``qprime``; a ``q``-prefixed name requires it.
+    A plain name builds the q' = 1 member of its family and rejects
+    ``qprime``; a ``q``-prefixed name requires it.  ``sign`` other than 1 is
+    accepted by the two exponentials only.
     """
     key = name.strip().lower().replace("-", "").replace("_", "")
     if key not in CATALOG:
         raise DomainError(f"unknown catalog function {name!r}; choose from {sorted(CATALOG)}")
+    if sign != 1 and key not in ("exponential", "qexponential"):
+        raise DomainError(f"{key} takes no sign; only the exponentials do")
+    if qprime is not None and not key.startswith("q"):
+        raise DomainError(f"{key} takes no qprime; only the q-prefixed families do")
     if key == "monomial":
         if m is None:
             raise DomainError("monomial requires m")

@@ -1,9 +1,9 @@
 """Generalized hypergeometric series pFq by direct term recurrence.
 
-Covers the parameter instances needed by the closed-form transform
-catalog: 0F0 through 3F2, real parameters, real argument.  Plain forward
-summation only; callers are expected to keep the argument comfortably
-inside the convergence domain (the catalog enforces |z| <= 1/2).
+Covers the parameter instances of the paper's closed-form transforms of
+the catalog: 0F0 through 3F2, real parameters, real argument (the tests sum
+them as an oracle for the term-wise series).  Plain forward summation only;
+callers keep the argument inside the convergence domain (|z| <= 1/2).
 """
 
 from __future__ import annotations

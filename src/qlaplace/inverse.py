@@ -32,7 +32,7 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, xi_factor
+from .qmath import QParam, _power_map, xi_factor
 from .transform import PowerSeriesTransform, catalog_transform
 
 __all__ = [
@@ -229,18 +229,11 @@ def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
 
     This is the k -> inf limit of the per-term-scaled estimator and the
     exact inverse of the forward power map
-    t**n -> n!/q_poly(2-q, n+1) * s**-(n+1).  Also valid at q = 1, where
-    it reduces to the classical rule a_n = c_n/n!.
+    t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude.  Also valid
+    at q = 1, where it reduces to the classical rule a_n = c_n/n!.
     """
-    coeffs = []
-    qpoly = 1.0
-    fact = 1.0
-    for n, c in enumerate(F.coeffs):
-        qpoly *= 1.0 + q.eps * (n + 1)
-        if n:
-            fact *= n
-        coeffs.append(c * qpoly / fact)
-    return TaylorSeries(tuple(coeffs), _radius_guess(tuple(coeffs)))
+    coeffs = tuple(_power_map(q, F.coeffs, inverse=True).tolist())
+    return TaylorSeries(coeffs, _radius_guess(coeffs))
 
 
 @dataclass(frozen=True)
@@ -261,8 +254,10 @@ def roundtrip(
 ) -> RoundtripReport:
     """Forward closed form then term-wise inversion, against f itself.
 
-    The recovered Taylor coefficients are compared with the independent
-    expansion from f's defining series, and the reconstructed series is
+    The recovered Taylor coefficients are compared with f's defining series,
+    from which `catalog_transform` built the transform: this measures only
+    the round-off of the power map and its inverse (the tests check against
+    the independent pFq closed forms).  The reconstructed series is
     compared with f pointwise on [0, t_max].
     """
     if n_terms < 4:

@@ -157,12 +157,26 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _log_factorials(bits: int) -> np.ndarray:
-    """Read-only table of log(j!) for j < 2**bits, built once per size."""
-    table = np.array([math.lgamma(j + 1.0) for j in range(1 << bits)])
+@functools.lru_cache(maxsize=1024)
+def _log_power_map(eps: float, bits: int) -> np.ndarray:
+    """Read-only table of log(n!/q_poly(2-q, n+1)) for n < 2**bits, eps = 1-q:
+    the transform maps t**n to n!/q_poly(2-q, n+1) * s**-(n+1).  At q = 1 it
+    is log(n!).  Cached per (q, size), bounded so a scan over many q stays small."""
+    orders = np.arange(1.0, (1 << bits) + 1.0)
+    table = np.array([math.lgamma(n) for n in orders]) - np.cumsum(np.log1p(eps * orders))
     table.flags.writeable = False
     return table
+
+
+def _power_map(q: QParam, coeffs, inverse: bool = False) -> np.ndarray:
+    """Transform coefficients c_n = a_n * n!/q_poly(2-q, n+1) of Taylor
+    coefficients a_n, or with ``inverse`` the a_n of the c_n, term by term in
+    log magnitude: finite wherever the exact value is (n! overflows past
+    n = 170); zeros stay zero and non-finite inputs non-finite."""
+    x = np.asarray(coeffs, dtype=float)
+    log_map = _log_power_map(q.eps, len(x).bit_length())[: len(x)]
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.sign(x) * np.exp(np.log(np.abs(x)) + (-log_map if inverse else log_map))
 
 
 def log_gamma(x: float) -> float:

@@ -8,11 +8,11 @@ For q < 1 the kernel is compactly supported on [0, 1/((1-q)*s)], so the
 numeric route is ordinary adaptive quadrature on a finite interval; at
 q = 1 a decaying-tail substitution maps [0, inf) to [0, 1).
 
-The analytic route (`catalog_transform`) assembles the closed forms of the
-catalog families as power series F(s) = sum_n c_n s^-(n+1), with
-coefficients built from hypergeometric term coefficients, the q_poly
-normalization products, and Pochhammer symbols.  The two routes are kept
-deliberately independent so each can serve as the other's oracle.
+The analytic route (`catalog_transform`) gives the closed forms of the
+catalog families as power series F(s) = sum_n c_n s^-(n+1), transforming
+the Taylor series of f term by term: t^n maps to n!/q_poly(2-q, n+1)
+s^-(n+1), the rule the paper sums into pFq closed forms.  The numeric route
+shares none of this, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CatalogFunction, Monomial
+from .catalog import CatalogFunction, Monomial, QExponential, QGaussian
 from .errors import DomainError, QLaplaceError
-from .hypergeom import PFQParams, pfq_term_coefficients
-from .qmath import QParam, _log_factorials, q_exp, q_poly
+# perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
+from .hypergeom import pfq_term_coefficients  # noqa: F401
+from .qmath import QParam, _log_power_map, _power_map, q_exp, q_poly  # noqa: F401
 from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
@@ -59,9 +60,9 @@ __all__ = [
 class PowerSeriesTransform:
     """F(s) = sum_n coeffs[n] * s**-(n+1), valid for s >= s_min.
 
-    ``s_min`` is chosen so the underlying hypergeometric argument has
-    magnitude <= 1/2, leaving headroom for derivative growth.  Derivatives
-    are exact term by term:
+    ``s_min`` is chosen so the argument of the family's pFq closed form has
+    magnitude <= 1/2, leaving headroom for derivative growth.  Every
+    coefficient must be finite.  Derivatives are exact term by term:
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
     """
@@ -73,7 +74,11 @@ class PowerSeriesTransform:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise DomainError("empty transform series")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(map(float, self.coeffs))
+        if not all(map(math.isfinite, coeffs)):
+            n = next(n for n, c in enumerate(coeffs) if not math.isfinite(c))
+            raise QLaplaceError(f"transform coefficient c_{n} = {coeffs[n]} is not finite")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def value(self, s):
         x = 1.0 / np.asarray(s, dtype=float)
@@ -105,7 +110,7 @@ class PowerSeriesTransform:
             raise DomainError("s must be positive")
         c = np.asarray(self.coeffs)
         n = np.flatnonzero(c)
-        log_fact = _log_factorials(int(len(c) + k).bit_length())
+        log_fact = _log_power_map(0.0, int(len(c) + k).bit_length())  # log(j!): q = 1
         log_mag = np.log(np.abs(c[n])) + log_fact[n + k] - log_fact[n] - (n + k + 1) * math.log(s)
         with np.errstate(over="ignore"):
             total = float((np.exp(log_mag) * np.sign(c[n])).sum())
@@ -176,90 +181,36 @@ def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float 
 # closed-form catalog
 
 
-def _pfq_recipe(q: QParam, f: CatalogFunction):
-    """Hypergeometric data (upper, lower, zfac, stride, offset, prefactor)
-    for the closed-form transform of each non-monomial catalog family.
-
-    ``zfac`` is the s-free part of the series argument: the argument at s
-    is ``zfac / s**stride``.
-    """
-    eps = q.eps
-    b = 1.0 / eps + 2.0
-    q1 = q_poly(2.0 - q.q, 1)
-    q2 = q_poly(2.0 - q.q, 2)
-    kind = f.kind
-    if kind == "exponential":
-        return [1.0], [b], f.sign * f.alpha / eps, 1, 0, 1.0 / q1
-    if kind == "qexponential":
-        ap = 1.0 / f.qprime.eps
-        zfac = -f.sign * f.qprime.eps * f.alpha / eps
-        return [1.0, -ap], [b], zfac, 1, 0, 1.0 / q1
-    if kind == "gaussian":
-        return [1.0, 0.5], [b / 2.0, (b + 1.0) / 2.0], -f.alpha / eps**2, 2, 0, 1.0 / q1
-    if kind == "qgaussian":
-        ap = 1.0 / f.qprime.eps
-        zfac = f.qprime.eps * f.alpha / eps**2
-        return [1.0, 0.5, -ap], [b / 2.0, (b + 1.0) / 2.0], zfac, 2, 0, 1.0 / q1
-    if kind in ("cosine", "cosh"):
-        zfac = f.alpha**2 / (4.0 * eps**2)
-        if kind == "cosine":
-            zfac = -zfac
-        return [1.0], [b / 2.0, (b + 1.0) / 2.0], zfac, 2, 0, 1.0 / q1
-    if kind in ("sine", "sinh"):
-        zfac = f.alpha**2 / (4.0 * eps**2)
-        if kind == "sine":
-            zfac = -zfac
-        return [1.0], [(b + 1.0) / 2.0, (b + 2.0) / 2.0], zfac, 2, 1, f.alpha / q2
-    if kind in ("qcosine", "qcosh"):
-        ap = 1.0 / f.qprime.eps
-        zfac = (f.qprime.eps * f.alpha / eps) ** 2
-        if kind == "qcosine":
-            zfac = -zfac
-        upper = [1.0, -ap / 2.0, (1.0 - ap) / 2.0]
-        return upper, [b / 2.0, (b + 1.0) / 2.0], zfac, 2, 0, 1.0 / q1
-    if kind in ("qsine", "qsinh"):
-        ap = 1.0 / f.qprime.eps
-        zfac = (f.qprime.eps * f.alpha / eps) ** 2
-        if kind == "qsine":
-            zfac = -zfac
-        upper = [1.0, (1.0 - ap) / 2.0, (2.0 - ap) / 2.0]
-        return upper, [(b + 1.0) / 2.0, (b + 2.0) / 2.0], zfac, 2, 1, f.alpha / q2
-    raise DomainError(f"no closed-form transform recipe for {kind!r}")
+def _s_min(q: QParam, f: CatalogFunction) -> float:
+    """The s at which the argument zfac/s**stride of f's pFq closed form (in
+    1/s for the exponentials, 1/s**2 for the rest) has magnitude 1/2; 0 for
+    a power, whose series is a single term.  Each |zfac| keeps the operation
+    order of the pFq recipe in the tests, so s_min matches it bit for bit."""
+    if isinstance(f, Monomial):
+        return 0.0
+    eps, e, a = q.eps, f.qprime.eps, f.alpha
+    if isinstance(f, QExponential):
+        return 2.0 * ((e or 1.0) * a / eps)
+    if isinstance(f, QGaussian):
+        return (2.0 * ((e or 1.0) * a / eps**2)) ** 0.5
+    return (2.0 * ((e * a / eps) ** 2 if e else a**2 / (4.0 * eps**2))) ** 0.5
 
 
 def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> PowerSeriesTransform:
     """Closed-form transform of a catalog function as a 1/s power series.
 
-    Requires q < 1 (the q_poly normalization products degenerate to the
-    classical limit benignly, but the closed forms target the deformed
-    case).  A power t**(m-1) maps to the single coefficient
-    Gamma(m)/q_poly(2-q, m) at index m-1; every other family maps through
-    its hypergeometric representation.
+    Each Taylor term a_n t**n of f maps to c_n = a_n * n!/q_poly(2-q, n+1)
+    s**-(n+1), the power map `series_invert` undoes; summed, the terms are
+    the paper's pFq closed forms.  A power t**(m-1) gives an m-term series
+    whatever ``n_terms``.  Requires q < 1.
     """
     if q.classical:
         raise DomainError("catalog_transform requires q < 1")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    if isinstance(f, Monomial):
-        m = f.power
-        coeffs = [0.0] * m
-        coeffs[m - 1] = math.exp(math.lgamma(m)) / q_poly(2.0 - q.q, m)
-        return PowerSeriesTransform(tuple(coeffs), 0.0, q)
-
-    upper, lower, zfac, stride, offset, prefac = _pfq_recipe(q, f)
-    params = PFQParams(tuple(upper), tuple(lower), zfac)
-    n_pfq = max(0, (n_terms - 1 - offset) // stride)
-    base = pfq_term_coefficients(params, n_pfq)
-    coeffs = [0.0] * n_terms
-    zpow = 1.0
-    for n, cn in enumerate(base):
-        idx = offset + stride * n
-        if idx >= n_terms:
-            break
-        coeffs[idx] = prefac * cn * zpow
-        zpow *= zfac
-    s_min = (2.0 * abs(zfac)) ** (1.0 / stride) if zfac != 0.0 else 0.0
-    return PowerSeriesTransform(tuple(coeffs), s_min, q)
+    n_max = f.power - 1 if isinstance(f, Monomial) else n_terms - 1
+    coeffs = _power_map(q, f.taylor_coefficients(n_max))
+    return PowerSeriesTransform(tuple(coeffs.tolist()), _s_min(q, f), q)
 
 
 def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
@@ -270,13 +221,7 @@ def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
     Gaussian and deformed families produce divergent inverse-power series
     at q = 1 and are rejected.
     """
-    taylor = f.taylor_coefficients(n_terms - 1)
-    coeffs = []
-    fact = 1.0
-    for n, a in enumerate(taylor):
-        if n:
-            fact *= n
-        coeffs.append(a * fact)
+    coeffs = _power_map(QParam(1.0), f.taylor_coefficients(n_terms - 1)).tolist()
     nz = [(n, abs(c)) for n, c in enumerate(coeffs) if c != 0.0]
     if len(nz) <= 1:
         return PowerSeriesTransform(tuple(coeffs), 0.0, QParam(1.0))

@@ -179,8 +179,23 @@ class TestFactory:
 
     @pytest.mark.parametrize("key", sorted(CATALOG))
     def test_kind_is_registry_key(self, key):
-        f = make_catalog_function(key, m=2, alpha=0.8, qprime=0.7, sign=-1)
+        fields = {"m": 2} if key == "monomial" else {"alpha": 0.8}
+        if key.startswith("q"):
+            fields["qprime"] = 0.7
+        if key.endswith("exponential"):
+            fields["sign"] = -1
+        f = make_catalog_function(key, **fields)
         assert f.kind == key
+
+    @pytest.mark.parametrize("key", sorted(k for k in CATALOG if not k.startswith("q")))
+    def test_plain_name_rejects_qprime(self, key):
+        with pytest.raises(DomainError, match="takes no qprime"):
+            make_catalog_function(key, m=2, alpha=0.8, qprime=0.5)
+
+    @pytest.mark.parametrize("key", sorted(k for k in CATALOG if not k.endswith("exponential")))
+    def test_sign_only_for_exponentials(self, key):
+        with pytest.raises(DomainError, match="takes no sign"):
+            make_catalog_function(key, m=2, alpha=0.8, qprime=0.7 if key.startswith("q") else None, sign=-1)
 
     def test_classical_qprime_is_plain_member(self):
         assert make_catalog_function("qgaussian", alpha=0.9, qprime=1.0) == Gaussian(0.9)

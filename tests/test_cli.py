@@ -92,6 +92,23 @@ class TestTransformCommand:
         res = runner.invoke(main, ["transform", "--q", "0.5", "--fn", "sinc", "--s-grid", "1:2:2"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        (["--fn", "sinh", "--alpha", "1", "--qprime", "0.5"], ["--fn", "cosine", "--alpha", "1", "--sign", "-1"]),
+        ids=("qprime-on-plain-name", "sign-on-cosine"),
+    )
+    def test_ignored_function_option_exits_2(self, runner, extra):
+        res = runner.invoke(main, ["transform", "--q", "0.5", *extra, "--s-grid", "4:20:2"])
+        assert res.exit_code == 2, res.output
+        assert "takes no" in res.output
+
+    def test_non_finite_coefficients_exit_3(self, runner):
+        # the Taylor coefficients overflow before n = 200: no silent nan rows
+        res = runner.invoke(main, ["transform", "--q", "0.01", "--fn", "qexponential", "--qprime", "0.2",
+                                   "--alpha", "60", "--n-terms", "200", "--s-grid", "100:200:3"])
+        assert res.exit_code == 3, res.output
+        assert "numeric failure" in res.output and "nan" not in res.stdout
+
 
 class TestConfigFile:
     def test_file_supplies_required(self, runner, tmp_path):

@@ -25,6 +25,7 @@ from qlaplace import (
     widder_weight,
     xi_factor,
 )
+from pfq_oracle import CATALOG_SPECS
 
 Q5 = QParam(0.5)
 Q1 = QParam(1.0)
@@ -213,6 +214,15 @@ class TestSeriesInvert:
             else:
                 k = (n - 1) // 2
                 assert a == pytest.approx((-1.0) ** k * alpha**n / math.factorial(n), rel=1e-12)
+
+    @pytest.mark.parametrize("f", CATALOG_SPECS, ids=lambda f: f.label)
+    def test_200_terms(self, f):
+        # past n = 170, n! alone overflows; the rule must stay finite
+        q = QParam(0.3)
+        rec = series_invert(q, catalog_transform(q, f, 200)).coeffs
+        assert all(math.isfinite(a) for a in rec)
+        for a, want in zip(rec, f.taylor_coefficients(20)):
+            assert abs(a - want) <= 1e-10 * max(abs(a), abs(want))
 
     def test_classical_limit_rule(self):
         # at q = 1 the rule is the plain a_n = c_n / n!

@@ -12,9 +12,14 @@ from qlaplace import (
     Gaussian,
     Monomial,
     PowerSeriesTransform,
+    QCosh,
+    QCosine,
     QExponential,
+    QGaussian,
     QLaplaceError,
     QParam,
+    QSine,
+    QSinh,
     Sine,
     catalog_transform,
     convolution_check_classical,
@@ -31,6 +36,7 @@ from qlaplace import (
     shift_kernel_factor,
     translation_check,
 )
+from pfq_oracle import CATALOG_SPECS, pfq_series
 
 Q5 = QParam(0.5)
 Q1 = QParam(1.0)
@@ -96,6 +102,36 @@ class TestCatalogTransform:
     def test_requires_deformed(self):
         with pytest.raises(DomainError):
             catalog_transform(Q1, Monomial(2))
+
+    @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
+    def test_matches_pfq_closed_forms(self, qv):
+        # the term-wise route against the paper's pFq series, for n < 150: further
+        # on, the plain families' Taylor coefficients alpha**n/n! near the subnormals
+        q = QParam(qv)
+        for f in CATALOG_SPECS:
+            got = np.array(catalog_transform(q, f, 150).coeffs)
+            want = np.array(pfq_series(q, f, 150).coeffs)
+            assert np.array_equal(got == 0.0, want == 0.0), f.label
+            nz = want != 0.0
+            assert np.all(np.abs(got[nz] - want[nz]) <= 1e-12 * np.abs(want[nz])), f.label
+
+    def test_s_min_matches_pfq_closed_forms(self):
+        specs = list(CATALOG_SPECS)
+        for qpv in (0.2, 0.9, 1.0 - 1e-6):
+            qp = QParam(qpv)
+            specs += [QExponential(qp, 3.0, -1), QGaussian(qp, 0.25), QCosine(qp, 2.5),
+                      QSine(qp, 0.3), QCosh(qp, 7.0), QSinh(qp, 0.05)]
+        for qv in (0.01, 0.3, 0.6, 0.9, 0.999):
+            q = QParam(qv)
+            for f in specs:
+                assert catalog_transform(q, f, 5).s_min == pfq_series(q, f, 5).s_min, (qv, f.label)
+
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(QLaplaceError, match="c_1 = nan"):
+            PowerSeriesTransform((1.0, math.nan, math.inf), 0.0, Q5)
+        # the Taylor coefficients of this q-exponential overflow before n = 200
+        with pytest.raises(QLaplaceError, match="not finite"):
+            catalog_transform(QParam(0.01), QExponential(QParam(0.2), 60.0, 1), 200)
 
     def test_truncation_bound_at_s_min(self):
         # |c_N s^-(N+1)| < 1e-12 |F(s)| at s >= s_min for a long expansion
