@@ -5,26 +5,30 @@ real points, no contour integration.  The deformed finite-k estimator is
 
     est_k = (-1)**k / k! * F^(k)(s) * (2-q) * s**(k+1)  at  s = k*xi/t,
 
-where xi is the argument-scaling factor of qmath.xi_factor.  Two scaling
-modes are provided:
+where xi is the argument-scaling factor of qmath.xi_factor.  On a power
+series it is one weighted sum, computed by one kernel for all points and k:
 
-* fixed power m: the literal estimator above with xi = xi_factor(q, m),
-  exact up to a computable finite-k factor when F is a single power
-  s**-m (statmech.density_of_states evaluates that case in closed form);
-* per-term (default): each series term uses its index-matched scaling,
-  which in the k -> inf limit reduces to the coefficient rule
+    est_k(x) = sum_n w_n * x**(p0+n) * R(k, p0+n),
+    R(k, p) = Gamma(k+p+1) / (Gamma(k+1) * k**p) = 1 + O(1/k).
 
-      a_n = c_n * q_poly(2-q, n+1) / n!
+Only the weights and the offset p0 differ between callers:
 
-  implemented directly by `series_invert` (the exact inverse of the
-  power-function forward map).
+* per-term scaling (default): w_n = c_n * q_poly(2-q, n+1) / n!, each term
+  at its index-matched scale; the k -> inf limit is the coefficient rule of
+  `series_invert`, the exact inverse of the power-function forward map;
+* fixed power m: the literal estimator with xi = xi_factor(q, m),
+  w_n = (2-q) * c_n / (n! * xi**n), exact up to R when F is one power s**-m;
+* statmech.density_of_states: one power C * s**-m at real m, a single term
+  at p0 = m - 1.
 
-All k-dependent factorial factors are combined in log magnitude so the
-schedule can run to large k; a result past double range raises QLaplaceError.
+Every term is formed in log magnitude, so the schedule can run to large k;
+a result past double range raises QLaplaceError.  Richardson extrapolation
+in 1/k is one cached weight matrix per schedule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _power_map, xi_factor
+from .qmath import QParam, _log_power_map, _power_map, xi_factor
 from .transform import PowerSeriesTransform, catalog_transform
 
 __all__ = [
@@ -101,32 +105,31 @@ class WidderEstimate:
     extrapolated: float | None = None
 
 
-def _neville_at_zero(xs: list[float], ys: list[float]) -> float:
-    p = list(ys)
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - level):
-            p[i] = (-xs[i + level] * p[i] + xs[i] * p[i + 1]) / (xs[i] - xs[i + level])
-    return p[0]
+@functools.lru_cache(maxsize=64)
+def _richardson_weights(ks: tuple[int, ...]) -> np.ndarray:
+    """Read-only matrix whose row i > 0 holds the Lagrange weights at 1/k = 0
+    on the nodes 1/k of schedule entries max(0, i-2)..i: two extrapolation
+    levels over the clean O(1/k) leading error."""
+    x = 1.0 / np.asarray(ks, dtype=float)
+    weights = np.zeros((len(ks), len(ks)))
+    for i in range(1, len(ks)):
+        nodes = range(max(0, i - 2), i + 1)
+        for j in nodes:
+            weights[i, j] = math.prod(x[l] / (x[l] - x[j]) for l in nodes if l != j)
+    weights.flags.writeable = False
+    return weights
 
 
-def extrapolate_schedule(ks, values, enabled: bool = True) -> list[WidderEstimate]:
-    """Wrap raw finite-k values, attaching running 1/k Richardson values.
-
-    Each estimate's ``extrapolated`` field uses the last (up to) three raw
-    values available at that point in the schedule (two extrapolation
-    levels over the clean O(1/k) leading error).
-    """
-    out: list[WidderEstimate] = []
-    for i, (k, v) in enumerate(zip(ks, values)):
-        extr = None
-        if enabled and i >= 1:
-            lo = max(0, i - 2)
-            xs = [1.0 / kk for kk in ks[lo : i + 1]]
-            ys = list(values[lo : i + 1])
-            extr = _neville_at_zero(xs, ys)
-        out.append(WidderEstimate(int(k), float(v), extr))
-    return out
+def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEstimate]]:
+    """Wrap raw finite-k values, one row per point and one column per k,
+    attaching to each estimate after the first its running 1/k Richardson
+    value when ``enabled``."""
+    values = np.asarray(values, dtype=float)
+    extr = values @ _richardson_weights(tuple(ks)).T
+    return [
+        [WidderEstimate(int(k), v, e if enabled and i else None) for i, (k, v, e) in enumerate(zip(ks, row, row_e))]
+        for row, row_e in zip(values.tolist(), extr.tolist())
+    ]
 
 
 def classical_post_widder(F_deriv, t: float, k: int) -> float:
@@ -137,8 +140,8 @@ def classical_post_widder(F_deriv, t: float, k: int) -> float:
     hopeless at this order and are deliberately not offered).  Error
     decays like O(1/k) for smooth f.
     """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and positive, got t = {t}")
     if k < 1:
         raise DomainError("k must be >= 1")
     s = k / t
@@ -155,38 +158,34 @@ def classical_post_widder(F_deriv, t: float, k: int) -> float:
         raise QLaplaceError("estimate overflows double precision despite log-domain handling")
 
 
-def _fixed_estimates(q: QParam, F: PowerSeriesTransform, t: float, ks: tuple[int, ...], m: int) -> list[float]:
-    """Literal fixed-power estimator at s = k*xi_m/t, for every k at once.
-
-    Per series term the alternating sign and the s**(k+1) growth cancel
-    analytically, leaving (2-q) * c_n * C(n+k, n) * s**-n; the binomial
-    factor is a running log along n, summed over a (k, n) array.
-    """
-    c = np.asarray(F.coeffs)
+@functools.lru_cache(maxsize=256)
+def _log_finite_k(ks: tuple[int, ...], p0: float, n_terms: int) -> np.ndarray:
+    """Read-only (k, n) table of log R(k, p0+n), n < n_terms: a running sum
+    of log1p(j/k) up from the fractional part of p0, which alone goes
+    through lgamma.  Cached like qmath._log_power_map."""
     k = np.asarray(ks, dtype=float)[:, None]
-    n = np.arange(1, len(c))
-    log_binom = np.zeros((len(ks), len(c)))
-    np.cumsum(np.log((k + n) / n), axis=1, out=log_binom[:, 1:])
-    nz = np.flatnonzero(c)
-    log_terms = np.log(np.abs(c[nz])) + log_binom[:, nz] - nz * np.log(k * xi_factor(q, m) / t)
-    with np.errstate(over="ignore"):
-        values = (2.0 - q.q) * (np.exp(log_terms) * np.sign(c[nz])).sum(axis=1)
+    frac = p0 % 1.0
+    lead = round(p0 - frac)
+    table = np.zeros((len(ks), lead + n_terms))
+    np.cumsum(np.log1p((frac + np.arange(1, lead + n_terms)) / k), axis=1, out=table[:, 1:])
+    if frac:
+        table += np.array([[math.lgamma(kk + frac + 1.0) - math.lgamma(kk + 1.0)] for kk in ks]) - frac * np.log(k)
+    table = np.ascontiguousarray(table[:, lead:])
+    table.flags.writeable = False
+    return table
+
+
+def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
+    """Finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n), one row per x > 0
+    and one column per k, for weights w_n = sign_n * exp(log_w_n) (-inf for
+    a zero weight), each term in log magnitude; QLaplaceError on overflow."""
+    log_x_powers = np.multiply.outer(np.log(np.asarray(x, dtype=float)), p0 + np.arange(len(log_w)))
+    log_terms = (log_w + _log_finite_k(ks, p0, len(log_w))) + log_x_powers[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.exp(log_terms) * sign).sum(axis=2)
     if not np.all(np.isfinite(values)):
         raise QLaplaceError("estimate overflows double precision despite log-domain handling")
-    return values.tolist()
-
-
-def _per_term_estimate(taylor: list[float], t: float, k: int) -> float:
-    """Per-term-scaled estimator: sum_n a_n t**n * prod_{j<=n} (k+j)/k."""
-    total = 0.0
-    damp = 1.0
-    tn = 1.0
-    for n, a in enumerate(taylor):
-        if n:
-            damp *= (k + n) / k
-            tn *= t
-        total += a * tn * damp
-    return total
+    return values
 
 
 def q_post_widder(
@@ -201,16 +200,18 @@ def q_post_widder(
     Richardson extrapolation in 1/k.  At q = 1 the formula degenerates to
     the classical Post-Widder estimator (scale factor 1, prefactor 1).
     """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if not any(c != 0.0 for c in F.coeffs):
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and positive, got t = {t}")
+    c = np.asarray(F.coeffs)
+    if not np.any(c):
         raise DomainError("empty transform series")
-    if cfg.fixed_m is not None:
-        values = _fixed_estimates(q, F, t, cfg.k_schedule, cfg.fixed_m)
-    else:
-        taylor = list(series_invert(q, F).coeffs)
-        values = [_per_term_estimate(taylor, t, k) for k in cfg.k_schedule]
-    return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)
+    # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.abs(c)) - _log_power_map(0.0 if cfg.fixed_m else q.eps, len(c).bit_length())[: len(c)]
+    if cfg.fixed_m:
+        log_w += math.log(2.0 - q.q) - np.arange(len(c)) * math.log(xi_factor(q, cfg.fixed_m))
+    values = _widder_sums(log_w, np.sign(c), 0.0, [t], cfg.k_schedule)
+    return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)[0]
 
 
 def _radius_guess(coeffs: tuple[float, ...]) -> float:

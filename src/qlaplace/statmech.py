@@ -18,8 +18,9 @@ second-constraint (linear-average) formulation:
 Because the Gamma ratio equals 1/q_poly(2-q, m) for transform power m,
 Z_q is exactly the deformed transform of a q-independent power law: the
 density of states g(E) = prefactor * E**(m-1) / Gamma(m) recovered by the
-Post-Widder inversion carries no q dependence.  For a single power that
-inversion is closed form: one log-domain path serves integer and real m.
+Post-Widder inversion carries no q dependence.  For a single power the
+finite-k estimate is one term of the weighted sum that inverse.q_post_widder
+uses, at offset m - 1, so one log-domain path serves integer and real m.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps q_post_widder and _q_poly_real here in its traced run: keep both importable.
-from .inverse import WidderConfig, WidderEstimate, extrapolate_schedule, q_post_widder  # noqa: F401
+from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
 from .qmath import QParam, _log_q_poly_real, _q_poly_real, _xi_factor_real  # noqa: F401
 from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate
 
@@ -220,25 +221,6 @@ class DensityOfStates:
         return g
 
 
-def _real_power_estimates(
-    q: QParam, log_c: float, m: float, energies: list[float], cfg: WidderConfig
-) -> list[tuple[WidderEstimate, ...]]:
-    """Finite-k estimates for F = C * s**-m, real m >= 2, one tuple per energy:
-    (2-q) * C * Gamma(m+k) / (Gamma(m) k!) * s**-(m-1) at s = k*xi/E, in log
-    magnitude, with xi at order ``cfg.fixed_m`` when that is set, else m."""
-    xi = _xi_factor_real(q, cfg.fixed_m or m)
-    log_per_k = [
-        math.lgamma(m + k) - math.lgamma(m) - math.lgamma(k + 1) - (m - 1.0) * math.log(k * xi)
-        for k in cfg.k_schedule
-    ]
-    log_est = np.add.outer((m - 1.0) * np.log(energies), np.array(log_per_k) + log_c)
-    with np.errstate(over="ignore"):
-        values = (2.0 - q.q) * np.exp(log_est)
-    if not np.all(np.isfinite(values)):
-        raise QLaplaceError("estimate overflows double precision despite log-domain handling")
-    return [tuple(extrapolate_schedule(cfg.k_schedule, row, cfg.extrapolate)) for row in values.tolist()]
-
-
 def density_of_states(
     q: QParam,
     model: ThermoModel,
@@ -247,24 +229,31 @@ def density_of_states(
 ) -> DensityOfStates:
     """Recover g(E) from Z_q by treating beta as the transform variable.
 
-    Z_q(beta) = C * beta**-m is one power, so the finite-k estimator has a
-    closed form at every real m >= 2, integer or not, evaluated for all
-    energies and k at once in log magnitude (QLaplaceError, never inf, on
-    overflow).  The analytic limit g(E) = exp(log_prefactor) * E**(m-1) /
-    Gamma(m) is carried alongside and is independent of q.
+    Z_q(beta) = C * beta**-m is a single power, so at every real m >= 2 the
+    finite-k estimator is one term of the Post-Widder weighted sum, weight
+    (2-q) * C / (Gamma(m) * xi**(m-1)) at offset m - 1, with xi at order
+    ``cfg.fixed_m`` when that is set, else m; all energies and k at once, in
+    log magnitude (QLaplaceError, never inf, on overflow).  The analytic
+    limit g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is carried
+    alongside and is independent of q.
     """
     _check_deformed(q)
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
     energies = [float(e) for e in E_grid]
-    if not energies or any(e <= 0.0 for e in energies):
-        raise DomainError("energy grid must be positive and nonempty")
-    log_c = _log_power_coefficient(q, model)
-    per_e = list(zip(energies, _real_power_estimates(q, log_c, m, energies, cfg)))
-    samples = []
-    for e, ests in per_e:
+    if not energies or not all(0.0 < e < math.inf for e in energies):
+        raise DomainError("energy grid must be finite, positive and nonempty")
+    log_w = (
+        math.log(2.0 - q.q)
+        + _log_power_coefficient(q, model)
+        - math.lgamma(m)
+        - (m - 1.0) * math.log(_xi_factor_real(q, cfg.fixed_m or m))
+    )
+    values = _widder_sums(np.array([log_w]), np.ones(1), m - 1.0, energies, cfg.k_schedule)
+    per_e, samples = [], []
+    for e, ests in zip(energies, extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)):
         last = ests[-1]
-        value = last.extrapolated if (cfg.extrapolate and last.extrapolated is not None) else last.value
-        samples.append((e, float(value)))
+        per_e.append((e, tuple(ests)))
+        samples.append((e, last.value if last.extrapolated is None else last.extrapolated))
     return DensityOfStates(model.log_prefactor - math.lgamma(m), m - 1.0, tuple(samples), tuple(per_e))

@@ -106,8 +106,8 @@ class PowerSeriesTransform:
         """F^(k)(s) with the factorial growth handled in log magnitude."""
         if k < 0:
             raise DomainError("derivative order must be >= 0")
-        if s <= 0.0:
-            raise DomainError("s must be positive")
+        if not 0.0 < s < math.inf:
+            raise DomainError(f"s must be finite and positive, got s = {s}")
         c = np.asarray(self.coeffs)
         n = np.flatnonzero(c)
         log_fact = _log_power_map(0.0, int(len(c) + k).bit_length())  # log(j!): q = 1

@@ -155,6 +155,12 @@ class TestInvertCommand:
         assert float(rows[1][4]) < float(rows[0][4])
         assert float(rows[3][4]) < float(rows[2][4])
 
+    def test_non_finite_grid_exits_2(self, runner):
+        res = runner.invoke(
+            main, ["invert", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--t-grid", "nan:1:3"]
+        )
+        assert res.exit_code == 2, res.output
+
 
 class TestRoundtripCommand:
     def test_rows(self, runner):
@@ -282,6 +288,12 @@ class TestStatmechCommand:
             assert all(math.isfinite(float(v)) for v in row), row
             e, g_ana = float(row[0]), float(row[2])
             assert g_ana == pytest.approx(math.exp(179 * math.log(e) - math.lgamma(180)), rel=1e-12)
+
+    def test_non_finite_grid_exits_2(self, runner):
+        res = runner.invoke(
+            main, ["statmech", "--model", "ideal-gas", "--D", "3", "--N", "2", "--q", "0.9", "--E-grid", "nan:5:3"]
+        )
+        assert res.exit_code == 2, res.output
 
     def test_power_too_small_exits_2(self, runner):
         res = runner.invoke(

@@ -67,6 +67,11 @@ class TestClassicalPostWidder:
         with pytest.raises(DomainError):
             classical_post_widder(one_over_s_plus_one, 1.0, 0)
 
+    @pytest.mark.parametrize("t", (math.nan, math.inf))
+    def test_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            classical_post_widder(one_over_s_plus_one, t, 4)
+
     def test_series_oracle_adapter(self):
         F = catalog_transform(QParam(0.6), Exponential(1.0, -1), 40)
         # at q=1 semantics this is just an exact series derivative check
@@ -89,18 +94,44 @@ def loop_fixed_estimate(q, F, t, k, m):
     return (2.0 - q.q) * total
 
 
+def loop_per_term_estimate(q, F, t, k):
+    """Plain-loop per-term estimator sum_n a_n t**n prod_{j<=n} (k+j)/k over
+    the Taylor coefficients of the term-wise inverse."""
+    total = 0.0
+    damp = 1.0
+    for n, a in enumerate(series_invert(q, F).coeffs):
+        if n:
+            damp *= (k + n) / k
+        total += a * t**n * damp
+    return total
+
+
+def neville_at_zero(xs, ys):
+    """Value at x = 0 of the polynomial through (xs, ys), by Neville's scheme."""
+    p = list(ys)
+    n = len(xs)
+    for level in range(1, n):
+        for i in range(n - level):
+            p[i] = (-xs[i + level] * p[i] + xs[i] * p[i + 1]) / (xs[i] - xs[i + level])
+    return p[0]
+
+
+REFERENCE_QS = (0.2, 0.6, 0.9)
+REFERENCE_FAMILIES = (
+    Monomial(3), Exponential(1.0, -1), Sine(1.0), QGaussian(QParam(0.7), 1.0), QCosh(QParam(0.6), 0.8)
+)
+REFERENCE_TS = (0.1, 0.5, 1.3)
+
+
 class TestQPostWidderFixed:
-    @pytest.mark.parametrize("qv", (0.2, 0.6, 0.9))
-    @pytest.mark.parametrize(
-        "f", (Monomial(3), Exponential(1.0, -1), Sine(1.0), QGaussian(QParam(0.7), 1.0), QCosh(QParam(0.6), 0.8)),
-        ids=lambda f: f.kind,
-    )
+    @pytest.mark.parametrize("qv", REFERENCE_QS)
+    @pytest.mark.parametrize("f", REFERENCE_FAMILIES, ids=lambda f: f.kind)
     def test_matches_loop_reference(self, qv, f):
         q = QParam(qv)
         F = catalog_transform(q, f, 40)
         for m in (2, 3, 5):
             cfg = WidderConfig((4, 8, 16, 32, 64), fixed_m=m, extrapolate=False)
-            for t in (0.1, 0.5, 1.3):
+            for t in REFERENCE_TS:
                 for est in q_post_widder(q, F, t, cfg):
                     assert est.value == pytest.approx(loop_fixed_estimate(q, F, t, est.k, m), rel=1e-12)
 
@@ -152,7 +183,41 @@ class TestQPostWidderFixed:
         assert ests[-1].extrapolated == pytest.approx(4.0, rel=1e-12)
 
 
+class TestRichardson:
+    @pytest.mark.parametrize(
+        "ks", ((64,), (4, 8), (8, 16, 32), (4, 8, 16, 32), (4, 8, 16, 32, 64), (3, 5, 8, 13, 21, 34))
+    )
+    @pytest.mark.parametrize("fixed_m", (None, 3))
+    def test_matches_neville(self, ks, fixed_m):
+        # running extrapolation in 1/k over the last (up to) three raw values
+        q = QParam(0.6)
+        F = catalog_transform(q, Exponential(1.0, -1), 40)
+        for t in REFERENCE_TS:
+            ests = q_post_widder(q, F, t, WidderConfig(ks, fixed_m))
+            assert ests[0].extrapolated is None
+            for i in range(1, len(ests)):
+                window = ests[max(0, i - 2) : i + 1]
+                want = neville_at_zero([1.0 / e.k for e in window], [e.value for e in window])
+                assert ests[i].extrapolated == pytest.approx(want, rel=1e-12)
+
+    def test_disabled(self):
+        q = QParam(0.6)
+        F = catalog_transform(q, Exponential(1.0, -1), 40)
+        ests = q_post_widder(q, F, 0.5, WidderConfig((4, 8, 16), extrapolate=False))
+        assert all(e.extrapolated is None for e in ests)
+
+
 class TestQPostWidderPerTerm:
+    @pytest.mark.parametrize("qv", REFERENCE_QS)
+    @pytest.mark.parametrize("f", REFERENCE_FAMILIES, ids=lambda f: f.kind)
+    def test_matches_loop_reference(self, qv, f):
+        q = QParam(qv)
+        F = catalog_transform(q, f, 40)
+        cfg = WidderConfig((4, 8, 16, 32, 64), None, extrapolate=False)
+        for t in REFERENCE_TS:
+            for est in q_post_widder(q, F, t, cfg):
+                assert est.value == pytest.approx(loop_per_term_estimate(q, F, t, est.k), rel=1e-12)
+
     def test_converges_to_taylor_sum(self):
         q = QParam(0.6)
         f = Exponential(1.0, -1)
@@ -174,6 +239,13 @@ class TestQPostWidderPerTerm:
     def test_empty_series(self):
         with pytest.raises(DomainError):
             q_post_widder(Q5, PowerSeriesTransform((0.0, 0.0), 0.0, Q5), 1.0)
+
+    @pytest.mark.parametrize("fixed_m", (None, 2))
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, 0.0))
+    def test_non_finite_or_nonpositive_t(self, t, fixed_m):
+        F = catalog_transform(Q5, Sine(1.0), 20)
+        with pytest.raises(DomainError):
+            q_post_widder(Q5, F, t, WidderConfig((4, 8), fixed_m))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

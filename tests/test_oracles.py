@@ -3,6 +3,7 @@ recomputed term by term in mpmath from the same inputs, and the numeric
 forward transform against mpmath quadrature of its defining integral."""
 
 import math
+import sys
 
 import pytest
 
@@ -64,19 +65,38 @@ def test_derivative_value(qv, f):
 
 def mp_dos_estimate(q, model, E, k, xi_order):
     """(2-q) C Gamma(m+k)/(Gamma(m) k!) s**-(m-1) at s = k*xi/E, with
-    q_poly(2-q, .) as the plain integer product, at 50 digits."""
+    q_poly(2-q, n) as the Gamma ratio (1-q)**n Gamma(z+n+1)/Gamma(z+1),
+    z = 1/(1-q), at real order n, at 50 digits."""
     with mpmath.workdps(50):
         qm = mpmath.mpf(q.q)
+        z = 1 / (1 - qm)
 
         def q_poly(n):
-            return mpmath.fprod(1 + (1 - qm) * j for j in range(1, n + 1))
+            n = mpmath.mpf(n)
+            return (1 - qm) ** n * mpmath.gamma(z + n + 1) / mpmath.gamma(z + 1)
 
-        m = int(model.transform_power)
+        m = mpmath.mpf(model.transform_power)
         c = mpmath.exp(model.log_prefactor) / q_poly(m)
-        xi = ((2 - qm) / q_poly(xi_order)) ** (mpmath.mpf(1) / (xi_order - 1))
+        xi = ((2 - qm) / q_poly(xi_order)) ** (1 / (mpmath.mpf(xi_order) - 1))
         s = k * xi / mpmath.mpf(E)
         ratio = mpmath.gamma(m + k) / (mpmath.gamma(m) * mpmath.factorial(k))
         return float((2 - qm) * c * ratio * s ** -(m - 1))
+
+
+def check_density_of_states(model, fixed_m):
+    cfg = WidderConfig((4, 8, 16, 32, 64), fixed_m, extrapolate=False)
+    energies = [0.3, 1.0, model.transform_power]
+    for qv in (0.1, 0.5, 0.9):
+        q = QParam(qv)
+        dos = density_of_states(q, model, energies, cfg)
+        for E, ests in dos.k_estimates:
+            for est in ests:
+                want = mp_dos_estimate(q, model, E, est.k, fixed_m or model.transform_power)
+                # relative all the way down: pytest.approx's default abs=1e-12
+                # would pass any value below 1e-12 (the m = 69.5 model reaches
+                # 1e-322); subnormals carry fewer digits, so they are held to
+                # the smallest normal double instead
+                assert abs(est.value - want) <= 1e-12 * max(abs(want), sys.float_info.min)
 
 
 @pytest.mark.parametrize(
@@ -87,15 +107,18 @@ def mp_dos_estimate(q, model, E, k, xi_order):
 )
 @pytest.mark.parametrize("fixed_m", (None, 2, 5))
 def test_density_of_states_integer_power(model, fixed_m):
-    cfg = WidderConfig((4, 8, 16, 32, 64), fixed_m, extrapolate=False)
-    energies = [0.3, 1.0, model.transform_power]
-    for qv in (0.1, 0.5, 0.9):
-        q = QParam(qv)
-        dos = density_of_states(q, model, energies, cfg)
-        for E, ests in dos.k_estimates:
-            for est in ests:
-                want = mp_dos_estimate(q, model, E, est.k, fixed_m or int(model.transform_power))
-                assert est.value == pytest.approx(want, rel=1e-12)
+    check_density_of_states(model, fixed_m)
+
+
+@pytest.mark.parametrize(
+    "model",
+    (IdealGasModel(1, 5), IdealGasModel(3, 3), IdealGasModel(1, 139, V=1.3)),
+    ids=lambda m: f"{type(m).__name__}-{m.D}x{m.N}",
+)
+@pytest.mark.parametrize("fixed_m", (None, 2, 5))
+def test_density_of_states_half_integer_power(model, fixed_m):
+    # odd D*N: the ideal-gas transform power D*N/2 is half-integer
+    check_density_of_states(model, fixed_m)
 
 
 # criterion-1 bounds: 1e-8 for the power/exponential families, 1e-6 otherwise

@@ -208,3 +208,8 @@ class TestDensityOfStates:
             density_of_states(Q5, IdealGasModel(3, 2), [])
         with pytest.raises(DomainError):
             density_of_states(Q5, IdealGasModel(3, 2), [1.0, -2.0])
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_energy(self, bad):
+        with pytest.raises(DomainError):
+            density_of_states(Q5, IdealGasModel(3, 2), [1.0, bad])

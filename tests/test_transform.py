@@ -164,6 +164,12 @@ class TestCatalogTransform:
         with pytest.raises(DomainError):
             F.derivative_value(-1, 3.0)
 
+    @pytest.mark.parametrize("s", (math.nan, math.inf, 0.0))
+    def test_derivative_point_validated(self, s):
+        F = catalog_transform(Q5, Sine(1.0))
+        with pytest.raises(DomainError):
+            F.derivative_value(3, s)
+
     def test_derivative_overflow_is_typed(self):
         F = PowerSeriesTransform((1e300, 1e300), 0.0, Q5)
         with pytest.raises(QLaplaceError):
