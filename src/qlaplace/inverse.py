@@ -21,9 +21,10 @@ Only the weights and the offset p0 differ between callers:
 * statmech.density_of_states: one power C * s**-m at real m, a single term
   at p0 = m - 1.
 
-Every term is formed in log magnitude, so the schedule can run to large k;
-a result past double range raises QLaplaceError.  Richardson extrapolation
-in 1/k is one cached weight matrix per schedule.
+Every term is formed in log magnitude by the package's one series evaluator,
+qmath._log_term_sum, so the schedule can run to large k; a result past double
+range raises QLaplaceError.  Richardson extrapolation in 1/k is one cached
+weight matrix per schedule.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _log_power_map, _power_map, xi_factor
+from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, xi_factor
 from .transform import PowerSeriesTransform, catalog_transform
 
 __all__ = [
@@ -66,6 +67,8 @@ class TaylorSeries:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"t must be finite, got t = {arr[~np.isfinite(arr)].flat[0]}")
         acc = np.zeros_like(arr)
         for a in reversed(self.coeffs):
             acc = acc * arr + a
@@ -178,14 +181,9 @@ def _log_finite_k(ks: tuple[int, ...], p0: float, n_terms: int) -> np.ndarray:
 def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
     """Finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n), one row per x > 0
     and one column per k, for weights w_n = sign_n * exp(log_w_n) (-inf for
-    a zero weight), each term in log magnitude; QLaplaceError on overflow."""
-    log_x_powers = np.multiply.outer(np.log(np.asarray(x, dtype=float)), p0 + np.arange(len(log_w)))
-    log_terms = (log_w + _log_finite_k(ks, p0, len(log_w))) + log_x_powers[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (np.exp(log_terms) * sign).sum(axis=2)
-    if not np.all(np.isfinite(values)):
-        raise QLaplaceError("estimate overflows double precision despite log-domain handling")
-    return values
+    a zero weight): qmath._log_term_sum with log R added to the weights."""
+    n = len(log_w)
+    return _log_term_sum(log_w + _log_finite_k(ks, p0, n), sign, p0 + np.arange(n), x, "estimate")
 
 
 def q_post_widder(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QLaplaceError
 
 __all__ = [
     "QParam",
@@ -177,6 +177,18 @@ def _power_map(q: QParam, coeffs, inverse: bool = False) -> np.ndarray:
     log_map = _log_power_map(q.eps, len(x).bit_length())[: len(x)]
     with np.errstate(divide="ignore", over="ignore"):
         return np.sign(x) * np.exp(np.log(np.abs(x)) + (-log_map if inverse else log_map))
+
+
+def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, what: str) -> np.ndarray:
+    """The package's one series evaluator: sum_n sign_n * exp(log_w[..., n] +
+    powers_n * log x), one row per x > 0 (checked by the caller), each term in
+    log magnitude (-inf is a zero term); QLaplaceError naming ``what`` on overflow."""
+    log_x = np.log(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * np.ndim(log_w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = (np.exp(log_w + log_x * powers) * sign).sum(axis=-1)
+    if not np.all(np.isfinite(sums)):
+        raise QLaplaceError(f"{what} overflows double precision despite log-domain handling")
+    return sums
 
 
 def log_gamma(x: float) -> float:

@@ -11,8 +11,9 @@ q = 1 a decaying-tail substitution maps [0, inf) to [0, 1).
 The analytic route (`catalog_transform`) gives the closed forms of the
 catalog families as power series F(s) = sum_n c_n s^-(n+1), transforming
 the Taylor series of f term by term: t^n maps to n!/q_poly(2-q, n+1)
-s^-(n+1), the rule the paper sums into pFq closed forms.  The numeric route
-shares none of this, so each can serve as the other's oracle.
+s^-(n+1), the rule the paper sums into pFq closed forms; its values and
+s-derivatives are one log-magnitude term sum (`qmath._log_term_sum`).  The
+numeric route shares none of this, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .catalog import CatalogFunction, Monomial, QExponential, QGaussian
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
-from .qmath import QParam, _log_power_map, _power_map, q_exp, q_poly  # noqa: F401
+from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, q_exp, q_poly  # noqa: F401
 from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
@@ -62,7 +63,8 @@ class PowerSeriesTransform:
 
     ``s_min`` is chosen so the argument of the family's pFq closed form has
     magnitude <= 1/2, leaving headroom for derivative growth.  Every
-    coefficient must be finite.  Derivatives are exact term by term:
+    coefficient must be finite.  Values and derivatives, exact term by term,
+    are one log-magnitude sum over the nonzero terms, at s in (0, inf):
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
     """
@@ -79,48 +81,31 @@ class PowerSeriesTransform:
             n = next(n for n, c in enumerate(coeffs) if not math.isfinite(c))
             raise QLaplaceError(f"transform coefficient c_{n} = {coeffs[n]} is not finite")
         object.__setattr__(self, "coeffs", coeffs)
+        # every evaluation sums the same terms: nonzero indices, log|c_n| and signs, once
+        c = np.asarray(coeffs)
+        n = np.flatnonzero(c)
+        object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
 
     def value(self, s):
-        x = 1.0 / np.asarray(s, dtype=float)
-        acc = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        out = acc * x
-        return out if np.ndim(s) else float(out)
+        """F(s) for s in (0, inf), scalar or array."""
+        return self._term_sum(0, s)
 
-    def derivative_series(self, k: int) -> "PowerSeriesTransform":
-        """The k-th s-derivative, again as a power series in 1/s."""
-        if k < 0:
-            raise DomainError("derivative order must be >= 0")
-        if k == 0:
-            return self
-        sign = -1.0 if k % 2 else 1.0
-        out = [0.0] * (len(self.coeffs) + k)
-        for n, c in enumerate(self.coeffs):
-            if c != 0.0:
-                ratio = math.exp(math.lgamma(n + k + 1) - math.lgamma(n + 1))
-                out[n + k] = sign * c * ratio
-        return PowerSeriesTransform(tuple(out), self.s_min, self.q)
+    def derivative_value(self, k, s):
+        """F^(k)(s) for an integral order k >= 0 and s in (0, inf), scalar or array."""
+        if not (float(k).is_integer() and k >= 0):
+            raise DomainError(f"derivative order must be an integer >= 0, got k = {k}")
+        return self._term_sum(int(k), s)
 
-    def derivative_value(self, k: int, s: float) -> float:
-        """F^(k)(s) with the factorial growth handled in log magnitude."""
-        if k < 0:
-            raise DomainError("derivative order must be >= 0")
-        if not 0.0 < s < math.inf:
-            raise DomainError(f"s must be finite and positive, got s = {s}")
-        c = np.asarray(self.coeffs)
-        n = np.flatnonzero(c)
-        log_fact = _log_power_map(0.0, int(len(c) + k).bit_length())  # log(j!): q = 1
-        log_mag = np.log(np.abs(c[n])) + log_fact[n + k] - log_fact[n] - (n + k + 1) * math.log(s)
-        with np.errstate(over="ignore"):
-            total = float((np.exp(log_mag) * np.sign(c[n])).sum())
-        if not math.isfinite(total):
-            raise QLaplaceError(f"F^({k})({s}) overflows double precision")
-        return -total if k % 2 else total
-
-    def derivative_oracle(self):
-        """Adapter matching the (k, s) -> F^(k)(s) oracle contract."""
-        return self.derivative_value
+    def _term_sum(self, k: int, s):
+        arr = np.asarray(s, dtype=float)
+        inside = (arr > 0.0) & (arr < math.inf)
+        if not inside.all():
+            raise DomainError(f"s must be finite and positive, got s = {arr[~inside].flat[0]}")
+        n, log_c, sign = self._log_form
+        log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
+        log_w = log_c + (log_fact[n + k] - log_fact[n])
+        out = _log_term_sum(log_w, -sign if k % 2 else sign, -1.0 - k - n, arr, f"F^({k})(s)")
+        return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 # --------------------------------------------------------------------------
@@ -531,11 +516,10 @@ def qintegral_of_transform_check(
     series = _classical_series(f, n_terms) if q.classical else catalog_transform(q, f, n_terms)
     if s < series.s_min:
         raise DomainError(f"s = {s} below series validity bound s_min = {series.s_min}")
-    deriv = series.derivative_series(1)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         sigma = s / u
-        vals = series.value(sigma) - q.eps * sigma * deriv.value(sigma)
+        vals = series.value(sigma) - q.eps * sigma * series.derivative_value(1, sigma)
         return vals * s / u**2
 
     pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=False)

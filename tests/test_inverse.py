@@ -72,13 +72,6 @@ class TestClassicalPostWidder:
         with pytest.raises(DomainError):
             classical_post_widder(one_over_s_plus_one, t, 4)
 
-    def test_series_oracle_adapter(self):
-        F = catalog_transform(QParam(0.6), Exponential(1.0, -1), 40)
-        # at q=1 semantics this is just an exact series derivative check
-        k, s = 8, max(F.s_min, 2.0)
-        direct = F.derivative_value(k, s)
-        assert F.derivative_oracle()(k, s) == direct
-
 
 def loop_fixed_estimate(q, F, t, k, m):
     """Plain-loop fixed-power estimator, term by term with a running log
@@ -306,6 +299,13 @@ class TestSeriesInvert:
         ts = TaylorSeries((1.0, -1.0, 0.5), 10.0)
         assert ts(0.0) == 1.0
         assert ts(2.0) == pytest.approx(1.0 - 2.0 + 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+    def test_taylor_series_non_finite_t(self, t):
+        ts = TaylorSeries((1.0, -1.0, 0.5), 10.0)
+        for arg in (t, np.array([0.5, t])):
+            with pytest.raises(DomainError):
+                ts(arg)
 
 
 class TestRoundtrip:

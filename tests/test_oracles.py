@@ -56,7 +56,7 @@ def test_derivative_value(qv, f):
     # error measured against the absolute term sum, so that cancellation in
     # alternating series (which no double-precision sum avoids) is not charged
     F = catalog_transform(QParam(qv), f, 60)
-    for k in (1, 8, 64):
+    for k in (0, 1, 8, 64):
         for scale in (1.0, 2.0, 5.0):
             s = max(F.s_min, 0.5) * scale
             want, abs_sum = mp_derivative(F, k, s)

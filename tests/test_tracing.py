@@ -4,7 +4,9 @@ import importlib.util
 from pathlib import Path
 
 import qlaplace.transform as T
-from qlaplace import QParam, Sine
+import numpy as np
+
+from qlaplace import QParam, Sine, catalog_transform
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -25,3 +27,17 @@ def test_instrument_enters_and_restores():
         T.catalog_transform(QParam(0.5), Sine(1.0), 8)
     assert T.catalog_transform is original
     assert [s[0] for s in tracer.spans] == ["transform.catalog_transform"]
+
+
+def test_series_value_and_derivative_are_separate_spans():
+    # the benchmark's series_value and derivative_value metrics must time
+    # separate calls: neither evaluation may run inside the other
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    F = catalog_transform(QParam(0.5), Sine(1.0), 40)
+    s = F.s_min * np.linspace(1.0, 8.0, 16)
+    with spans.instrument(tracer):
+        F.value(s)
+        F.derivative_value(8, s[0])
+    assert [sp[0] for sp in tracer.spans] == ["transform.series_value", "transform.derivative_value"]
+    assert [sp[3] for sp in tracer.spans] == [-1, -1]

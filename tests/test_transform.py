@@ -86,6 +86,34 @@ class TestForwardNumeric:
         assert rep.rel_err < 1e-9
 
 
+def horner_value(coeffs, s):
+    """sum_n coeffs[n] * s**-(n+1) by a plain Horner loop in 1/s: the
+    reference the log-magnitude term sum is pinned to."""
+    x = 1.0 / np.asarray(s, dtype=float)
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc * x
+
+
+def derivative_coefficients(coeffs, k):
+    """Coefficients of F^(k) as a series in 1/s, the ratio (n+k)!/n! from
+    lgamma term by term: with horner_value, the reference derivative."""
+    sign = -1.0 if k % 2 else 1.0
+    out = [0.0] * (len(coeffs) + k)
+    for n, c in enumerate(coeffs):
+        if c != 0.0:
+            out[n + k] = sign * c * math.exp(math.lgamma(n + k + 1) - math.lgamma(n + 1))
+    return out
+
+
+# Agreement with the references, as a share of sum|terms|.  At k = 64 the
+# exponent of a leading term holds log(64!) ~ 205, whose ulp is 2.8e-14, so
+# the log-magnitude sum is good to a few 1e-14 there (4.2e-14 against exact
+# arithmetic on the same lgamma values; the Horner reference 7.8e-15).
+TERM_SUM_TOL = {0: 1e-14, 1: 1e-14, 8: 1e-14, 64: 1e-13}
+
+
 class TestCatalogTransform:
     def test_monomial_coefficients(self):
         F = catalog_transform(Q5, Monomial(2))
@@ -156,13 +184,40 @@ class TestCatalogTransform:
         F = catalog_transform(QParam(0.6), Exponential(1.0, -1), 30)
         s = max(F.s_min, 1.0) * 1.5
         for k in (1, 2, 5):
-            via_series = F.derivative_series(k).value(s)
+            via_series = horner_value(derivative_coefficients(F.coeffs, k), s)
             assert F.derivative_value(k, s) == pytest.approx(via_series, rel=1e-12)
+
+    @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
+    @pytest.mark.parametrize("n_terms", (40, 200))
+    def test_term_sum_matches_plain_references(self, qv, n_terms):
+        for f in CATALOG_SPECS:
+            F = catalog_transform(QParam(qv), f, n_terms)
+            s = (F.s_min or 1.0) * 8.0 ** np.linspace(0.0, 1.0, 9)
+            for k, tol in TERM_SUM_TOL.items():
+                coeffs = derivative_coefficients(F.coeffs, k)
+                want = horner_value(coeffs, s)
+                abs_sum = horner_value(np.abs(coeffs), s)
+                got = F.derivative_value(k, s) if k else F.value(s)
+                assert np.all(np.abs(got - want) <= tol * abs_sum), (f.label, k)
+                # an array call is the per-point scalar calls, bit for bit
+                assert np.array_equal(got, [F.derivative_value(k, x) for x in s]), (f.label, k)
+            assert np.array_equal(F.value(s), F.derivative_value(0, s))
 
     def test_derivative_order_validated(self):
         F = catalog_transform(Q5, Sine(1.0))
-        with pytest.raises(DomainError):
-            F.derivative_value(-1, 3.0)
+        for k in (-1, 2.5, math.nan):
+            with pytest.raises(DomainError):
+                F.derivative_value(k, 3.0)
+        assert F.derivative_value(3.0, 2.0) == F.derivative_value(3, 2.0)
+
+    @pytest.mark.parametrize("bad", (math.nan, -2.0, 0.0, math.inf, -math.inf))
+    def test_value_point_validated(self, bad):
+        F = catalog_transform(Q5, Sine(1.0))
+        for s in (bad, np.array([3.0, bad, 4.0])):
+            with pytest.raises(DomainError):
+                F.value(s)
+            with pytest.raises(DomainError):
+                F.derivative_value(2, s)
 
     @pytest.mark.parametrize("s", (math.nan, math.inf, 0.0))
     def test_derivative_point_validated(self, s):
