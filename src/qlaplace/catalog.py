@@ -55,8 +55,8 @@ _CLASSICAL = QParam(1.0)
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha}")
 
 
 def _check_sign(sign: int) -> None:

@@ -19,6 +19,7 @@ Exit codes: 0 all good, 1 hard assertion failed, 2 invalid configuration,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -139,6 +140,8 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         count = int(parts[2])
     except ValueError:
         raise click.BadParameter(f"cannot parse {name} {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise click.BadParameter(f"{name} endpoints must be finite, got {spec!r}")
     if count < 1:
         raise click.BadParameter(f"{name} count must be >= 1")
     mode = parts[3] if len(parts) == 4 else "linear"
@@ -166,17 +169,11 @@ def _parse_schedule(spec: str) -> tuple[int, ...]:
 
 
 def _build_function(fn_name, m, alpha, qprime, sign):
-    try:
-        return make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    return _numeric_guard(lambda: make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign)))
 
 
 def _qparam(q: float) -> QParam:
-    try:
-        return QParam(q)
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
+    return _numeric_guard(lambda: QParam(q))
 
 
 def _fmt(v) -> str:
@@ -427,8 +424,8 @@ def _identity_rows(qp: QParam, s: float):
 def identities(q, s, fmt, output, no_meta, config):
     """Run the transform identity suite; exit 1 if any hard check fails."""
     qp = _qparam(q)
-    if s <= 0.0:
-        raise click.UsageError("--s must be positive")
+    if not 0.0 < s < math.inf:
+        raise click.UsageError("--s must be finite and positive")
     rows = _numeric_guard(lambda: _identity_rows(qp, s))
     meta = {"command": f"identities q={q} s={s}"}
     _emit(("identity", "status", "lhs", "rhs", "rel_err", "ratio"), rows, meta, fmt, output, no_meta)

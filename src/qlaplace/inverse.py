@@ -9,7 +9,9 @@ where xi is the argument-scaling factor of qmath.xi_factor.  On a power
 series it is one weighted sum, computed by one kernel for all points and k:
 
     est_k(x) = sum_n w_n * x**(p0+n) * R(k, p0+n),
-    R(k, p) = Gamma(k+p+1) / (Gamma(k+1) * k**p) = 1 + O(1/k).
+    R(k, p) = Gamma(k+p+1) / (Gamma(k+1) * k**p) = 1 + O(1/k),
+
+which is q_poly(2-q, p) at 1-q = 1/k, from the one q_poly routine qmath._log_q_poly.
 
 Only the weights and the offset p0 differ between callers:
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, xi_factor
+from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, xi_factor
 from .transform import PowerSeriesTransform, catalog_transform
 
 __all__ = [
@@ -161,29 +163,12 @@ def classical_post_widder(F_deriv, t: float, k: int) -> float:
         raise QLaplaceError("estimate overflows double precision despite log-domain handling")
 
 
-@functools.lru_cache(maxsize=256)
-def _log_finite_k(ks: tuple[int, ...], p0: float, n_terms: int) -> np.ndarray:
-    """Read-only (k, n) table of log R(k, p0+n), n < n_terms: a running sum
-    of log1p(j/k) up from the fractional part of p0, which alone goes
-    through lgamma.  Cached like qmath._log_power_map."""
-    k = np.asarray(ks, dtype=float)[:, None]
-    frac = p0 % 1.0
-    lead = round(p0 - frac)
-    table = np.zeros((len(ks), lead + n_terms))
-    np.cumsum(np.log1p((frac + np.arange(1, lead + n_terms)) / k), axis=1, out=table[:, 1:])
-    if frac:
-        table += np.array([[math.lgamma(kk + frac + 1.0) - math.lgamma(kk + 1.0)] for kk in ks]) - frac * np.log(k)
-    table = np.ascontiguousarray(table[:, lead:])
-    table.flags.writeable = False
-    return table
-
-
 def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
     """Finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n), one row per x > 0
     and one column per k, for weights w_n = sign_n * exp(log_w_n) (-inf for
-    a zero weight): qmath._log_term_sum with log R added to the weights."""
-    n = len(log_w)
-    return _log_term_sum(log_w + _log_finite_k(ks, p0, n), sign, p0 + np.arange(n), x, "estimate")
+    a zero weight): qmath._log_term_sum with log R, qmath._log_q_poly at 1-q = 1/k, added."""
+    n, log_r = len(log_w), _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w))
+    return _log_term_sum(log_w + log_r, sign, p0 + np.arange(n), x, "estimate")
 
 
 def q_post_widder(

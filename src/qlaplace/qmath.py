@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,46 +106,60 @@ def q_poly(q_arg: float, m: int) -> float:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _tricomi_erdelyi(f: float) -> tuple[float, ...]:
+    """a_20 .. a_1 (np.polyval order) of log(Gamma(x+1+f)/(Gamma(x+1) x**f)) ~ sum_n a_n x**-n,
+    a_n = (-1)**(n+1) (B_{n+1}(1+f) - B_{n+1}(1))/(n(n+1)) (Tricomi & Erdelyi, Pacific J. Math.
+    1, 1951), exact in rationals from the Bernoulli numbers b (B_1 = -1/2) and rounded once."""
+    b = [Fraction(1)]
+    for n in range(1, 21):
+        b.append(-sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    x = 1 + Fraction(f)
+    return tuple(float((-1) ** (n + 1) * sum(math.comb(n + 1, j) * b[j] * x ** (n + 1 - j) for j in range(n + 1))
+                       / (n * (n + 1))) for n in range(20, 0, -1))
+
+
+@functools.lru_cache(maxsize=1024)
+def _log_q_poly(eps: tuple[float, ...], p0: float, n: int) -> np.ndarray:
+    """The package's one q_poly routine: read-only table of log q_poly(2-q, p0+i), a row per
+    eps = 1-q >= 0 and a column per i < n, at real p0 >= 0 via the continuation
+    (1-q)**m Gamma(1/(1-q)+m+1)/Gamma(1/(1-q)+1).  At eps = 1/k it is log R(k, p0+i),
+    R(k, p) = Gamma(k+p+1)/(Gamma(k+1) k**p), the finite-k Post-Widder factor.  Free of
+    cancellation: a running log1p(eps*(f+j)) sum up from the fractional part f of p0, where
+    log q_poly(2-q, f) = f log1p(eps N) - sum_{j<=N} log1p(f eps/(1+eps j)) + sum_n a_n u**n
+    (_tricomi_erdelyi) at u = eps/(1+eps N), N shifting 1/eps up to at least 8."""
+    if not (0.0 <= p0 and p0 + n <= 1 << 23 and min(eps) >= 0.0):  # 8M orders: 64 MB a row
+        raise DomainError(f"q_poly tables need orders in [0, 2**23] and 1-q >= 0, got {p0}+{n} and {min(eps)}")
+    e = np.asarray(eps, dtype=float)[:, None]
+    f, lead = p0 % 1.0, int(p0 // 1.0)
+    table = np.zeros((len(eps), lead + n))
+    np.cumsum(np.log1p(e * (f + np.arange(1, lead + n))), axis=1, out=table[:, 1:])
+    if f:
+        shift = np.ceil(8.0 - 1.0 / np.maximum(e, 0.125))
+        j = np.arange(1.0, shift.max() + 1.0)
+        steps = np.where(j <= shift, np.log1p(f * e / (1.0 + e * j)), 0.0).sum(axis=1, keepdims=True)
+        u = e / (1.0 + e * shift)
+        table += f * np.log1p(e * shift) - steps + u * np.polyval(_tricomi_erdelyi(f), u)
+    table = np.ascontiguousarray(table[:, lead:])
+    table.flags.writeable = False
+    return table
+
+
 def _log_q_poly_real(q_arg: float, m: float) -> float:
-    """log of the gamma-ratio continuation of q_poly to real order m >= 0, for
-    ``q_arg >= 1`` (the ``2 - q`` regime), where it agrees with the log of the
-    integer product; finite at orders where q_poly itself overflows."""
-    if m < 0:
-        raise DomainError("order must be nonnegative")
-    d = q_arg - 1.0
-    if d == 0.0:
-        return 0.0
-    if d < 0.0:
-        raise DomainError("real-order continuation requires q_arg >= 1")
-    z = 1.0 / d
-    return m * math.log(d) + math.lgamma(z + m + 1.0) - math.lgamma(z + 1.0)
+    """log q_poly(q_arg, m) at one real order m >= 0, q_arg >= 1: one entry of _log_q_poly."""
+    return float(_log_q_poly((q_arg - 1.0,), m, 1)[0, 0])
 
 
-def _q_poly_real(q_arg: float, m: float) -> float:
-    """Gamma-ratio continuation of q_poly to real order m >= 0 (may overflow)."""
-    return math.exp(_log_q_poly_real(q_arg, m))
-
-
-def xi_factor(q: QParam, m: int) -> float:
-    """Argument-scaling factor for the deformed Post-Widder limit.
-
-    Defined by ``xi**(m-1) = (2-q) / q_poly(2-q, m)``; equals 1 at q = 1.
-    Undefined for m < 2 (the exponent 1/(m-1) degenerates).
-    """
+def xi_factor(q: QParam, m: float) -> float:
+    """Argument-scaling factor for the deformed Post-Widder limit, at real m >= 2: defined by
+    ``xi**(m-1) = (2-q) / q_poly(2-q, m)``, in log form from `_log_q_poly` (finite where
+    q_poly overflows); 1 at q = 1, undefined for m < 2 (the exponent 1/(m-1) degenerates)."""
     if m < 2:
         raise DomainError("xi_factor requires m >= 2")
-    if q.classical:
-        return 1.0
-    return ((2.0 - q.q) / q_poly(2.0 - q.q, m)) ** (1.0 / (m - 1))
+    return math.exp((math.log(2.0 - q.q) - _log_q_poly((q.eps,), m, 1)[0, 0]) / (m - 1.0))
 
 
-def _xi_factor_real(q: QParam, m: float) -> float:
-    """xi_factor continued to real m >= 2 via the gamma-ratio q_poly."""
-    if m < 2:
-        raise DomainError("xi_factor requires m >= 2")
-    if q.classical:
-        return 1.0
-    return math.exp((math.log(2.0 - q.q) - _log_q_poly_real(2.0 - q.q, m)) / (m - 1.0))
+_xi_factor_real = xi_factor  # statmech and tests/test_qmath.py import this name
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -162,8 +177,7 @@ def _log_power_map(eps: float, bits: int) -> np.ndarray:
     """Read-only table of log(n!/q_poly(2-q, n+1)) for n < 2**bits, eps = 1-q:
     the transform maps t**n to n!/q_poly(2-q, n+1) * s**-(n+1).  At q = 1 it
     is log(n!).  Cached per (q, size), bounded so a scan over many q stays small."""
-    orders = np.arange(1.0, (1 << bits) + 1.0)
-    table = np.array([math.lgamma(n) for n in orders]) - np.cumsum(np.log1p(eps * orders))
+    table = np.array([math.lgamma(n) for n in range(1, (1 << bits) + 1)]) - _log_q_poly((eps,), 1.0, 1 << bits)[0]
     table.flags.writeable = False
     return table
 

@@ -11,7 +11,7 @@ interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
 Integrands must be vectorized over numpy arrays; a fallback wrapper maps
-scalar-only callables elementwise.
+scalar-only callables elementwise and lets their QLaplaceErrors through.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QLaplaceError, QuadratureError
 
 __all__ = ["QuadratureConfig", "integrate", "integrate_half_line"]
 
@@ -51,10 +51,14 @@ def _vectorized(f):
             y = np.asarray(f(x), dtype=float)
             if y.shape == x.shape:
                 return y
+        except QLaplaceError:
+            raise
         except (TypeError, ValueError):
             pass
         try:
             return np.fromiter((float(f(xi)) for xi in x), dtype=float, count=len(x))
+        except QLaplaceError:
+            raise
         except (TypeError, ValueError) as exc:  # not a ValueError: enclosing wrappers let it through
             raise QuadratureError(f"integrand fails on arrays and on scalars: {exc}") from exc
 

@@ -20,7 +20,8 @@ Z_q is exactly the deformed transform of a q-independent power law: the
 density of states g(E) = prefactor * E**(m-1) / Gamma(m) recovered by the
 Post-Widder inversion carries no q dependence.  For a single power the
 finite-k estimate is one term of the weighted sum that inverse.q_post_widder
-uses, at offset m - 1, so one log-domain path serves integer and real m.
+uses, at offset m - 1, so one log-domain path serves integer and real m; the Gamma
+ratio, xi and R(k, p) (q_poly at 1-q = 1/k) all come from qmath._log_q_poly.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, QLaplaceError
-# perfbench/spans.py wraps q_post_widder and _q_poly_real here in its traced run: keep both importable.
+# perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
-from .qmath import QParam, _log_q_poly_real, _q_poly_real, _xi_factor_real  # noqa: F401
+from .qmath import QParam, _log_q_poly, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
 from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate
 
 __all__ = [
@@ -63,8 +64,8 @@ class IdealGasModel:
     def __post_init__(self) -> None:
         if self.D < 1 or self.N < 1:
             raise DomainError("D and N must be positive integers")
-        if self.V <= 0.0 or self.mass <= 0.0 or self.h <= 0.0:
-            raise DomainError("V, mass and h must be positive")
+        if not all(0.0 < x < math.inf for x in (self.V, self.mass, self.h)):
+            raise DomainError(f"V, mass and h must be finite and positive, got {self.V}, {self.mass}, {self.h}")
         if self.D * self.N < 2:
             raise DomainError("need D*N/2 >= 1 for a valid transform power")
         if self.D * self.N > _MAX_DOF:
@@ -97,8 +98,8 @@ class OscillatorModel:
     def __post_init__(self) -> None:
         if self.D < 1 or self.N < 1:
             raise DomainError("D and N must be positive integers")
-        if self.omega <= 0.0 or self.hbar <= 0.0:
-            raise DomainError("omega and hbar must be positive")
+        if not (0.0 < self.omega < math.inf and 0.0 < self.hbar < math.inf):
+            raise DomainError(f"omega and hbar must be finite and positive, got {self.omega}, {self.hbar}")
         if self.D * self.N > _MAX_DOF:
             raise DomainError(f"D*N > {_MAX_DOF} rejected (overflow guard)")
 
@@ -116,9 +117,8 @@ ThermoModel = Union[IdealGasModel, OscillatorModel]
 
 def _log_power_coefficient(q: QParam, model: ThermoModel) -> float:
     """log C where Z_q(beta) = C * beta**-m; the Gamma-ratio part equals
-    1/q_poly(2-q, m) via its real-order continuation."""
-    m = model.transform_power
-    return model.log_prefactor - _log_q_poly_real(2.0 - q.q, m)
+    1/q_poly(2-q, m) at real order m, from qmath._log_q_poly at 1-q itself."""
+    return model.log_prefactor - _log_q_poly((q.eps,), model.transform_power, 1)[0, 0]
 
 
 def _exp(log_x: float, what: str) -> float:

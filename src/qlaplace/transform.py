@@ -74,15 +74,15 @@ class PowerSeriesTransform:
     q: QParam
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+        # one float array gives the coeffs tuple and the log form every evaluation sums:
+        # nonzero indices, log|c_n| and signs
+        c = np.asarray(self.coeffs, dtype=float)
+        if len(c) == 0:
             raise DomainError("empty transform series")
-        coeffs = tuple(map(float, self.coeffs))
-        if not all(map(math.isfinite, coeffs)):
-            n = next(n for n, c in enumerate(coeffs) if not math.isfinite(c))
-            raise QLaplaceError(f"transform coefficient c_{n} = {coeffs[n]} is not finite")
-        object.__setattr__(self, "coeffs", coeffs)
-        # every evaluation sums the same terms: nonzero indices, log|c_n| and signs, once
-        c = np.asarray(coeffs)
+        if not np.all(np.isfinite(c)):
+            n = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise QLaplaceError(f"transform coefficient c_{n} = {c[n]} is not finite")
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
         n = np.flatnonzero(c)
         object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
 
@@ -194,8 +194,7 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     n_max = f.power - 1 if isinstance(f, Monomial) else n_terms - 1
-    coeffs = _power_map(q, f.taylor_coefficients(n_max))
-    return PowerSeriesTransform(tuple(coeffs.tolist()), _s_min(q, f), q)
+    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), _s_min(q, f), q)
 
 
 def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
@@ -206,19 +205,18 @@ def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
     Gaussian and deformed families produce divergent inverse-power series
     at q = 1 and are rejected.
     """
-    coeffs = _power_map(QParam(1.0), f.taylor_coefficients(n_terms - 1)).tolist()
-    nz = [(n, abs(c)) for n, c in enumerate(coeffs) if c != 0.0]
+    coeffs = _power_map(QParam(1.0), f.taylor_coefficients(n_terms - 1))
+    nz = np.flatnonzero(coeffs)
     if len(nz) <= 1:
-        return PowerSeriesTransform(tuple(coeffs), 0.0, QParam(1.0))
-    rates = []
-    for (n0, c0), (n1, c1) in zip(nz[:-1], nz[1:]):
-        rates.append((c1 / c0) ** (1.0 / (n1 - n0)))
+        return PowerSeriesTransform(coeffs, 0.0, QParam(1.0))
+    c = np.abs(coeffs[nz])
+    rates = ((c[1:] / c[:-1]) ** (1.0 / np.diff(nz))).tolist()
     half = len(rates) // 2
     if half >= 1 and max(rates[half:]) > 1.5 * max(rates[:half]) + 1e-30:
         raise DomainError(
             f"classical transform series for {f.label} grows faster than geometrically"
         )
-    return PowerSeriesTransform(tuple(coeffs), 2.0 * max(rates), QParam(1.0))
+    return PowerSeriesTransform(coeffs, 2.0 * max(rates), QParam(1.0))
 
 
 # --------------------------------------------------------------------------

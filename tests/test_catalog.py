@@ -217,6 +217,18 @@ class TestFactory:
             Monomial(0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize(
+    "make",
+    (Exponential, Gaussian, Cosine, Sine, Cosh, Sinh, lambda a: QExponential(QP, a, -1), lambda a: QGaussian(QP, a),
+     lambda a: QCosine(QP, a), lambda a: QSine(QP, a), lambda a: QCosh(QP, a), lambda a: QSinh(QP, a)),
+    ids=lambda make: make(1.0).kind,
+)
+def test_non_finite_alpha_rejected(make, bad):
+    with pytest.raises(DomainError, match="finite"):
+        make(bad)
+
+
 DEFORMED = [
     lambda qp: QExponential(qp, 0.8, 1),
     lambda qp: QExponential(qp, 0.8, -1),

@@ -102,6 +102,17 @@ class TestTransformCommand:
         assert res.exit_code == 2, res.output
         assert "takes no" in res.output
 
+    def test_non_finite_alpha_exits_2(self, runner):
+        res = runner.invoke(main, ["transform", "--q", "0.5", "--fn", "sine", "--alpha", "nan", "--s-grid", "2:4:3"])
+        assert res.exit_code == 2, res.output
+        assert "finite" in res.output
+
+    @pytest.mark.parametrize("grid", ("2:inf:3", "-inf:4:3", "nan:4:3:log"))
+    def test_non_finite_grid_endpoint_exits_2(self, runner, grid):
+        res = runner.invoke(main, ["transform", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--s-grid", grid])
+        assert res.exit_code == 2, res.output
+        assert "--s-grid endpoints must be finite" in res.output
+
     def test_non_finite_coefficients_exit_3(self, runner):
         # the Taylor coefficients overflow before n = 200: no silent nan rows
         res = runner.invoke(main, ["transform", "--q", "0.01", "--fn", "qexponential", "--qprime", "0.2",
@@ -161,6 +172,17 @@ class TestInvertCommand:
         )
         assert res.exit_code == 2, res.output
 
+    def test_fixed_m_past_q_poly_overflow(self, runner):
+        # q_poly(1.9, 200) overflows a double: xi used to come out 0.0 and the run died
+        res = runner.invoke(
+            main,
+            ["invert", "--q", "0.1", "--fn", "monomial", "--m", "3", "--t-grid", "0.5:1:2", "--fixed-m", "200"],
+        )
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 10
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
 
 class TestRoundtripCommand:
     def test_rows(self, runner):
@@ -216,6 +238,12 @@ class TestIdentitiesCommand:
         assert res.exit_code == 1
         _, rows = data_rows(res.output)
         assert next(r for r in rows if r[0] == "scaling")[1] == "fail"
+
+    @pytest.mark.parametrize("s", ("nan", "inf", "0", "-1"))
+    def test_s_outside_domain_exits_2(self, runner, s):
+        res = runner.invoke(main, ["identities", "--q", "0.6", "--s", s])
+        assert res.exit_code == 2, res.output
+        assert "--s must be finite and positive" in res.output
 
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import qlaplace.cli as climod
@@ -294,6 +322,16 @@ class TestStatmechCommand:
             main, ["statmech", "--model", "ideal-gas", "--D", "3", "--N", "2", "--q", "0.9", "--E-grid", "nan:5:3"]
         )
         assert res.exit_code == 2, res.output
+
+    @pytest.mark.parametrize(
+        "extra", (["--model", "oscillator", "--hbar", "inf"], ["--model", "oscillator", "--omega", "nan"],
+                  ["--model", "ideal-gas", "--mass", "nan"], ["--model", "ideal-gas", "--v", "inf"],
+                  ["--model", "ideal-gas", "--h-const", "nan"]),
+    )
+    def test_non_finite_constant_exits_2(self, runner, extra):
+        res = runner.invoke(main, ["statmech", *extra, "--D", "1", "--N", "3", "--q", "0.6", "--E-grid", "0.5:5:2"])
+        assert res.exit_code == 2, res.output
+        assert "finite and positive" in res.output
 
     def test_power_too_small_exits_2(self, runner):
         res = runner.invoke(

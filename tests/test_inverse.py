@@ -25,6 +25,7 @@ from qlaplace import (
     widder_weight,
     xi_factor,
 )
+from qlaplace.inverse import _widder_sums
 from pfq_oracle import CATALOG_SPECS
 
 Q5 = QParam(0.5)
@@ -306,6 +307,22 @@ class TestSeriesInvert:
         for arg in (t, np.array([0.5, t])):
             with pytest.raises(DomainError):
                 ts(arg)
+
+
+class TestFiniteKFactor:
+    """R(k, p) = Gamma(k+p+1)/(Gamma(k+1) k**p), the factor every finite-k
+    estimate carries, is q_poly(2-q, p) at 1-q = 1/k."""
+
+    @pytest.mark.parametrize("p", (9.0, 9.5, 49.5))
+    def test_large_k_against_mpmath(self, p):
+        # an lgamma difference for the fractional part floored at 3e-8 (k = 2**24)
+        mpmath = pytest.importorskip("mpmath")
+        ks = (2**20, 2**24, 2**27)
+        got = _widder_sums(np.zeros(1), np.ones(1), p, [1.0], ks)[0]
+        for k, r in zip(ks, got):
+            with mpmath.workdps(50):
+                want = mpmath.exp(mpmath.loggamma(k + p + 1) - mpmath.loggamma(k + 1) - p * mpmath.log(k))
+            assert abs(r - want) <= 1e-14 * want, k
 
 
 class TestRoundtrip:

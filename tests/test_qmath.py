@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlaplace import DomainError, QParam, log_gamma, pochhammer, q_exp, q_log, q_poly, q_product_arg, xi_factor
-from qlaplace.qmath import _log_q_poly_real, _xi_factor_real
+from qlaplace.qmath import _log_q_poly, _log_q_poly_real, _xi_factor_real
 
 Q_GRID = (0.3, 0.6, 0.9)
 
@@ -182,6 +183,69 @@ class TestRealOrderQPoly:
         assert _log_q_poly_real(1.5, m) == pytest.approx(want, rel=1e-13)
         xi = _xi_factor_real(QParam(0.5), m)
         assert math.log(xi) == pytest.approx((math.log(1.5) - want) / (m - 1), rel=1e-13)
+
+
+# 1-q from 1 down to 2**-27 (1/k for the finite-k factor R(k, p)), orders with
+# and without a fractional part
+MP_EPS = (1.0, 0.5, 0.25, 0.1, 1 / 64, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 2.0**-20, 2.0**-24, 2.0**-27)
+MP_ORDERS = (0.5, 2, 3, 3.5, 9, 9.5, 49.5, 60.5, 199, 199.5)
+
+
+def mp_log_q_poly(eps, m):
+    """log((1-q)**m Gamma(z+m+1)/Gamma(z+1)), z = 1/(1-q), at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        return m * mpmath.log(e) + mpmath.loggamma(1 / e + m + 1) - mpmath.loggamma(1 / e + 1)
+
+
+class TestOneQPolyRoutine:
+    """qmath._log_q_poly: q_poly at real order, xi and R(k, p) = q_poly at 1-q = 1/k."""
+
+    def test_against_mpmath(self):
+        for m in MP_ORDERS:
+            for eps, got in zip(MP_EPS, _log_q_poly(MP_EPS, m, 1)[:, 0]):
+                want = mp_log_q_poly(eps, m)
+                assert abs(got - want) <= 1e-14 * abs(want), (eps, m)
+
+    def test_fractional_orders_against_mpmath(self):
+        for f in (0.25, 0.5, 0.9):
+            for eps, got in zip(MP_EPS, _log_q_poly(MP_EPS, f, 1)[:, 0]):
+                want = mp_log_q_poly(eps, f)
+                assert abs(got - want) <= 1e-14 * abs(want), (eps, f)
+
+    def test_run_of_orders_is_the_single_orders(self):
+        run = _log_q_poly(MP_EPS, 2.5, 6)
+        for i in range(6):
+            assert np.array_equal(run[:, i], _log_q_poly(MP_EPS, 2.5 + i, 1)[:, 0])
+
+    def test_classical_is_zero(self):
+        assert not np.any(_log_q_poly((0.0,), 3.5, 4))
+
+    @given(q_arg=st.floats(min_value=1.0, max_value=2.0, exclude_max=True), m=st.integers(min_value=0, max_value=400))
+    @settings(max_examples=300)
+    def test_integer_orders_match_product(self, q_arg, m):
+        # 1-q = q_arg - 1 exactly, so both sides see the same product; the
+        # float product carries about m roundings
+        product = q_poly(q_arg, m)
+        assume(math.isfinite(product))
+        got = _log_q_poly((q_arg - 1.0,), m, 1)[0, 0]
+        assert got == pytest.approx(math.log(product), rel=1e-14, abs=4e-16 * (m + 1))
+
+    def test_xi_factor_past_product_overflow(self):
+        # q_poly(1.9, 200) overflows: the float product gave xi = 0.0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = mpmath.exp((mpmath.log(2 - mpmath.mpf(0.1)) - mp_log_q_poly(0.9, 200)) / 199)
+        assert abs(xi_factor(QParam(0.1), 200) - want) <= 1e-14 * want
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            _log_q_poly((0.5,), -0.5, 1)
+        with pytest.raises(DomainError):  # refused before any table is allocated
+            xi_factor(QParam(0.5), 2**40)
+        with pytest.raises(DomainError):
+            _log_q_poly((0.5, -0.1), 2.0, 1)
 
 
 class TestPochhammer:

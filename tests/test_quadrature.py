@@ -67,6 +67,13 @@ def test_scalar_only_callable_fallback():
     val = integrate(lambda t: float(t) ** 2, 0.0, 1.0)
     assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
 
+    def value_error_on_arrays(t):
+        if np.ndim(t):
+            raise ValueError("arrays not supported")
+        return t * t
+
+    assert integrate(value_error_on_arrays, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
 
 def test_empty_and_reversed_interval():
     assert integrate(lambda t: t, 1.0, 1.0) == 0.0
@@ -117,6 +124,22 @@ def test_config_validation():
 def test_config_rejects_nan_and_fractional(kwargs, what):
     with pytest.raises(DomainError, match=what):
         QuadratureConfig(**kwargs)
+
+
+def test_library_error_from_the_integrand_propagates():
+    def strict(t):
+        raise DomainError("t out of range")
+
+    def strict_on_scalars(t):
+        if np.ndim(t):
+            raise TypeError("scalars only")
+        raise DomainError("t out of range")
+
+    for f in (strict, strict_on_scalars):
+        with pytest.raises(DomainError, match="t out of range"):
+            integrate(f, 0.0, 1.0)
+        with pytest.raises(DomainError, match="t out of range"):
+            integrate_half_line(f)
 
 
 def test_callable_failing_on_scalars_keeps_its_message():

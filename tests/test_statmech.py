@@ -213,3 +213,57 @@ class TestDensityOfStates:
     def test_non_finite_energy(self, bad):
         with pytest.raises(DomainError):
             density_of_states(Q5, IdealGasModel(3, 2), [1.0, bad])
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    @pytest.mark.parametrize("field", ("V", "mass", "h"))
+    def test_gas(self, field, bad):
+        with pytest.raises(DomainError, match="finite"):
+            IdealGasModel(1, 2, **{field: bad})
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    @pytest.mark.parametrize("field", ("omega", "hbar"))
+    def test_oscillator(self, field, bad):
+        with pytest.raises(DomainError, match="finite"):
+            OscillatorModel(1, 3, **{field: bad})
+
+
+def mp_partition(q, model, beta):
+    """Z_q(beta) = prefactor / q_poly(2-q, m) * beta**-m from the model's
+    constants, q_poly as (1-q)**m Gamma(z+m+1)/Gamma(z+1), z = 1/(1-q), at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        e = 1 - mpmath.mpf(q.q)
+        m = mpmath.mpf(model.transform_power)
+        if isinstance(model, IdealGasModel):
+            dn = model.D * model.N
+            pref = (mpmath.mpf(model.V) ** model.N * (2 * mpmath.pi * model.mass) ** (mpmath.mpf(dn) / 2)
+                    / (mpmath.mpf(model.h) ** dn * mpmath.factorial(model.N)))
+        else:
+            pref = (mpmath.mpf(model.hbar) * model.omega) ** -m
+        q_poly = e**m * mpmath.gamma(1 / e + m + 1) / mpmath.gamma(1 / e + 1)
+        return pref / q_poly * mpmath.mpf(beta) ** -m
+
+
+class TestClassicalContinuity:
+    """q -> 1-: the Gamma ratio is taken at 1-q itself, without cancellation."""
+
+    @pytest.mark.parametrize("j", range(4, 13))
+    def test_partitions_against_mpmath(self, j):
+        q = QParam(1.0 - 10.0**-j)
+        cases = (
+            (ideal_gas_partition, IdealGasModel(1, 3, V=0.7, mass=1.3, h=0.9)),  # m = 1.5
+            (ideal_gas_partition, IdealGasModel(3, 2)),  # m = 3
+            (oscillator_partition, OscillatorModel(1, 3, omega=1.7, hbar=0.8)),
+            (oscillator_partition, OscillatorModel(2, 5)),
+        )
+        for partition, model in cases:
+            want = mp_partition(q, model, 1.3)
+            assert abs(partition(q, model, 1.3) - want) <= 1e-14 * want, model
+
+    def test_oscillator_at_one_minus_1e8(self):
+        # the Gamma ratio at 1/(2-q-1) was 1.8e-7 off here
+        q, model = QParam(1.0 - 1e-8), OscillatorModel(1, 3)
+        want = mp_partition(q, model, 1.0)
+        assert abs(oscillator_partition(q, model, 1.0) - want) <= 1e-14 * want
