@@ -17,7 +17,9 @@ classical function.  The plain names ``Exponential``, ``Gaussian``,
 Deformed functions of a negative argument use the cutoff convention
 (value 0 once the base hits zero); closed-form transforms are quoted for
 ``s`` large enough that the kernel support stays inside the positivity
-domain, where the cutoff is invisible.
+domain, where the cutoff is invisible.  Each entry's ``cut`` is the t at
+which that domain ends, past which f leaves its Taylor series (inf if it
+never does).
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class Monomial:
 
     power: int
     kind = "monomial"
+    cut = math.inf
 
     def __post_init__(self) -> None:
         if self.power < 1:
@@ -180,9 +183,15 @@ class _Family:
     qprime: QParam
     alpha: float
     _name = ""
+    _cut_power = 0  # p of the branch q_exp(-alpha t**p) that f cuts, 0 if none
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+
+    @property
+    def cut(self) -> float:
+        e = self.qprime.eps * self.alpha
+        return e ** (-1.0 / self._cut_power) if e and self._cut_power else math.inf
 
     def derivative(self, order: int) -> Callable:
         return lambda t: self._eval(t, order)
@@ -233,11 +242,16 @@ class QExponential(_Family):
     def limit_at_infinity(self) -> float | None:
         return 0.0 if self.sign < 0 else None
 
+    @property
+    def _cut_power(self) -> int:
+        return 1 if self.sign < 0 else 0
+
 
 class QGaussian(_Family):
     """f(t) = q_exp(qprime, -alpha * t**2), cut to 0 past its zero."""
 
     _name = "gaussian"
+    _cut_power = 2
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -351,12 +365,14 @@ class _QHyper(_Paired):
     """Deformed hyperbolic functions as even/odd parts of q_exp(+-alpha t).
 
     Within the series' radius 1/((1-q')*alpha) this matches the
-    hypergeometric definition; past the radius the negative branch is cut,
-    which closed-form transforms never see (the kernel support stays inside
-    the radius for s >= s_min).  At q' = 1 they are cosh/sinh themselves:
-    sinh as a difference of exponentials would lose relative accuracy near
-    t = 0.
+    hypergeometric definition; past it, at ``cut``, the negative branch is
+    cut, so for s >= s_min the kernel support stays short of it even where
+    the series terminates (sinh at q' = 1/2 is the one-term alpha*t).  At
+    q' = 1 they are cosh/sinh themselves: sinh as a difference of
+    exponentials would lose relative accuracy near t = 0.
     """
+
+    _cut_power = 1
 
     def _eval(self, t, order: int):
         arr = np.asarray(t, dtype=float)

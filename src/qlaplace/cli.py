@@ -202,8 +202,11 @@ def _emit(columns, rows, meta: dict, fmt: str, output: str, no_meta: bool) -> No
     if output == "-":
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --output {output}: {exc}")
 
 
 def _numeric_guard(fn):

@@ -39,8 +39,8 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, xi_factor
-from .transform import PowerSeriesTransform, catalog_transform
+from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _radius, xi_factor
+from .transform import PowerSeriesTransform, _rel_err, catalog_transform
 
 __all__ = [
     "TaylorSeries",
@@ -57,15 +57,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaylorSeries:
-    """f(t) = sum_n coeffs[n] * t**n with a rough validity radius t_max."""
+    """f(t) = sum_n coeffs[n] * t**n, valid for |t| <= t_max: the radius of
+    `qmath._radius`, read on first use and cached, capped at 1e3 so that a
+    one-term series still has a finite grid to sample."""
 
     coeffs: tuple[float, ...]
-    t_max: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
         if not all(math.isfinite(a) for a in self.coeffs):
             raise DomainError("non-finite Taylor coefficient")
+
+    @functools.cached_property
+    def t_max(self) -> float:
+        c = np.asarray(self.coeffs)
+        n = np.flatnonzero(c)
+        return min(_radius(n, np.log(np.abs(c[n])), len(c)), 1e3)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -197,17 +204,6 @@ def q_post_widder(
     return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)[0]
 
 
-def _radius_guess(coeffs: tuple[float, ...]) -> float:
-    nz = [(n, abs(a)) for n, a in enumerate(coeffs) if a != 0.0]
-    if not nz:
-        return 1.0
-    n_last, a_last = nz[-1]
-    if n_last == 0:
-        return 10.0
-    t_trunc = (1e-9 / a_last) ** (1.0 / n_last) if a_last > 0.0 else 10.0
-    return float(min(max(t_trunc, 1e-3), 1e3))
-
-
 def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
     """Exact term-wise inverse: coefficient rule a_n = c_n * q_poly(2-q, n+1)/n!.
 
@@ -216,8 +212,7 @@ def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
     t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude.  Also valid
     at q = 1, where it reduces to the classical rule a_n = c_n/n!.
     """
-    coeffs = tuple(_power_map(q, F.coeffs, inverse=True).tolist())
-    return TaylorSeries(coeffs, _radius_guess(coeffs))
+    return TaylorSeries(tuple(_power_map(q, F.coeffs, inverse=True).tolist()))
 
 
 @dataclass(frozen=True)
@@ -249,10 +244,7 @@ def roundtrip(
     F = catalog_transform(q, f, n_terms)
     rec = series_invert(q, F)
     ref = f.taylor_coefficients(len(rec.coeffs) - 1)
-    errors = []
-    for a_rec, a_ref in zip(rec.coeffs, ref):
-        scale = max(abs(a_rec), abs(a_ref))
-        errors.append(abs(a_rec - a_ref) / scale if scale > 0.0 else 0.0)
+    errors = [_rel_err(a_rec, a_ref) for a_rec, a_ref in zip(rec.coeffs, ref)]
     t_grid = np.linspace(0.0, rec.t_max, t_points)
     series_vals = rec(t_grid)
     true_vals = np.asarray(f(t_grid), dtype=float)

@@ -10,6 +10,9 @@ reducing to ``exp(x)`` at ``q = 1``.  The cutoff branch makes the kernel
 ``q_exp(-s*t)`` compactly supported on ``[0, 1/(eps*s)]`` for ``q < 1``,
 which is what keeps every transform integral in this package finite.
 
+The power-series helpers live here too: the power map, the one series
+evaluator and the one validity rule, `_radius`, behind `s_min` and `t_max`.
+
 Everything here is a pure function of its arguments and safe to call
 concurrently.
 """
@@ -191,6 +194,26 @@ def _power_map(q: QParam, coeffs, inverse: bool = False) -> np.ndarray:
     log_map = _log_power_map(q.eps, len(x).bit_length())[: len(x)]
     with np.errstate(divide="ignore", over="ignore"):
         return np.sign(x) * np.exp(np.log(np.abs(x)) + (-log_map if inverse else log_map))
+
+
+_TAIL = 1e-13  # a truncated series' last term, relative to its first, that may be dropped
+
+
+def _radius(n: np.ndarray, log_x: np.ndarray, length: int) -> float:
+    """The one validity rule: the largest |y| at which sum_n x_n y**n, a series of ``length``
+    slots, may be used, from the indices n0 < ... < nL of its nonzero terms and their log|x_n|.
+    r_i = (log|x_n0| - log|x_ni|)/(n_i - n0) is a root-test estimate of log(radius)
+    (Cauchy-Hadamard).  One term is exact everywhere (inf); else half the root-test radius of
+    the upper half of the terms (n_i >= nL // 2), and for a truncated series (not ending
+    before its last two slots) at most the y where the last term falls to _TAIL of the first."""
+    if len(n) <= 1:
+        return math.inf
+    r = (log_x[0] - log_x[1:]) / (n[1:] - n[0])
+    with np.errstate(over="ignore"):
+        half = float(np.exp(r[n[1:] >= n[-1] // 2].min())) / 2.0
+        if n[-1] < length - 2:
+            return half
+        return float(min(half, np.exp(r[-1]) * _TAIL ** (1.0 / (n[-1] - n[0]))))
 
 
 def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, what: str) -> np.ndarray:

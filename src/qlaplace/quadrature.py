@@ -66,7 +66,8 @@ def _vectorized(f):
 
 
 def _measure(f, a: float, b: float) -> tuple[float, float]:
-    """Two-half panel value and its error against the whole-panel rule, from one 45-node call."""
+    """Two-half panel value and its error against the whole-panel rule, from one 45-node call;
+    QuadratureError on a non-finite sample or panel value (the caller silences numpy's warnings)."""
     mid = 0.5 * (a + b)
     h = 0.5 * np.array([b - a, mid - a, b - mid])
     x = (np.array([a, a, mid])[:, None] + h[:, None] * _UNIT_NODES).ravel()
@@ -75,7 +76,10 @@ def _measure(f, a: float, b: float) -> tuple[float, float]:
         bad = x[~np.isfinite(y)][0]
         raise QuadratureError(f"non-finite integrand sample at t = {bad}")
     whole, left, right = (h * (y.reshape(3, -1) @ _WEIGHTS)).tolist()
-    return left + right, abs(whole - (left + right))
+    value = left + right
+    if not (math.isfinite(whole) and math.isfinite(value)):
+        raise QuadratureError(f"non-finite panel value on [{a}, {b}]")
+    return value, abs(whole - value)
 
 
 def dyadic_breakpoints(
@@ -105,7 +109,7 @@ def integrate(
 
     Raises QuadratureError when a panel would need more than ``max_depth``
     bisections, when the panel budget is exhausted, or on a non-finite
-    integrand sample.
+    integrand sample or panel value.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"integration limits must be finite and ordered, got [{a}, {b}]")
@@ -113,51 +117,45 @@ def integrate(
         return 0.0
     fv = _vectorized(f)
 
-    edges = [a]
-    if breakpoints:
-        edges.extend(p for p in sorted(breakpoints) if a < p < b)
-    edges.append(b)
+    edges = [a, *(p for p in sorted(breakpoints or ()) if a < p < b), b]
+    heap, total, err_total, seq = [], 0.0, 0.0, 0  # heap entries: (-err, seq, lo, hi, value, depth)
 
-    # heap entries: (-err, seq, lo, hi, value, depth)
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    seq = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    def push(lo: float, hi: float, depth: int) -> None:
+        nonlocal total, err_total, seq
         value, err = _measure(fv, lo, hi)
-        total += value
-        err_total += err
-        heapq.heappush(heap, (-err, seq, lo, hi, value, 0))
-        seq += 1
+        total, err_total, seq = total + value, err_total + err, seq + 1
+        heapq.heappush(heap, (-err, seq, lo, hi, value, depth))
 
-    noise_floor = 64.0 * np.finfo(float).eps
-    while heap:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_total <= tol:
-            break
-        neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
-        err = -neg_err
-        if err <= noise_floor * max(abs(total), abs(value)):
-            # at double-precision noise floor; refining cannot help
+    with np.errstate(all="ignore"):  # _measure raises on the non-finite values these warnings flag
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            push(lo, hi, 0)
+
+        noise_floor = 64.0 * np.finfo(float).eps
+        while heap:
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            if err_total <= tol:
+                break
+            neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
+            err = -neg_err
+            if err <= noise_floor * max(abs(total), abs(value)):
+                # at double-precision noise floor; refining cannot help
+                err_total -= err
+                continue
+            if depth >= cfg.max_depth:
+                raise QuadratureError(
+                    f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={cfg.max_depth}"
+                )
+            if seq >= _MAX_PANELS:
+                raise QuadratureError("tolerance not met: panel budget exhausted")
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                raise QuadratureError("tolerance not met: panel narrower than float spacing")
+            total -= value
             err_total -= err
-            continue
-        if depth >= cfg.max_depth:
-            raise QuadratureError(
-                f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={cfg.max_depth}"
-            )
-        if seq >= _MAX_PANELS:
-            raise QuadratureError("tolerance not met: panel budget exhausted")
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError("tolerance not met: panel narrower than float spacing")
-        total -= value
-        err_total -= err
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            value2, err2 = _measure(fv, lo2, hi2)
-            total += value2
-            err_total += err2
-            heapq.heappush(heap, (-err2, seq, lo2, hi2, value2, depth + 1))
-            seq += 1
+            push(lo, mid, depth + 1)
+            push(mid, hi, depth + 1)
+    if not math.isfinite(total):
+        raise QuadratureError("integral overflows double precision")
     return total
 
 
@@ -175,12 +173,10 @@ def integrate_half_line(
     """
     if not 0.0 < scale < math.inf:
         raise DomainError(f"scale must be finite and positive, got {scale}")
-    fv = _vectorized(f)
 
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u):
         om = 1.0 - u
-        t = scale * u / om
-        return fv(t) * (scale / om**2)
+        return f(scale * u / om) * (scale / om**2)
 
     pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True, levels=32)
     return integrate(g, 0.0, 1.0, cfg, breakpoints=pts)

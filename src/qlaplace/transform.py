@@ -18,16 +18,17 @@ numeric route shares none of this, so each can serve as the other's oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CatalogFunction, Monomial, QExponential, QGaussian
+from .catalog import CatalogFunction, Monomial
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
-from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, q_exp, q_poly  # noqa: F401
+from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, _radius, _TAIL, q_exp, q_poly  # noqa: F401
 from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
@@ -61,17 +62,20 @@ __all__ = [
 class PowerSeriesTransform:
     """F(s) = sum_n coeffs[n] * s**-(n+1), valid for s >= s_min.
 
-    ``s_min`` is chosen so the argument of the family's pFq closed form has
-    magnitude <= 1/2, leaving headroom for derivative growth.  Every
-    coefficient must be finite.  Values and derivatives, exact term by term,
-    are one log-magnitude sum over the nonzero terms, at s in (0, inf):
+    ``s_min``, read off the coefficients on first read and cached, keeps 1/s
+    within their radius and the kernel support 1/((1-q)s) within that of the
+    Taylor coefficients they map from, and short of ``t_cut``, the t past
+    which the input function leaves its Taylor series (inf if it never
+    does; at q = 1 the kernel reaches t = -log(1e-13)/s).  Every coefficient
+    must be finite.  Values and derivatives, exact term by term, are one
+    log-magnitude sum over the nonzero terms, at s in (0, inf):
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
     """
 
     coeffs: tuple[float, ...]
-    s_min: float
     q: QParam
+    t_cut: float = math.inf
 
     def __post_init__(self) -> None:
         # one float array gives the coeffs tuple and the log form every evaluation sums:
@@ -82,9 +86,23 @@ class PowerSeriesTransform:
         if not np.all(np.isfinite(c)):
             n = int(np.flatnonzero(~np.isfinite(c))[0])
             raise QLaplaceError(f"transform coefficient c_{n} = {c[n]} is not finite")
+        if not self.t_cut > 0.0:
+            raise DomainError(f"t_cut must be positive, got {self.t_cut}")
         object.__setattr__(self, "coeffs", tuple(c.tolist()))
         n = np.flatnonzero(c)
         object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
+
+    @functools.cached_property
+    def s_min(self) -> float:
+        """The largest of 1/R(c), 1/((1-q) R(a)) and the s whose kernel reaches t_cut, for the
+        radii R of `qmath._radius` (the second is dropped at q = 1)."""
+        n, log_c, _ = self._log_form
+        size, reach = len(self.coeffs), -math.log(_TAIL)  # exp(-s t) falls to _TAIL at t = reach/s
+        radius = _radius(n, log_c, size)
+        if not self.q.classical:  # the support ends at t = reach/s
+            log_a = log_c - _log_power_map(self.q.eps, size.bit_length())[n]
+            radius, reach = min(radius, self.q.eps * _radius(n, log_a, size)), 1.0 / self.q.eps
+        return max(1.0 / radius if radius else math.inf, reach / self.t_cut)
 
     def value(self, s):
         """F(s) for s in (0, inf), scalar or array."""
@@ -166,57 +184,28 @@ def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float 
 # closed-form catalog
 
 
-def _s_min(q: QParam, f: CatalogFunction) -> float:
-    """The s at which the argument zfac/s**stride of f's pFq closed form (in
-    1/s for the exponentials, 1/s**2 for the rest) has magnitude 1/2; 0 for
-    a power, whose series is a single term.  Each |zfac| keeps the operation
-    order of the pFq recipe in the tests, so s_min matches it bit for bit."""
-    if isinstance(f, Monomial):
-        return 0.0
-    eps, e, a = q.eps, f.qprime.eps, f.alpha
-    if isinstance(f, QExponential):
-        return 2.0 * ((e or 1.0) * a / eps)
-    if isinstance(f, QGaussian):
-        return (2.0 * ((e or 1.0) * a / eps**2)) ** 0.5
-    return (2.0 * ((e * a / eps) ** 2 if e else a**2 / (4.0 * eps**2))) ** 0.5
-
-
 def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> PowerSeriesTransform:
     """Closed-form transform of a catalog function as a 1/s power series.
 
     Each Taylor term a_n t**n of f maps to c_n = a_n * n!/q_poly(2-q, n+1)
     s**-(n+1), the power map `series_invert` undoes; summed, the terms are
     the paper's pFq closed forms.  A power t**(m-1) gives an m-term series
-    whatever ``n_terms``.  Requires q < 1.
+    whatever ``n_terms``.  The series' ``s_min`` is read off these
+    coefficients, the paper's |z| <= 1/2 rule for any series, and keeps the
+    kernel support short of ``f.cut``.  Requires q < 1.
     """
     if q.classical:
         raise DomainError("catalog_transform requires q < 1")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     n_max = f.power - 1 if isinstance(f, Monomial) else n_terms - 1
-    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), _s_min(q, f), q)
+    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
 
 
 def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
-    """Classical (q = 1) transform series c_n = a_n * n! for catalog f.
-
-    Only meaningful when the coefficients keep at most geometric growth
-    (powers, plain exponentials, circular and hyperbolic families); the
-    Gaussian and deformed families produce divergent inverse-power series
-    at q = 1 and are rejected.
-    """
-    coeffs = _power_map(QParam(1.0), f.taylor_coefficients(n_terms - 1))
-    nz = np.flatnonzero(coeffs)
-    if len(nz) <= 1:
-        return PowerSeriesTransform(coeffs, 0.0, QParam(1.0))
-    c = np.abs(coeffs[nz])
-    rates = ((c[1:] / c[:-1]) ** (1.0 / np.diff(nz))).tolist()
-    half = len(rates) // 2
-    if half >= 1 and max(rates[half:]) > 1.5 * max(rates[:half]) + 1e-30:
-        raise DomainError(
-            f"classical transform series for {f.label} grows faster than geometrically"
-        )
-    return PowerSeriesTransform(coeffs, 2.0 * max(rates), QParam(1.0))
+    """Classical (q = 1) transform series c_n = a_n * n! for catalog f."""
+    q = QParam(1.0)
+    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_terms - 1)), q, f.cut)
 
 
 # --------------------------------------------------------------------------
@@ -237,12 +226,8 @@ def kernel_pair_integral(
     """
     if not (0.0 < s_prime < s):
         raise DomainError("kernel pair integral requires 0 < s_prime < s")
-    if q.classical:
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return np.exp(-(s - s_prime) * t)
-
-        return integrate_half_line(integrand, ctl, scale=1.0 / (s - s_prime))
-
+    if q.classical:  # exp(-s t) exp(s' t) is the kernel at s - s' alone
+        return _kernel_quadrature(q, np.ones_like, s - s_prime, ctl)
     expo2 = (2.0 * q.q - 3.0) / q.eps
     return _kernel_quadrature(q, lambda t: (1.0 - q.eps * s_prime * t) ** expo2, s, ctl)
 
@@ -559,6 +544,8 @@ def integral_rule_diagnostic(
     for s in s_values:
         lhs = forward_numeric(q, antiderivative, s, ctl)
         rhs = (2.0 - q.q) / s * forward_numeric(q_inner, f, s * (2.0 - q.q), ctl)
+        if lhs == 0.0:
+            raise QLaplaceError(f"transform of the antiderivative underflows to 0 at s = {s}")
         ratios.append(rhs / lhs)
     mean = sum(ratios) / len(ratios)
     spread = max(abs(r - mean) for r in ratios) / abs(mean) if mean != 0.0 else math.inf
@@ -582,23 +569,9 @@ def convolution_check_classical(
     def conv(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return integrate(
-            lambda tau: np.asarray(f(tau), dtype=float)
-            * np.asarray(g(t - np.asarray(tau, dtype=float)), dtype=float),
-            0.0,
-            t,
-            inner_cfg,
-        )
+        return integrate(lambda tau: f(tau) * g(t - tau), 0.0, t, inner_cfg)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        w = np.exp(-s * t)
-        out = np.zeros_like(t)
-        for i, ti in enumerate(t):
-            if w[i] > 0.0:
-                out[i] = w[i] * conv(float(ti))
-        return out
-
-    lhs = integrate_half_line(integrand, ctl, scale=1.0 / s)
+    lhs = forward_numeric(one, conv, s, ctl)
     rhs = forward_numeric(one, f, s, ctl) * forward_numeric(one, g, s, ctl)
     return CheckReport("convolution(q=1)", lhs, rhs, _rel_err(lhs, rhs))
 

@@ -84,13 +84,12 @@ def _pfq_recipe(q: QParam, f):
 
 def pfq_series(q: QParam, f, n_terms: int = 40) -> PowerSeriesTransform:
     """The closed form of f's transform as an ``n_terms`` 1/s series (a power
-    t**(m-1) gives its single coefficient Gamma(m)/q_poly(2-q, m)), with
-    ``s_min`` where the pFq argument has magnitude 1/2."""
+    t**(m-1) gives its single coefficient Gamma(m)/q_poly(2-q, m))."""
     if isinstance(f, Monomial):
         m = f.power
         coeffs = [0.0] * m
         coeffs[m - 1] = math.exp(math.lgamma(m)) / q_poly(2.0 - q.q, m)
-        return PowerSeriesTransform(tuple(coeffs), 0.0, q)
+        return PowerSeriesTransform(tuple(coeffs), q)
 
     upper, lower, zfac, stride, offset, prefac = _pfq_recipe(q, f)
     params = PFQParams(tuple(upper), tuple(lower), zfac)
@@ -104,8 +103,7 @@ def pfq_series(q: QParam, f, n_terms: int = 40) -> PowerSeriesTransform:
             break
         coeffs[idx] = prefac * cn * zpow
         zpow *= zfac
-    s_min = (2.0 * abs(zfac)) ** (1.0 / stride) if zfac != 0.0 else 0.0
-    return PowerSeriesTransform(tuple(coeffs), s_min, q)
+    return PowerSeriesTransform(tuple(coeffs), q)
 
 
 _QP = QParam(0.7)

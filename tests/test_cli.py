@@ -2,16 +2,28 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qlaplace
 from qlaplace.cli import main
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so that stderr is exactly what a user sees
+    (pytest turns RuntimeWarnings into errors)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qlaplace.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "qlaplace.cli", *args], capture_output=True, text=True, env=env)
 
 
 def data_rows(output: str):
@@ -70,6 +82,20 @@ class TestTransformCommand:
         assert res.exit_code == 0
         assert path.read_text().startswith("# generated-by")
 
+    def test_unwritable_output_exits_2(self, runner, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        for cmd in (["transform", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--s-grid", "2:4:3"],
+                    ["roundtrip", "--q", "0.6", "--fn", "exponential", "--alpha", "1"]):
+            res = runner.invoke(main, [*cmd, "--output", str(path)])
+            assert res.exit_code == 2, res.output
+            assert f"cannot write --output {path}" in res.output
+
+    def test_overflowing_integrand_exits_3_without_warning(self):
+        res = run_cli("transform", "--q", "0.5", "--fn", "monomial", "--m", "3", "--s-grid", "1e-300:1e-299:2")
+        assert res.returncode == 3, res.stderr
+        assert "numeric failure" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
     def test_invalid_q_exits_2(self, runner):
         res = runner.invoke(main, ["transform", "--q", "1.5", "--fn", "monomial", "--m", "2", "--s-grid", "1:2:2"])
         assert res.exit_code == 2
@@ -83,6 +109,13 @@ class TestTransformCommand:
             main, ["transform", "--q", "0.9", "--fn", "gaussian", "--alpha", "1.0", "--s-grid", "0.1:0.2:2"]
         )
         assert res.exit_code == 2
+
+    def test_below_the_cut_exits_2(self, runner):
+        # a one-term series (3t), but the function is cut at t = 2/3: s_min is 15 at q = 0.9
+        res = runner.invoke(main, ["transform", "--q", "0.9", "--fn", "qsinh", "--qprime", "0.5", "--alpha", "3",
+                                   "--s-grid", "0.1:16:2"])
+        assert res.exit_code == 2
+        assert "s values [0.1] lie below the series validity bound s_min = 15." in res.output
 
     def test_bad_grid(self, runner):
         res = runner.invoke(main, ["transform", "--q", "0.5", "--fn", "monomial", "--m", "2", "--s-grid", "1:10"])
@@ -244,6 +277,15 @@ class TestIdentitiesCommand:
         res = runner.invoke(main, ["identities", "--q", "0.6", "--s", s])
         assert res.exit_code == 2, res.output
         assert "--s must be finite and positive" in res.output
+
+    @pytest.mark.parametrize("q, s", (("0.6", "1e200"), ("1", "1e300"), ("0.6", "1e-300")))
+    def test_extreme_s_exits_3_without_traceback(self, q, s):
+        # 1e200, 1e300: the integral rule's transform underflows to 0;
+        # 1e-300: a panel sum overflows
+        res = run_cli("identities", "--q", q, "--s", s)
+        assert res.returncode == 3, res.stderr
+        assert "numeric failure" in res.stderr
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
 
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import qlaplace.cli as climod

@@ -130,7 +130,7 @@ class TestQPostWidderFixed:
                     assert est.value == pytest.approx(loop_fixed_estimate(q, F, t, est.k, m), rel=1e-12)
 
     def test_overflow_is_typed(self):
-        F = PowerSeriesTransform((0.0, 1e300, 1e300), 0.0, Q5)
+        F = PowerSeriesTransform((0.0, 1e300, 1e300), Q5)
         with pytest.raises(QLaplaceError):
             q_post_widder(Q5, F, 1e6, WidderConfig((16, 32, 64), fixed_m=2))
 
@@ -223,7 +223,7 @@ class TestQPostWidderPerTerm:
         assert errs[-1] < 2e-3
 
     def test_q1_degenerates_to_classical(self):
-        F = PowerSeriesTransform((1.0, 0.5, 0.25, -0.1), 0.0, Q1)
+        F = PowerSeriesTransform((1.0, 0.5, 0.25, -0.1), Q1)
         cfg = WidderConfig((4, 8, 16, 32, 64), None, extrapolate=False)
         ests = q_post_widder(Q1, F, 0.7, cfg)
         for est in ests:
@@ -232,7 +232,7 @@ class TestQPostWidderPerTerm:
 
     def test_empty_series(self):
         with pytest.raises(DomainError):
-            q_post_widder(Q5, PowerSeriesTransform((0.0, 0.0), 0.0, Q5), 1.0)
+            q_post_widder(Q5, PowerSeriesTransform((0.0, 0.0), Q5), 1.0)
 
     @pytest.mark.parametrize("fixed_m", (None, 2))
     @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, 0.0))
@@ -292,18 +292,28 @@ class TestSeriesInvert:
 
     def test_classical_limit_rule(self):
         # at q = 1 the rule is the plain a_n = c_n / n!
-        F = PowerSeriesTransform((2.0, 3.0, 4.0), 0.0, Q1)
+        F = PowerSeriesTransform((2.0, 3.0, 4.0), Q1)
         rec = series_invert(Q1, F)
         assert list(rec.coeffs) == pytest.approx([2.0, 3.0, 2.0], rel=1e-15)
 
+    def test_t_max_from_coefficients(self):
+        # one term: exact everywhere, capped; a polynomial: half the root-test radius of its
+        # upper half; e**t truncated: where the last term falls to 1e-13 of the first
+        assert TaylorSeries((0.0, 2.0)).t_max == 1e3
+        assert TaylorSeries((1.0, 0.0, 0.25, 0.0, 0.0)).t_max == pytest.approx(1.0, rel=1e-15)
+        ts = TaylorSeries([1.0 / math.factorial(n) for n in range(20)])
+        assert ts.t_max == pytest.approx(math.factorial(19) ** (1 / 19) * 1e-13 ** (1 / 19), rel=1e-14)
+        assert abs(ts(ts.t_max) - math.exp(ts.t_max)) <= 1e-12 * math.exp(ts.t_max)
+        assert "t_max" in vars(ts)
+
     def test_taylor_series_evaluation(self):
-        ts = TaylorSeries((1.0, -1.0, 0.5), 10.0)
+        ts = TaylorSeries((1.0, -1.0, 0.5))
         assert ts(0.0) == 1.0
         assert ts(2.0) == pytest.approx(1.0 - 2.0 + 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
     def test_taylor_series_non_finite_t(self, t):
-        ts = TaylorSeries((1.0, -1.0, 0.5), 10.0)
+        ts = TaylorSeries((1.0, -1.0, 0.5))
         for arg in (t, np.array([0.5, t])):
             with pytest.raises(DomainError):
                 ts(arg)
@@ -341,6 +351,14 @@ class TestRoundtrip:
     def test_pointwise(self):
         rep = roundtrip(QParam(0.6), Exponential(1.0, -1), 24)
         assert max(rep.pointwise_errors) < 1e-9
+
+    @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
+    @pytest.mark.parametrize("n_terms", (16, 20, 21, 24))
+    def test_pointwise_on_t_max_grid(self, qv, n_terms):
+        # the reconstructed series against f on [0, t_max], t_max read off its coefficients
+        for f in CATALOG_SPECS:
+            rep = roundtrip(QParam(qv), f, n_terms)
+            assert max(rep.pointwise_errors) <= 1e-9, f.label
 
     def test_minimum_terms(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlaplace import DomainError, QParam, log_gamma, pochhammer, q_exp, q_log, q_poly, q_product_arg, xi_factor
-from qlaplace.qmath import _log_q_poly, _log_q_poly_real, _xi_factor_real
+from qlaplace.qmath import _log_q_poly, _log_q_poly_real, _radius, _xi_factor_real
 
 Q_GRID = (0.3, 0.6, 0.9)
 
@@ -246,6 +246,46 @@ class TestOneQPolyRoutine:
             xi_factor(QParam(0.5), 2**40)
         with pytest.raises(DomainError):
             _log_q_poly((0.5, -0.1), 2.0, 1)
+
+
+def radius(x):
+    """`_radius` of the series with coefficients x."""
+    x = np.asarray(x, dtype=float)
+    n = np.flatnonzero(x)
+    return _radius(n, np.log(np.abs(x[n])), len(x))
+
+
+class TestRadius:
+    """The one validity rule, on series whose radius is known."""
+
+    def test_at_most_one_term_is_exact_everywhere(self):
+        for x in ((), (0.0, 0.0), (0.0, 3.0, 0.0, 0.0)):
+            assert radius(x) == math.inf
+
+    def test_terminated_series(self):
+        # (1 - y/4)**4 ends before its last two slots: half the root-test radius of the
+        # upper half of its terms, n = 2, 3, 4, where |x_n| = C(4, n)/4**n
+        x = [math.comb(4, n) * (-0.25) ** n for n in range(5)] + [0.0] * 3
+        want = min((math.comb(4, n) / 4.0**n) ** (-1.0 / n) for n in (2, 3, 4)) / 2.0
+        assert radius(x) == pytest.approx(want, rel=1e-15)
+
+    def test_truncated_geometric(self):
+        # 1/(1 - y/3) to 200 terms: half the radius 3, the tail bound sits past it
+        assert radius(3.0 ** -np.arange(200.0)) == pytest.approx(1.5, rel=1e-13)
+
+    def test_truncated_tail_bound(self):
+        # the last of 10 terms of 1/(1 - y/3) falls to 1e-13 of the first at y = 3e-13**(1/9)
+        assert radius(3.0 ** -np.arange(10.0)) == pytest.approx(3.0 * 1e-13 ** (1 / 9), rel=1e-13)
+
+    def test_every_other_term(self):
+        # cos: the last nonzero term one slot before the end is still a truncated series
+        x = [(-1.0) ** (n // 2) / math.factorial(n) if n % 2 == 0 else 0.0 for n in range(40)]
+        half_root = min(math.factorial(n) ** (1 / n) for n in range(20, 40, 2)) / 2.0  # n = 20
+        tail = math.factorial(38) ** (1 / 38) * 1e-13 ** (1 / 38)
+        assert radius(x) == pytest.approx(min(half_root, tail), rel=1e-13)
+
+    def test_overflowing_radius_is_inf(self):
+        assert _radius(np.arange(3), np.array([0.0, -800.0, -1600.0]), 3) == math.inf
 
 
 class TestPochhammer:

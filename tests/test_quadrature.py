@@ -98,6 +98,22 @@ def test_non_finite_sample():
         integrate(lambda t: np.where(t < 0.5, np.inf, 1.0), 0.0, 1.0)
 
 
+def test_overflow_is_typed_without_warning():
+    # finite samples whose panel value, or whose sum of panels, passes double range;
+    # the suite turns an escaped numpy RuntimeWarning into an error
+    big = lambda t: np.full_like(t, 5e307)  # noqa: E731
+    with pytest.raises(QuadratureError, match="non-finite panel value"):
+        integrate(big, 0.0, 8.0)
+    with pytest.raises(QuadratureError, match="overflows"):
+        integrate(big, 0.0, 6.0, breakpoints=[1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(QuadratureError, match="non-finite integrand sample"):
+        integrate(lambda t: np.exp(1e3 * t), 0.0, 1.0)
+
+
+def test_half_line_scalar_only_callable():
+    assert integrate_half_line(lambda t: math.exp(-t)) == pytest.approx(1.0, rel=1e-11)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unreachable_tolerance_near_pole():
     with pytest.raises(QuadratureError):
