@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import DomainError
-from .qmath import QParam
+from .qmath import QParam, _q_exp_pow
 
 __all__ = [
     "Monomial",
@@ -66,35 +66,13 @@ def _check_sign(sign: int) -> None:
         raise DomainError("sign must be +1 or -1")
 
 
-def _masked_power(base, expo: float) -> np.ndarray:
-    """base**expo where base > 0, exactly 0 elsewhere (cutoff convention)."""
-    b = np.atleast_1d(np.asarray(base, dtype=float))
-    out = np.zeros_like(b)
-    pos = b > 0.0
-    out[pos] = b[pos] ** expo
-    return out.reshape(np.shape(base))
-
-
-def _qexp_power(eps: float, c: float, u, order: int = 0) -> np.ndarray:
-    """(1 + eps*c*u)**(1/eps - order), cut to 0 where the base is not
-    positive; exp(c*u) at eps = 0."""
-    if eps == 0.0:
-        return np.exp(c * u)
-    return _masked_power(1.0 + eps * c * u, 1.0 / eps - order)
-
-
 def _qexp_coef(eps: float, c: float, order: int) -> float:
     """c**order * prod_{i<order} (1 - i*eps): the factor in front of
-    (1 + eps*c*u)**(1/eps - order) in the order-th u-derivative of q_exp(c*u)."""
+    q_exp(c*u)**(1 - order*eps) in the order-th u-derivative of q_exp(c*u)."""
     coef = c**order
     for i in range(order):
         coef *= 1.0 - i * eps
     return coef
-
-
-def _qexp_derivative(eps: float, c: float, u, order: int) -> np.ndarray:
-    """The order-th u-derivative of q_exp(c*u)."""
-    return _qexp_coef(eps, c, order) * _qexp_power(eps, c, u, order)
 
 
 _SNAP = 32.0 * float(np.finfo(float).eps)
@@ -221,12 +199,11 @@ class QExponential(_Family):
         _check_sign(self.sign)
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        return _scalar_ok(t, _qexp_power(self.qprime.eps, self.sign * self.alpha, arr))
+        return _q_exp_pow(self.qprime.eps, self.sign * self.alpha * np.asarray(t, dtype=float))
 
     def _eval(self, t, order: int):
-        arr = np.asarray(t, dtype=float)
-        return _scalar_ok(t, _qexp_derivative(self.qprime.eps, self.sign * self.alpha, arr, order))
+        e, c = self.qprime.eps, self.sign * self.alpha
+        return _qexp_coef(e, c, order) * _q_exp_pow(e, c * np.asarray(t, dtype=float), 1.0 - order * e)
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         return _qexp_taylor(self.qprime.eps, self.sign * self.alpha, n_max)
@@ -254,8 +231,7 @@ class QGaussian(_Family):
     _cut_power = 2
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        return _scalar_ok(t, _qexp_power(self.qprime.eps, -self.alpha, arr**2))
+        return _q_exp_pow(self.qprime.eps, -self.alpha * np.asarray(t, dtype=float) ** 2)
 
     def derivative(self, order: int) -> Callable:
         # f^(n) = R_n * base**(1/eps' - n) with base = 1 - eps' alpha t**2 and
@@ -270,7 +246,7 @@ class QGaussian(_Family):
 
         def d(t):
             arr = np.asarray(t, dtype=float)
-            return _scalar_ok(t, npp.polyval(arr, r) * _qexp_power(e, -self.alpha, arr**2, order))
+            return _scalar_ok(t, npp.polyval(arr, r) * _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e))
 
         return d
 
@@ -329,21 +305,17 @@ class _QTrig(_Paired):
     theta = arctan(w), the deformed exponential of an imaginary argument is
     rho**a * exp(i*a*theta); its real/imaginary parts give the deformed
     cosine (delta = 0) and sine (delta = 1).  Derivatives follow the same
-    polar pattern with the modulus exponent lowered by the order.  At
-    q' = 1 the modulus is 1 and the phase alpha*t.
+    polar pattern with the modulus exponent lowered by the order.  The
+    modulus rho**(a - order) is q_exp((1-q')*(alpha*t)**2)**((1 - order*(1-q'))/2).
+    At q' = 1 the modulus is 1 and the phase alpha*t.
     """
 
     _square_sign = -1.0
 
     def _eval(self, t, order: int):
-        arr = np.asarray(t, dtype=float)
-        e = self.qprime.eps
-        if e == 0.0:
-            angle, scale = self.alpha * arr, self.alpha**order
-        else:
-            w = e * self.alpha * arr
-            a = 1.0 / e - order
-            angle, scale = a * np.arctan(w), _qexp_coef(e, self.alpha, order) * np.sqrt(1.0 + w**2) ** a
+        e, at = self.qprime.eps, self.alpha * np.asarray(t, dtype=float)
+        scale = _qexp_coef(e, self.alpha, order) * _q_exp_pow(e, e * at**2, (1.0 - order * e) / 2.0)
+        angle = at if e == 0.0 else (1.0 / e - order) * np.arctan(e * at)
         if order:
             angle = angle + order * math.pi / 2.0
         circ = np.sin(angle) if self.delta else np.cos(angle)
@@ -380,10 +352,9 @@ class _QHyper(_Paired):
         if e == 0.0:
             odd = (order + self.delta) % 2 == 1
             return _scalar_ok(t, self.alpha**order * (np.sinh if odd else np.cosh)(self.alpha * arr))
-        sgn = -1.0 if self.delta else 1.0
-        plus = _qexp_derivative(e, self.alpha, arr, order)
-        minus = _qexp_derivative(e, -self.alpha, arr, order)
-        return _scalar_ok(t, 0.5 * (plus + sgn * minus))
+        plus, minus = (_qexp_coef(e, c, order) * _q_exp_pow(e, c * arr, 1.0 - order * e)
+                       for c in (self.alpha, -self.alpha))
+        return _scalar_ok(t, 0.5 * (plus - minus if self.delta else plus + minus))
 
 
 class QCosh(_QHyper):

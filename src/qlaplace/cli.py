@@ -28,7 +28,7 @@ from click.core import ParameterSource
 from . import __version__
 from .catalog import Cosine, Exponential, Monomial, make_catalog_function
 from .errors import DomainError, QLaplaceError
-from .inverse import WidderConfig, q_post_widder, roundtrip
+from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
 from .qmath import QParam
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
 from .transform import (
@@ -290,6 +290,10 @@ def invert(
 
     def run():
         series = catalog_transform(qp, f, n_terms)
+        t_max = series_invert(qp, series).t_max
+        high = [t for t in grid if t > t_max]
+        if high:
+            raise DomainError(f"t values {high} lie above the series validity bound t_max = {t_max}")
         cfg = WidderConfig(ks, fixed_m, extrapolate=False)
 
         def one(t: float):

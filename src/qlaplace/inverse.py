@@ -39,7 +39,7 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _radius, xi_factor
+from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _radius, xi_factor
 from .transform import PowerSeriesTransform, _rel_err, catalog_transform
 
 __all__ = [
@@ -267,23 +267,15 @@ def widder_weight(q: QParam, k: int, y):
     exactly y = 1: the log-derivative condition
     k/y = k*(1 - (1-q)*k)/(1 - (1-q)*k*y) collapses to y = 1.  For larger
     k the support ends before y = 1 and the weight grows without bound
-    toward the cutoff.
+    toward the cutoff.  Formed as (y * q_exp(-k*y)**(1/k - (1-q)))**k, the
+    k-th power of one factor, so that y**k and the kernel power cannot
+    overflow and underflow apart.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
+    arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("y must be nonnegative")
-    out = np.zeros_like(arr)
-    if q.classical:
-        pos = arr > 0.0
-        out[pos] = np.exp(k * (np.log(arr[pos]) - arr[pos]))
-    else:
-        expo = 1.0 / q.eps - k
-        live = (arr > 0.0) & (1.0 - q.eps * k * arr > 0.0)
-        with np.errstate(over="ignore"):
-            out[live] = np.exp(
-                k * np.log(arr[live]) + expo * np.log(1.0 - q.eps * k * arr[live])
-            )
-    out = out.reshape(np.shape(y))
+    with np.errstate(over="ignore"):
+        out = (arr * _q_exp_pow(q.eps, -k * arr, 1.0 / k - q.eps)) ** k
     return out if np.ndim(y) else float(out)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
-from .qmath import QParam, _log_q_poly, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
+from .qmath import QParam, _log_q_poly, _q_exp_pow, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
 from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate
 
 __all__ = [
@@ -172,7 +172,6 @@ def ideal_gas_partition_quadrature(
     half = beta / (2.0 * model.mass)
     r2 = 1.0 / (q.eps * half)
     radius = math.sqrt(r2)
-    expo = 1.0 / q.eps
 
     def inner(p1: float) -> float:
         p2_max = math.sqrt(max(r2 - p1 * p1, 0.0))
@@ -180,8 +179,7 @@ def ideal_gas_partition_quadrature(
             return 0.0
 
         def integrand(p2: np.ndarray) -> np.ndarray:
-            base = np.maximum(1.0 - q.eps * half * (p1 * p1 + p2 * p2), 0.0)
-            return base**expo
+            return _q_exp_pow(q.eps, -half * (p1 * p1 + p2 * p2))
 
         pts = dyadic_breakpoints(0.0, p2_max, toward_a=False, toward_b=True, levels=20)
         return integrate(integrand, 0.0, p2_max, ctl, breakpoints=pts)

@@ -28,7 +28,9 @@ from .catalog import CatalogFunction, Monomial
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
-from .qmath import QParam, _log_power_map, _log_term_sum, _power_map, _radius, _TAIL, q_exp, q_poly  # noqa: F401
+from .qmath import (  # noqa: F401
+    QParam, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp, q_poly,
+)
 from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
 
 __all__ = [
@@ -170,13 +172,13 @@ def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float 
         return integrate_half_line(integrand, ctl, scale=1.0 / s)
 
     t_star = 1.0 / (q.eps * s)
-    expo = 1.0 / q.eps
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        base = np.maximum(1.0 - q.eps * s * t, 0.0)
-        return base**expo * g(t - t0 if t0 else t)
+        return _q_exp_pow(q.eps, -s * t) * g(t - t0 if t0 else t)
 
-    pts = dyadic_breakpoints(t0, t_star, toward_a=True, toward_b=True)
+    # the first panel, t_star/2**levels, stays within 1/(64 s) of t0 however close q is to 1
+    levels = max(32, math.ceil(math.log2(1.0 / q.eps)) + 6)
+    pts = dyadic_breakpoints(t0, t_star, toward_a=True, toward_b=True, levels=levels)
     return integrate(integrand, t0, t_star, ctl, breakpoints=pts)
 
 
@@ -228,8 +230,7 @@ def kernel_pair_integral(
         raise DomainError("kernel pair integral requires 0 < s_prime < s")
     if q.classical:  # exp(-s t) exp(s' t) is the kernel at s - s' alone
         return _kernel_quadrature(q, np.ones_like, s - s_prime, ctl)
-    expo2 = (2.0 * q.q - 3.0) / q.eps
-    return _kernel_quadrature(q, lambda t: (1.0 - q.eps * s_prime * t) ** expo2, s, ctl)
+    return _kernel_quadrature(q, lambda t: _q_exp_pow(q.eps, -s_prime * t, 2.0 * q.q - 3.0), s, ctl)
 
 
 # --------------------------------------------------------------------------

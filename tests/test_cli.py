@@ -205,6 +205,12 @@ class TestInvertCommand:
         )
         assert res.exit_code == 2, res.output
 
+    def test_above_t_max_exits_2(self, runner):
+        # the 40-term sine inverse holds up to t_max = 4.45 at q = 0.5; at t = 9 it summed to -5.8e18
+        res = runner.invoke(main, ["invert", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--t-grid", "1:9:3"])
+        assert res.exit_code == 2, res.output
+        assert "t values [5.0, 9.0] lie above the series validity bound t_max = 4.44" in res.output
+
     def test_fixed_m_past_q_poly_overflow(self, runner):
         # q_poly(1.9, 200) overflows a double: xi used to come out 0.0 and the run died
         res = runner.invoke(

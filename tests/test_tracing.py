@@ -41,3 +41,13 @@ def test_series_value_and_derivative_are_separate_spans():
         F.derivative_value(8, s[0])
     assert [sp[0] for sp in tracer.spans] == ["transform.series_value", "transform.derivative_value"]
     assert [sp[3] for sp in tracer.spans] == [-1, -1]
+
+
+def test_kernel_stays_off_the_traced_q_exp():
+    # the traced run counts direct q_exp calls; the quadrature kernel calls qmath._q_exp_pow
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        T.forward_numeric(QParam(0.5), Sine(1.0), 2.0)
+    names = {s[0] for s in tracer.spans}
+    assert "transform.forward_numeric" in names and "qmath.q_exp" not in names

@@ -173,9 +173,9 @@ class TestCatalogTransform:
     @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
     def test_series_agrees_at_s_min(self, qv, n_terms):
         # grid A: every catalog spec, and seven deformed specs at q' from far off 1 through
-        # integer 1/(1-q') (terminating series) to 1 - 1e-6
+        # integer 1/(1-q') (terminating series) to 1 - 1e-12
         specs = list(CATALOG_SPECS)
-        for qpv in (0.2, 0.5, 0.75, 0.8, 0.9, 1.0 - 1e-6):
+        for qpv in (0.2, 0.5, 0.75, 0.8, 0.9, 1.0 - 1e-6, 1.0 - 1e-12):
             qp = QParam(qpv)
             specs += [QExponential(qp, 3.0, -1), QExponential(qp, 0.8, 1), QGaussian(qp, 0.25),
                       QCosine(qp, 2.5), QSine(qp, 0.3), QCosh(qp, 7.0), QSinh(qp, 0.05)]
@@ -196,9 +196,8 @@ class TestCatalogTransform:
         qv=st.floats(min_value=0.2, max_value=0.95),
         family=st.integers(min_value=0, max_value=len(DEFORMED_FAMILIES)),
         alpha=st.floats(min_value=0.3, max_value=3.0),
-        # floats stop at 1 - 1e-6: closer to 1 the catalog's own (1 + (1-q')x)**(1/(1-q'))
-        # loses 1e-16/(1-q') relative, so forward_numeric is no oracle there
-        qpv=st.one_of(st.floats(min_value=0.5, max_value=1.0 - 1e-6), st.sampled_from((1.0 - 1e-6, 1.0)),
+        qpv=st.one_of(st.floats(min_value=0.5, max_value=1.0 - 1e-14), st.sampled_from((1.0 - 1e-14, 1.0)),
+                      st.floats(min_value=7.0, max_value=14.0).map(lambda d: 1.0 - 10.0**-d),
                       st.integers(min_value=2, max_value=200).map(lambda k: 1.0 - 1.0 / k)),
         n_terms=st.sampled_from((40, 80)),
     )
