@@ -45,6 +45,7 @@ from .transform import (
     scaling_check,
     shift_kernel_factor,
     translation_check,
+    _rel_err,
 )
 
 _PASS_TOL = 1e-6
@@ -255,8 +256,7 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
         def one(s: float):
             num = forward_numeric(qp, f, s)
             cat = series.value(s)
-            scale = max(abs(num), abs(cat))
-            return (s, num, cat, abs(num - cat) / scale if scale else 0.0)
+            return (s, num, cat, _rel_err(num, cat))
 
         return [one(s) for s in grid]
 
@@ -299,12 +299,7 @@ def invert(
         def one(t: float):
             ests = q_post_widder(qp, series, t, cfg)
             truth = float(f(t))
-            out = []
-            for est in ests:
-                scale = max(abs(est.value), abs(truth))
-                err = abs(est.value - truth) / scale if scale else 0.0
-                out.append((t, est.k, est.value, truth, err))
-            return out
+            return [(t, est.k, est.value, truth, _rel_err(est.value, truth)) for est in ests]
 
         return [row for t in grid for row in one(t)]
 
@@ -477,8 +472,7 @@ def statmech(
         out = []
         for e, g_num in dos.samples:
             g_ana = float(dos.analytic(e))
-            scale = max(abs(g_num), abs(g_ana))
-            out.append((e, g_num, g_ana, abs(g_num - g_ana) / scale if scale else 0.0))
+            out.append((e, g_num, g_ana, _rel_err(g_num, g_ana)))
         return out
 
     rows = _numeric_guard(run)

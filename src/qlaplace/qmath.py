@@ -39,8 +39,6 @@ __all__ = [
     "q_product_arg",
     "q_poly",
     "xi_factor",
-    "pochhammer",
-    "log_gamma",
 ]
 
 
@@ -187,16 +185,6 @@ def xi_factor(q: QParam, m: float) -> float:
 _xi_factor_real = xi_factor  # statmech and tests/test_qmath.py import this name
 
 
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial ``(x)_n = x (x+1) ... (x+n-1)``, with ``(x)_0 = 1``."""
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
-    out = 1.0
-    for i in range(n):
-        out *= x + i
-    return out
-
-
 @functools.lru_cache(maxsize=1024)
 def _log_power_map(eps: float, bits: int) -> np.ndarray:
     """Read-only table of log(n!/q_poly(2-q, n+1)) for n < 2**bits, eps = 1-q:
@@ -248,14 +236,3 @@ def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, wh
     if not np.all(np.isfinite(sums)):
         raise QLaplaceError(f"{what} overflows double precision despite log-domain handling")
     return sums
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Thin wrapper over the C library implementation, which is accurate to
-    well beyond 12 significant digits on (0, 200].
-    """
-    if x <= 0.0:
-        raise DomainError("log_gamma requires x > 0")
-    return math.lgamma(x)

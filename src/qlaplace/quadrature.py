@@ -3,15 +3,18 @@
 Scheme: a fixed 15-point Gauss-Legendre rule per panel, with global
 adaptive bisection.  A panel's error is estimated by comparing the
 whole-panel rule against the sum over its two halves, all three from one
-integrand call on 45 nodes (15 for the panel, then 15 for each half); the
-worst panel is split until the total estimated error meets the tolerance.
+integrand call on 45 nodes (15 for the panel, then 15 for each half), laid
+out from one table of node fractions and weighed by one constant (2, 45)
+weight matrix; the worst panel is split until the total estimated error
+meets the tolerance.
 Initial panels can be laid out dyadically toward an endpoint, which both
 resolves integrand features living on much smaller scales than the
 interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
 Integrands must be vectorized over numpy arrays; a fallback wrapper maps
-scalar-only callables elementwise and lets their QLaplaceErrors through.
+scalar-only callables elementwise, lets their QLaplaceErrors through and
+turns their type, value and arithmetic errors into QuadratureErrors.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from .errors import DomainError, QLaplaceError, QuadratureError
 __all__ = ["QuadratureConfig", "integrate", "integrate_half_line"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_UNIT_NODES = _NODES + 1.0
+# a panel [a, b] is sampled at a + (b-a)*_FRACTIONS: the 15 nodes of the whole panel, then
+# those of each half; per unit width, row 0 of _PANEL_WEIGHTS is the whole-panel rule and
+# row 1 the sum of the two half-panel rules
+_FRACTIONS = np.concatenate([0.5 * (_NODES + 1.0), 0.25 * (_NODES + 1.0), 0.5 + 0.25 * (_NODES + 1.0)])
+_PANEL_WEIGHTS = np.zeros((2, 45))
+_PANEL_WEIGHTS[0, :15] = 0.5 * _WEIGHTS
+_PANEL_WEIGHTS[1, 15:] = 0.25 * np.tile(_WEIGHTS, 2)
 
 _MAX_PANELS = 40000
 
@@ -59,7 +68,7 @@ def _vectorized(f):
             return np.fromiter((float(f(xi)) for xi in x), dtype=float, count=len(x))
         except QLaplaceError:
             raise
-        except (TypeError, ValueError) as exc:  # not a ValueError: enclosing wrappers let it through
+        except (TypeError, ValueError, ArithmeticError) as exc:  # not a ValueError: enclosing wrappers let it through
             raise QuadratureError(f"integrand fails on arrays and on scalars: {exc}") from exc
 
     return call
@@ -67,17 +76,18 @@ def _vectorized(f):
 
 def _measure(f, a: float, b: float) -> tuple[float, float]:
     """Two-half panel value and its error against the whole-panel rule, from one 45-node call;
-    QuadratureError on a non-finite sample or panel value (the caller silences numpy's warnings)."""
-    mid = 0.5 * (a + b)
-    h = 0.5 * np.array([b - a, mid - a, b - mid])
-    x = (np.array([a, a, mid])[:, None] + h[:, None] * _UNIT_NODES).ravel()
+    QuadratureError on a non-finite sample or panel value (the caller silences numpy's warnings).
+    Every node has a nonzero weight in one row, so a non-finite sample makes a value non-finite
+    and the samples are searched only then."""
+    width = b - a
+    x = a + width * _FRACTIONS
     y = f(x)
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise QuadratureError(f"non-finite integrand sample at t = {bad}")
-    whole, left, right = (h * (y.reshape(3, -1) @ _WEIGHTS)).tolist()
-    value = left + right
+    whole, value = (_PANEL_WEIGHTS @ y).tolist()
+    whole, value = width * whole, width * value
     if not (math.isfinite(whole) and math.isfinite(value)):
+        bad = x[~np.isfinite(y)]
+        if len(bad):
+            raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
         raise QuadratureError(f"non-finite panel value on [{a}, {b}]")
     return value, abs(whole - value)
 

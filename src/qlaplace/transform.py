@@ -4,9 +4,9 @@ The transform of f with deformation q in (0, 1] is
 
     F_q(s) = integral_0^inf f(t) * q_exp(-s*t) dt .
 
-For q < 1 the kernel is compactly supported on [0, 1/((1-q)*s)], so the
-numeric route is ordinary adaptive quadrature on a finite interval; at
-q = 1 a decaying-tail substitution maps [0, inf) to [0, 1).
+The kernel is supported on [0, 1/((1-q)*s)] for q < 1 and on the half line
+at q = 1; the numeric route maps either onto [0, 1) by one substitution,
+t = u/(s*(1-q*u)), and integrates there by adaptive quadrature.
 
 The analytic route (`catalog_transform`) gives the closed forms of the
 catalog families as power series F(s) = sum_n c_n s^-(n+1), transforming
@@ -25,13 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CatalogFunction, Monomial
-from .errors import DomainError, QLaplaceError
+from .errors import DomainError, QLaplaceError, QuadratureError
 # perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
 from .qmath import (  # noqa: F401
     QParam, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp, q_poly,
 )
-from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate, integrate_half_line
+from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate
+# perfbench/spans.py wraps integrate_half_line here, which nothing in the package calls: keep it importable.
+from .quadrature import integrate_half_line  # noqa: F401
 
 __all__ = [
     "PowerSeriesTransform",
@@ -140,46 +142,58 @@ def forward_numeric(
 ) -> float:
     """Numeric transform of a callable f at s > 0.
 
-    For q < 1 integrates over the kernel support [0, 1/((1-q)s)], with
-    initial panels accumulating geometrically toward both the origin and
-    the cutoff (the integrand is continuous but not smooth there).  At
-    q = 1 the caller is responsible for f being integrable against
-    exp(-s*t); the tail substitution t = u/((1-u)s) is used.
+    The kernel support [0, 1/((1-q)s)], the half line at q = 1, is mapped
+    onto u in [0, 1) by t = u/(s*(1-q*u)), with initial panels accumulating
+    geometrically toward the origin and the cutoff u = 1 (the integrand is
+    continuous but not smooth there).  f is evaluated only where the kernel
+    is nonzero.  At q = 1 the caller is responsible for f being integrable
+    against exp(-s*t).
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"forward transform requires finite s > 0, got s = {s}")
     return _kernel_quadrature(q, _vectorized(f), s, ctl)
 
 
+# u in [0, 1) spans the kernel support for every q, with panels accumulating toward both ends
+_KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
+
+
 def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float = 0.0) -> float:
     """Integral of q_exp(-s*t) * g(t - t0) over t >= t0, for a vectorised g.
 
-    For q < 1 the kernel support ends at t* = 1/((1-q)s), and the initial
-    panels on [t0, t*] accumulate geometrically toward both ends.  At q = 1
-    the half line t = t0 + u is mapped by the tail substitution in u.  The
-    shift by t0 is skipped when t0 = 0: it is one array operation per
-    integrand call, a few percent of a forward transform.
+    One substitution serves every q in (0, 1]: with c = 1 - (1-q)*s*t0 and
+    x = u/(1 - q*u), t = t0 + (c/s)*x maps u in [0, 1) onto the support
+    [t0, 1/((1-q)s)) (the half line at q = 1), and since
+    1 - (1-q)*s*t = c*(1-u)/(1-q*u), q_exp(-s*t) = q_exp(-s*t0) * q_exp(-x)
+    exactly.  The integral is then
+
+        (c/s) q_exp(-s*t0) * integral_0^1 q_exp(-x) (1-q*u)**-2 g((c/s)*x) du,
+
+    with the cutoff at u = 1 for every q.  g is evaluated only where the
+    kernel is nonzero, and a non-finite sample is reported at its t.
     """
-    if q.classical:
-        def integrand(u: np.ndarray) -> np.ndarray:
-            w = np.exp(-s * (u + t0 if t0 else u))
-            out = np.zeros_like(u)
+    scale = (1.0 - q.eps * s * t0) / s  # c/s
+    weight = scale * _q_exp_pow(q.eps, -s * t0)
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        om = 1.0 - q.q * u
+        x = u / om
+        w = _q_exp_pow(q.eps, -x) * (weight / (om * om))
+        t = scale * x
+        if w.item(w.argmin()) > 0.0:
+            y = w * g(t)
+        else:
+            y = np.zeros_like(u)
             live = w > 0.0
-            if np.any(live):
-                out[live] = w[live] * g(u[live])
-            return out
+            if live.any():
+                y[live] = w[live] * g(t[live])
+        if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
+            bad = t[~np.isfinite(y)]
+            if len(bad):
+                raise QuadratureError(f"non-finite integrand sample at t = {t0 + bad[0]}")
+        return y
 
-        return integrate_half_line(integrand, ctl, scale=1.0 / s)
-
-    t_star = 1.0 / (q.eps * s)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return _q_exp_pow(q.eps, -s * t) * g(t - t0 if t0 else t)
-
-    # the first panel, t_star/2**levels, stays within 1/(64 s) of t0 however close q is to 1
-    levels = max(32, math.ceil(math.log2(1.0 / q.eps)) + 6)
-    pts = dyadic_breakpoints(t0, t_star, toward_a=True, toward_b=True, levels=levels)
-    return integrate(integrand, t0, t_star, ctl, breakpoints=pts)
+    return integrate(integrand, 0.0, 1.0, ctl, breakpoints=_KERNEL_BREAKS)
 
 
 # --------------------------------------------------------------------------

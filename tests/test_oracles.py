@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlaplace import (
+    Cosh,
     Cosine,
     Exponential,
     Gaussian,
@@ -216,13 +217,19 @@ def test_q_exp_pow_classical():
 
 
 def mp_forward_near_classical(q, mp_f, s):
-    """30-digit integral of exp(log1p(-(1-q) s t)/(1-q)) f(t); the kernel stays below
-    exp(-s t), so past t = 90/s the integrand is below exp(-90) and is left out."""
+    """30-digit integral of exp(log1p(-(1-q) s t)/(1-q)) f(t), exp(-s t) f(t) at q = 1; the
+    kernel stays below exp(-s t), so past t = 90/s the integrand is below exp(-90) f(t) and is
+    left out."""
     with mpmath.workdps(30):
         eps, s_mp = 1 - mpmath.mpf(q.q), mpmath.mpf(s)
-        top = min(1 / (eps * s_mp), 90 / s_mp)
-        return float(mpmath.quad(lambda t: mpmath.exp(mpmath.log1p(-eps * s_mp * t) / eps) * mp_f(t),
-                                 mpmath.linspace(0, top, 31)))
+        top = min(1 / (eps * s_mp), 90 / s_mp) if eps else 90 / s_mp
+
+        def kernel(t):
+            if not eps:
+                return mpmath.exp(-s_mp * t)
+            return mpmath.exp(mpmath.log1p(-eps * s_mp * t) / eps) if eps * s_mp * t < 1 else 0
+
+        return float(mpmath.quad(lambda t: kernel(t) * mp_f(t), mpmath.linspace(0, top, 31)))
 
 
 NEAR_CLASSICAL_CASES = (
@@ -232,13 +239,32 @@ NEAR_CLASSICAL_CASES = (
 )
 
 
-@pytest.mark.parametrize("eps", (1e-8, 1e-10, 1e-12, 1e-14, 2.2e-16))
+@pytest.mark.parametrize("eps", (0.5, 1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 2.2e-16, 0.0))
 @pytest.mark.parametrize("f, mp_f", NEAR_CLASSICAL_CASES, ids=lambda v: getattr(v, "label", ""))
 def test_forward_numeric_near_classical(eps, f, mp_f):
-    # the kernel has no staircase from a rounded base, and the first panel is no wider than 1/(64 s)
+    # the kernel has no staircase from a rounded base, and one substitution spans its support
+    # at every q, the half line at q = 1 included
     q = QParam(1.0 - eps)
-    want = mp_forward_near_classical(q, mp_f, 1.5)
-    assert abs(forward_numeric(q, f, 1.5) - want) <= 1e-13 * abs(want)
+    for s in (0.7, 1.5, 4.0):
+        want = mp_forward_near_classical(q, mp_f, s)
+        assert abs(forward_numeric(q, f, s) - want) <= 1e-13 * abs(want), s
+
+
+@pytest.mark.parametrize(
+    "eps, f, mp_f",
+    (
+        (1e-12, Cosh(0.5), lambda t: mpmath.cosh(t / 2)),
+        (1e-9, Exponential(0.5, 1), lambda t: mpmath.exp(t / 2)),
+        (1e-9, lambda t: math.exp(t / 2), lambda t: mpmath.exp(t / 2)),  # scalar-only callable
+    ),
+    ids=("cosh", "exponential", "scalar-exp"),
+)
+def test_forward_numeric_growing_integrand_near_classical(eps, f, mp_f):
+    # f overflows far out on the support, where the kernel has underflowed to 0: f is
+    # evaluated only where the kernel is nonzero
+    q = QParam(1.0 - eps)
+    want = mp_forward_near_classical(q, mp_f, 2.0)
+    assert abs(forward_numeric(q, f, 2.0) - want) <= 1e-13 * abs(want)
 
 
 @given(

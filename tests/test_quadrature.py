@@ -171,6 +171,28 @@ def test_callable_failing_on_scalars_keeps_its_message():
             forward_numeric(q, broken, 2.0)
 
 
+def test_scalar_callable_arithmetic_error_is_typed():
+    # math.exp overflows inside the support; the scalar fallback chains it into a QuadratureError
+    with pytest.raises(QuadratureError, match="integrand fails on arrays and on scalars") as info:
+        forward_numeric(QParam(0.6), lambda t: math.exp(50 * t), 0.1)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("qv", (0.6, 1.0))
+def test_kernel_route_names_a_non_finite_sample_by_its_t(qv):
+    # the kernel is integrated in u; the error names the t at which f was nan
+    seen = []
+
+    def f(t):
+        if not seen:
+            seen.append(float(t[7]))
+        return np.where(t == seen[0], np.nan, 1.0)
+
+    with pytest.raises(QuadratureError) as info:
+        forward_numeric(QParam(qv), f, 0.5)
+    assert str(info.value) == f"non-finite integrand sample at t = {seen[0]}"
+
+
 # --------------------------------------------------------------------------
 # one integrand call per panel measurement
 

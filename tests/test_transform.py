@@ -339,6 +339,8 @@ class TestKernelPair:
         assert kernel_pair_integral(QParam(0.9), 1.0, 0.5) == pytest.approx(
             1.0 / (1.1 * 0.5), rel=1e-8
         )
+        for qv in (0.9995, 1.0 - 1e-6):  # the partner exp(s't) overflows where the kernel is 0
+            assert kernel_pair_integral(QParam(qv), 1.0, 0.5) == pytest.approx(1.0 / ((2.0 - qv) * 0.5), rel=1e-8)
 
     def test_precondition(self):
         with pytest.raises(DomainError):
