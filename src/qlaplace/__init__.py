@@ -8,7 +8,7 @@ inversion, and partition-function / density-of-states applications.
 from .errors import ConvergenceError, DomainError, QLaplaceError, QuadratureError
 from .qmath import QParam, q_exp, q_log, q_poly, q_product_arg, xi_factor
 from .hypergeom import PFQParams, SeriesControl, pfq, pfq_term_coefficients
-from .quadrature import QuadratureConfig, integrate, integrate_half_line
+from .quadrature import integrate, integrate_half_line
 from .catalog import (
     CATALOG,
     CatalogFunction,

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import DomainError
-from .qmath import QParam, _q_exp_pow
+from .qmath import QParam, _integer_arg, _q_exp_pow
 
 __all__ = [
     "Monomial",
@@ -112,8 +112,7 @@ class Monomial:
     cut = math.inf
 
     def __post_init__(self) -> None:
-        if self.power < 1:
-            raise DomainError("monomial power index must be >= 1")
+        object.__setattr__(self, "power", _integer_arg("power", self.power, 1))
 
     def __call__(self, t):
         return _scalar_ok(t, np.asarray(t, dtype=float) ** (self.power - 1))

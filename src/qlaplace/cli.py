@@ -32,7 +32,6 @@ from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
 from .qmath import QParam
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
 from .transform import (
-    QuadratureConfig,
     catalog_transform,
     derivative_rule_check,
     forward_numeric,
@@ -344,7 +343,6 @@ main.add_command(roundtrip_cmd, name="roundtrip")
 
 
 def _identity_rows(qp: QParam, s: float):
-    ctl = QuadratureConfig()
     rows = []
 
     def record(name, runner, diagnostic=False, tol=_PASS_TOL):
@@ -361,15 +359,15 @@ def _identity_rows(qp: QParam, s: float):
         rows.append((name, status, lhs, rhs, err, ratio))
 
     def limit_i():
-        rep = limit_identity_check(qp, Cosine(1.0), "I", ctl)
+        rep = limit_identity_check(qp, Cosine(1.0), "I")
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def limit_ii():
-        rep = limit_identity_check(qp, Exponential(1.0, -1), "II", ctl, ladder=(1e-4, 1e-5, 1e-6, 1e-7))
+        rep = limit_identity_check(qp, Exponential(1.0, -1), "II", ladder=(1e-4, 1e-5, 1e-6, 1e-7))
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def scaling():
-        rep = scaling_check(qp, Monomial(2), 2.0, s, ctl)
+        rep = scaling_check(qp, Monomial(2), 2.0, s)
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def shift():
@@ -377,27 +375,27 @@ def _identity_rows(qp: QParam, s: float):
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def translation():
-        rep = translation_check(qp, Monomial(2), 0.1 / s, s, ctl)
+        rep = translation_check(qp, Monomial(2), 0.1 / s, s)
         return rep.lhs_proof_form, rep.rhs_integral, abs(rep.ratio_proof - 1.0), rep.ratio_proof
 
     def derivative():
-        rep = derivative_rule_check(qp, Monomial(2), 1, s, ctl)
+        rep = derivative_rule_check(qp, Monomial(2), 1, s)
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def qderiv():
-        rep = qderivative_of_transform_check(qp, Monomial(2), 1, s, ctl)
+        rep = qderivative_of_transform_check(qp, Monomial(2), 1, s)
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def qint():
-        rep = qintegral_of_transform_check(qp, Monomial(3), s, ctl)
+        rep = qintegral_of_transform_check(qp, Monomial(3), s)
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     def integral_rule():
-        rep = integral_rule_diagnostic(qp, Monomial(2), [0.5 * s, s, 2.0 * s, 4.0 * s], ctl)
+        rep = integral_rule_diagnostic(qp, Monomial(2), [0.5 * s, s, 2.0 * s, 4.0 * s])
         return rep.ratios[0], rep.ratios[-1], rep.spread_rel, rep.ratio_mean
 
     def linearity():
-        rep = linearity_check(qp, Monomial(2), 2.0, Exponential(1.0, -1), -0.5, s, ctl)
+        rep = linearity_check(qp, Monomial(2), 2.0, Exponential(1.0, -1), -0.5, s)
         return rep.lhs, rep.rhs, rep.rel_err, ""
 
     record("limit-I", limit_i)
@@ -412,7 +410,7 @@ def _identity_rows(qp: QParam, s: float):
     record("linearity", linearity)
     if qp.classical:
         def convolution():
-            rep = convolution_check_classical(Exponential(1.0, -1), Exponential(1.0, -1), s, ctl)
+            rep = convolution_check_classical(Exponential(1.0, -1), Exponential(1.0, -1), s)
             return rep.lhs, rep.rhs, rep.rel_err, ""
 
         record("convolution", convolution)

@@ -39,7 +39,9 @@ import numpy as np
 
 from .catalog import CatalogFunction
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _radius, xi_factor
+from .qmath import (
+    QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _radius, xi_factor,
+)
 from .transform import PowerSeriesTransform, _rel_err, catalog_transform
 
 __all__ = [
@@ -225,27 +227,21 @@ class RoundtripReport:
     pointwise_errors: tuple[float, ...]
 
 
-def roundtrip(
-    q: QParam,
-    f: CatalogFunction,
-    n_terms: int = 20,
-    t_points: int = 33,
-) -> RoundtripReport:
+def roundtrip(q: QParam, f: CatalogFunction, n_terms: int = 20) -> RoundtripReport:
     """Forward closed form then term-wise inversion, against f itself.
 
     The recovered Taylor coefficients are compared with f's defining series,
     from which `catalog_transform` built the transform: this measures only
     the round-off of the power map and its inverse (the tests check against
     the independent pFq closed forms).  The reconstructed series is
-    compared with f pointwise on [0, t_max].
+    compared with f pointwise at 33 points of [0, t_max].
     """
-    if n_terms < 4:
-        raise DomainError("n_terms must be >= 4")
+    n_terms = _integer_arg("n_terms", n_terms, 4)
     F = catalog_transform(q, f, n_terms)
     rec = series_invert(q, F)
     ref = f.taylor_coefficients(len(rec.coeffs) - 1)
     errors = [_rel_err(a_rec, a_ref) for a_rec, a_ref in zip(rec.coeffs, ref)]
-    t_grid = np.linspace(0.0, rec.t_max, t_points)
+    t_grid = np.linspace(0.0, rec.t_max, 33)
     series_vals = rec(t_grid)
     true_vals = np.asarray(f(t_grid), dtype=float)
     pw = np.abs(series_vals - true_vals) / np.maximum(np.abs(true_vals), 1.0)

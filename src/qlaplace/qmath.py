@@ -114,14 +114,20 @@ def q_product_arg(q: QParam, x: float, y: float) -> float:
     return x + y + q.eps * x * y
 
 
+def _integer_arg(name: str, value, low: int) -> int:
+    """value as an int; DomainError naming the argument unless it is a whole number >= low."""
+    if not (float(value).is_integer() and value >= low):
+        raise DomainError(f"{name} must be an integer >= {low}, got {name} = {value}")
+    return int(value)
+
+
 def q_poly(q_arg: float, m: int) -> float:
     """Product polynomial ``prod_{j=1..m} (1 - (1 - q_arg)*j)``; 1 for m = 0.
 
     Evaluated at ``q_arg = 2 - q`` this is the normalization constant that
     appears in every closed-form transform of a power ``t**(m-1)``.
     """
-    if m < 0:
-        raise DomainError("q_poly requires m >= 0")
+    m = _integer_arg("m", m, 0)
     out = 1.0
     c = 1.0 - q_arg
     for j in range(1, m + 1):
@@ -166,11 +172,6 @@ def _log_q_poly(eps: tuple[float, ...], p0: float, n: int) -> np.ndarray:
     table = np.ascontiguousarray(table[:, lead:])
     table.flags.writeable = False
     return table
-
-
-def _log_q_poly_real(q_arg: float, m: float) -> float:
-    """log q_poly(q_arg, m) at one real order m >= 0, q_arg >= 1: one entry of _log_q_poly."""
-    return float(_log_q_poly((q_arg - 1.0,), m, 1)[0, 0])
 
 
 def xi_factor(q: QParam, m: float) -> float:

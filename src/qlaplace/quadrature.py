@@ -12,6 +12,11 @@ resolves integrand features living on much smaller scales than the
 interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
+The tolerances are constants: every integral in the package meets
+max(_ABS_TOL, _REL_TOL*|result|) unless its caller passes ``rel_tol`` and
+``abs_tol`` to `integrate`, and no panel is bisected more than _MAX_DEPTH
+times.
+
 Integrands must be vectorized over numpy arrays; a fallback wrapper maps
 scalar-only callables elementwise, lets their QLaplaceErrors through and
 turns their type, value and arithmetic errors into QuadratureErrors.
@@ -21,13 +26,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QLaplaceError, QuadratureError
 
-__all__ = ["QuadratureConfig", "integrate", "integrate_half_line"]
+__all__ = ["integrate", "integrate_half_line"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 # a panel [a, b] is sampled at a + (b-a)*_FRACTIONS: the 15 nodes of the whole panel, then
@@ -38,20 +42,9 @@ _PANEL_WEIGHTS = np.zeros((2, 45))
 _PANEL_WEIGHTS[0, :15] = 0.5 * _WEIGHTS
 _PANEL_WEIGHTS[1, 15:] = 0.25 * np.tile(_WEIGHTS, 2)
 
+_REL_TOL, _ABS_TOL = 1e-10, 1e-14
+_MAX_DEPTH = 60
 _MAX_PANELS = 40000
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 60
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise DomainError(f"quadrature tolerances must be finite and positive, got {self}")
-        if not float(self.max_depth).is_integer() or self.max_depth < 1:
-            raise DomainError(f"max_depth must be a positive integer, got {self.max_depth}")
 
 
 def _vectorized(f):
@@ -111,16 +104,20 @@ def integrate(
     f,
     a: float,
     b: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
     *,
     breakpoints: list[float] | None = None,
+    rel_tol: float = _REL_TOL,
+    abs_tol: float = _ABS_TOL,
 ) -> float:
     """Integrate f over [a, b] to within max(abs_tol, rel_tol*|result|).
 
-    Raises QuadratureError when a panel would need more than ``max_depth``
-    bisections, when the panel budget is exhausted, or on a non-finite
-    integrand sample or panel value.
+    Raises DomainError unless both tolerances are finite and positive, and
+    QuadratureError when a panel would need more than _MAX_DEPTH bisections,
+    when the panel budget is exhausted, or on a non-finite integrand sample
+    or panel value.
     """
+    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
+        raise DomainError(f"quadrature tolerances must be finite and positive, got {rel_tol=}, {abs_tol=}")
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"integration limits must be finite and ordered, got [{a}, {b}]")
     if b == a:
@@ -142,7 +139,7 @@ def integrate(
 
         noise_floor = 64.0 * np.finfo(float).eps
         while heap:
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            tol = max(abs_tol, rel_tol * abs(total))
             if err_total <= tol:
                 break
             neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
@@ -151,10 +148,8 @@ def integrate(
                 # at double-precision noise floor; refining cannot help
                 err_total -= err
                 continue
-            if depth >= cfg.max_depth:
-                raise QuadratureError(
-                    f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={cfg.max_depth}"
-                )
+            if depth >= _MAX_DEPTH:
+                raise QuadratureError(f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={_MAX_DEPTH}")
             if seq >= _MAX_PANELS:
                 raise QuadratureError("tolerance not met: panel budget exhausted")
             mid = 0.5 * (lo + hi)
@@ -169,12 +164,7 @@ def integrate(
     return total
 
 
-def integrate_half_line(
-    f,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    *,
-    scale: float = 1.0,
-) -> float:
+def integrate_half_line(f, *, scale: float = 1.0) -> float:
     """Integrate f over [0, inf) for integrands that decay at infinity.
 
     Substitutes ``t = scale * u / (1 - u)`` to map to [0, 1); ``scale``
@@ -189,4 +179,4 @@ def integrate_half_line(
         return f(scale * u / om) * (scale / om**2)
 
     pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True, levels=32)
-    return integrate(g, 0.0, 1.0, cfg, breakpoints=pts)
+    return integrate(g, 0.0, 1.0, breakpoints=pts)

@@ -36,7 +36,7 @@ from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
 from .qmath import QParam, _log_q_poly, _q_exp_pow, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
-from .quadrature import QuadratureConfig, dyadic_breakpoints, integrate
+from .quadrature import dyadic_breakpoints, integrate
 
 __all__ = [
     "IdealGasModel",
@@ -150,19 +150,14 @@ def oscillator_partition(q: QParam, model: OscillatorModel, beta: float) -> floa
     return _partition(q, model, beta)
 
 
-def ideal_gas_partition_quadrature(
-    q: QParam,
-    model: IdealGasModel,
-    beta: float,
-    ctl: QuadratureConfig = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12),
-) -> float:
+def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float) -> float:
     """Brute-force phase-space integral for two momentum degrees of freedom.
 
     Integrates the deformed Boltzmann weight over the full momentum plane
     (which is what the closed form counts; a first-quadrant-only domain
     would come out 4x smaller) and multiplies by the configurational
     volume V**N / (h**DN N!).  Restricted to D*N = 2 where the 2D nested
-    quadrature is cheap.
+    quadrature, at rel_tol 1e-8 and abs_tol 1e-12, is cheap.
     """
     _check_deformed(q)
     if beta <= 0.0:
@@ -182,13 +177,13 @@ def ideal_gas_partition_quadrature(
             return _q_exp_pow(q.eps, -half * (p1 * p1 + p2 * p2))
 
         pts = dyadic_breakpoints(0.0, p2_max, toward_a=False, toward_b=True, levels=20)
-        return integrate(integrand, 0.0, p2_max, ctl, breakpoints=pts)
+        return integrate(integrand, 0.0, p2_max, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
 
     def outer(p1: np.ndarray) -> np.ndarray:
         return np.fromiter((inner(float(p)) for p in p1), dtype=float, count=len(p1))
 
     pts = dyadic_breakpoints(0.0, radius, toward_a=False, toward_b=True, levels=20)
-    momentum_plane = 4.0 * integrate(outer, 0.0, radius, ctl, breakpoints=pts)
+    momentum_plane = 4.0 * integrate(outer, 0.0, radius, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
     log_config = (
         model.N * math.log(model.V)
         - model.D * model.N * math.log(model.h)

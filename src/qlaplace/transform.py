@@ -6,21 +6,25 @@ The transform of f with deformation q in (0, 1] is
 
 The kernel is supported on [0, 1/((1-q)*s)] for q < 1 and on the half line
 at q = 1; the numeric route maps either onto [0, 1) by one substitution,
-t = u/(s*(1-q*u)), and integrates there by adaptive quadrature.
+t = u/(s*(1-q*u)), and integrates there by adaptive quadrature at the
+package's one tolerance (`quadrature._REL_TOL`, `_ABS_TOL`); no function
+here takes a quadrature setting, and only the convolution's inner integral
+runs looser, by 10x.
 
 The analytic route (`catalog_transform`) gives the closed forms of the
-catalog families as power series F(s) = sum_n c_n s^-(n+1), transforming
-the Taylor series of f term by term: t^n maps to n!/q_poly(2-q, n+1)
-s^-(n+1), the rule the paper sums into pFq closed forms; its values and
-s-derivatives are one log-magnitude term sum (`qmath._log_term_sum`).  The
-numeric route shares none of this, so each can serve as the other's oracle.
+catalog families as power series F(s) = sum_n c_n s^-(n+1) for every q,
+q = 1 included, transforming the Taylor series of f term by term: t^n maps
+to n!/q_poly(2-q, n+1) s^-(n+1) (n! s^-(n+1) at q = 1), the rule the paper
+sums into pFq closed forms; its values and s-derivatives are one
+log-magnitude term sum (`qmath._log_term_sum`).  The numeric route shares
+none of this, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +33,14 @@ from .errors import DomainError, QLaplaceError, QuadratureError
 # perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
 from .qmath import (  # noqa: F401
-    QParam, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp, q_poly,
+    QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp, q_poly,
 )
-from .quadrature import QuadratureConfig, _vectorized, dyadic_breakpoints, integrate
+from .quadrature import _ABS_TOL, _REL_TOL, _vectorized, dyadic_breakpoints, integrate
 # perfbench/spans.py wraps integrate_half_line here, which nothing in the package calls: keep it importable.
 from .quadrature import integrate_half_line  # noqa: F401
 
 __all__ = [
     "PowerSeriesTransform",
-    "QuadratureConfig",
     "forward_numeric",
     "catalog_transform",
     "kernel_pair_integral",
@@ -134,12 +137,7 @@ class PowerSeriesTransform:
 # numeric forward transform
 
 
-def forward_numeric(
-    q: QParam,
-    f,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def forward_numeric(q: QParam, f, s: float) -> float:
     """Numeric transform of a callable f at s > 0.
 
     The kernel support [0, 1/((1-q)s)], the half line at q = 1, is mapped
@@ -151,14 +149,14 @@ def forward_numeric(
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"forward transform requires finite s > 0, got s = {s}")
-    return _kernel_quadrature(q, _vectorized(f), s, ctl)
+    return _kernel_quadrature(q, _vectorized(f), s)
 
 
 # u in [0, 1) spans the kernel support for every q, with panels accumulating toward both ends
 _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
 
 
-def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float = 0.0) -> float:
+def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0) -> float:
     """Integral of q_exp(-s*t) * g(t - t0) over t >= t0, for a vectorised g.
 
     One substitution serves every q in (0, 1]: with c = 1 - (1-q)*s*t0 and
@@ -193,7 +191,7 @@ def _kernel_quadrature(q: QParam, g, s: float, ctl: QuadratureConfig, t0: float 
                 raise QuadratureError(f"non-finite integrand sample at t = {t0 + bad[0]}")
         return y
 
-    return integrate(integrand, 0.0, 1.0, ctl, breakpoints=_KERNEL_BREAKS)
+    return integrate(integrand, 0.0, 1.0, breakpoints=_KERNEL_BREAKS)
 
 
 # --------------------------------------------------------------------------
@@ -208,32 +206,18 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     the paper's pFq closed forms.  A power t**(m-1) gives an m-term series
     whatever ``n_terms``.  The series' ``s_min`` is read off these
     coefficients, the paper's |z| <= 1/2 rule for any series, and keeps the
-    kernel support short of ``f.cut``.  Requires q < 1.
+    kernel support short of ``f.cut``.  At q = 1 the map is the classical
+    t**n -> n! s**-(n+1).
     """
-    if q.classical:
-        raise DomainError("catalog_transform requires q < 1")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    n_max = f.power - 1 if isinstance(f, Monomial) else n_terms - 1
+    n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 1) - 1
     return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
-
-
-def _classical_series(f: CatalogFunction, n_terms: int) -> PowerSeriesTransform:
-    """Classical (q = 1) transform series c_n = a_n * n! for catalog f."""
-    q = QParam(1.0)
-    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_terms - 1)), q, f.cut)
 
 
 # --------------------------------------------------------------------------
 # kernel-pair integral
 
 
-def kernel_pair_integral(
-    q: QParam,
-    s: float,
-    s_prime: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def kernel_pair_integral(q: QParam, s: float, s_prime: float) -> float:
     """Integral of q_exp(-s t) * q_exp(-s' t)**(2q-3) over t >= 0.
 
     Requires 0 < s' < s; equals 1/((2-q)(s-s')).  For q < 1 the first
@@ -243,8 +227,8 @@ def kernel_pair_integral(
     if not (0.0 < s_prime < s):
         raise DomainError("kernel pair integral requires 0 < s_prime < s")
     if q.classical:  # exp(-s t) exp(s' t) is the kernel at s - s' alone
-        return _kernel_quadrature(q, np.ones_like, s - s_prime, ctl)
-    return _kernel_quadrature(q, lambda t: _q_exp_pow(q.eps, -s_prime * t, 2.0 * q.q - 3.0), s, ctl)
+        return _kernel_quadrature(q, np.ones_like, s - s_prime)
+    return _kernel_quadrature(q, lambda t: _q_exp_pow(q.eps, -s_prime * t, 2.0 * q.q - 3.0), s)
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +292,6 @@ def limit_identity_check(
     q: QParam,
     f: CatalogFunction,
     which: str,
-    ctl: QuadratureConfig = QuadratureConfig(),
     ladder: tuple[float, ...] | None = None,
 ) -> LimitIdentityReport:
     """Initial/final-value identity: s*F_q(s) -> f(0)/(2-q) as s -> inf
@@ -328,24 +311,18 @@ def limit_identity_check(
             raise DomainError(f"{f.label} has no limit at infinity; identity II does not apply")
         rhs = tail / (2.0 - q.q)
         s_values = ladder or _LADDER_II
-    lhs_values = tuple(s * forward_numeric(q, f, s, ctl) for s in s_values)
+    lhs_values = tuple(s * forward_numeric(q, f, s) for s in s_values)
     scale = max(abs(rhs), 1.0)
     errors = tuple(abs(v - rhs) / scale for v in lhs_values)
     return LimitIdentityReport(which, tuple(s_values), lhs_values, rhs, errors)
 
 
-def scaling_check(
-    q: QParam,
-    f: CatalogFunction,
-    a: float,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> CheckReport:
+def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckReport:
     """Dilation rule: transform of f(a*t) equals F_q(s/a)/a."""
     if a <= 0.0:
         raise DomainError("scaling factor must be positive")
-    lhs = forward_numeric(q, lambda t: f(a * np.asarray(t, dtype=float)), s, ctl)
-    rhs = forward_numeric(q, f, s / a, ctl) / a
+    lhs = forward_numeric(q, lambda t: f(a * np.asarray(t, dtype=float)), s)
+    rhs = forward_numeric(q, f, s / a) / a
     return CheckReport("scaling", lhs, rhs, _rel_err(lhs, rhs))
 
 
@@ -356,6 +333,9 @@ def shift_kernel_factor(q: QParam, s: float, s0: float, t: float) -> CheckReport
 
     All three arguments must stay above the kernel cutoff.
     """
+    for name, x in (("s", s), ("s0", s0), ("t", t)):
+        if not math.isfinite(x):
+            raise DomainError(f"shift factorization: {name} must be finite, got {name} = {x}")
     den = 1.0 - q.eps * s * t
     if den <= 0.0:
         raise DomainError("shift factorization: -s*t argument at or past cutoff")
@@ -368,13 +348,7 @@ def shift_kernel_factor(q: QParam, s: float, s0: float, t: float) -> CheckReport
     return CheckReport("shift-kernel", lhs, rhs, _rel_err(lhs, rhs))
 
 
-def translation_check(
-    q: QParam,
-    f: CatalogFunction,
-    t0: float,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> TranslationReport:
+def translation_check(q: QParam, f: CatalogFunction, t0: float, s: float) -> TranslationReport:
     """Delay rule diagnostic.
 
     Computes the delayed-argument transform
@@ -385,14 +359,14 @@ def translation_check(
     L_q[f] * q_exp(-s t0)**(2-q) and the stated form with q_exp(+s t0).
     Reports the two ratios; asserts nothing.
     """
-    if t0 <= 0.0:
-        raise DomainError("t0 must be positive")
+    if not (0.0 < t0 < math.inf and 0.0 < s < math.inf):
+        raise DomainError(f"t0 and s must be finite and positive, got t0 = {t0}, s = {s}")
     c = 1.0 - q.eps * s * t0
     if c <= 0.0:
         raise DomainError("t0 lies at or beyond the kernel cutoff for this s")
 
-    rhs = _kernel_quadrature(q, lambda u: np.asarray(f(u / c), dtype=float), s, ctl, t0)
-    base_transform = forward_numeric(q, f, s, ctl)
+    rhs = _kernel_quadrature(q, lambda u: np.asarray(f(u / c), dtype=float), s, t0)
+    base_transform = forward_numeric(q, f, s)
     power = 2.0 - q.q
     lhs_proof = base_transform * q_exp(q, -s * t0) ** power
     lhs_stated = base_transform * q_exp(q, s * t0) ** power
@@ -401,13 +375,7 @@ def translation_check(
     return TranslationReport(rhs, lhs_proof, lhs_stated, ratio_proof, ratio_stated)
 
 
-def derivative_rule_check(
-    q: QParam,
-    f: CatalogFunction,
-    n: int,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> CheckReport:
+def derivative_rule_check(q: QParam, f: CatalogFunction, n: int, s: float) -> CheckReport:
     """Transform-of-derivative rule with re-deformed right-hand side.
 
     With a_j = j*q - (j-1) and P_j = a_0 * a_1 * ... * a_j,
@@ -417,8 +385,7 @@ def derivative_rule_check(
 
     Requires a_j > 0 up to j = n+1 (q close enough to 1 for the given n).
     """
-    if n < 1:
-        raise DomainError("derivative order n must be >= 1")
+    n = _integer_arg("n", n, 1)
     a = [j * q.q - (j - 1) for j in range(n + 2)]
     if any(aj <= 0.0 for aj in a):
         raise DomainError(
@@ -430,34 +397,28 @@ def derivative_rule_check(
         acc *= aj
         prods.append(acc)
 
-    lhs = forward_numeric(q, f.derivative(n), s, ctl)
+    lhs = forward_numeric(q, f.derivative(n), s)
 
     boundary = float(f.derivative(n - 1)(0.0))
     for ell in range(1, n):
         boundary += prods[ell - 1] * s**ell * float(f.derivative(n - ell - 1)(0.0))
     q_shift = QParam(a[n + 1] / a[n])
-    shifted = forward_numeric(q_shift, f, a[n] * s, ctl)
+    shifted = forward_numeric(q_shift, f, a[n] * s)
     main = prods[n - 1] * s**n * shifted
     rhs = -boundary + main
     scale = max(abs(boundary), abs(main))
     return CheckReport(f"derivative-rule(n={n})", lhs, rhs, _rel_err(lhs, rhs, scale))
 
 
-def _s_derivative(fn, s: float, rel_h: float = 0.01) -> float:
-    """Richardson-extrapolated central difference d fn / ds."""
-    h = rel_h * s
+def _s_derivative(fn, s: float) -> float:
+    """Richardson-extrapolated central difference d fn / ds, step 1% of s."""
+    h = 0.01 * s
     d1 = (fn(s + h) - fn(s - h)) / (2.0 * h)
     d2 = (fn(s + 0.5 * h) - fn(s - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
 
 
-def qderivative_of_transform_check(
-    q: QParam,
-    f: CatalogFunction,
-    n: int,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> CheckReport:
+def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: float) -> CheckReport:
     """Deformed-derivative action on the transform, in integrated form.
 
     The operator identity (deformed derivative of F equals the transform
@@ -468,8 +429,7 @@ def qderivative_of_transform_check(
     where G_j = L_q[(-t)^j f] and the s-derivatives come from
     Richardson-extrapolated central differences of quadrature values.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _integer_arg("n", n, 1)
     if s <= 0.0:
         raise DomainError("s must be positive")
 
@@ -478,7 +438,7 @@ def qderivative_of_transform_check(
 
         def fn(sv: float) -> float:
             return forward_numeric(
-                q, lambda t: sign * np.asarray(t, dtype=float) ** j * np.asarray(f(t), dtype=float), sv, ctl
+                q, lambda t: sign * np.asarray(t, dtype=float) ** j * np.asarray(f(t), dtype=float), sv
             )
 
         return fn
@@ -493,25 +453,19 @@ def qderivative_of_transform_check(
     )
 
 
-def qintegral_of_transform_check(
-    q: QParam,
-    f: CatalogFunction,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-    n_terms: int = 60,
-) -> CheckReport:
+def qintegral_of_transform_check(q: QParam, f: CatalogFunction, s: float) -> CheckReport:
     """Deformed-integral action on the transform:
 
         integral_s^inf [ F(sigma) - (1-q) sigma F'(sigma) ] dsigma
             ==  L_q[f(t)/t](s).
 
     Requires f(0) = 0 so that f/t is integrable at the origin.  F and its
-    derivative come from the closed-form series (classical series at q=1),
-    so s must sit inside the series' validity domain.
+    derivative come from the 60-term closed-form series, so s must sit
+    inside the series' validity domain.
     """
     if f.value_at_zero != 0.0:
         raise DomainError("f(0) != 0: f(t)/t is not integrable at the origin")
-    series = _classical_series(f, n_terms) if q.classical else catalog_transform(q, f, n_terms)
+    series = catalog_transform(q, f, 60)
     if s < series.s_min:
         raise DomainError(f"s = {s} below series validity bound s_min = {series.s_min}")
 
@@ -521,21 +475,16 @@ def qintegral_of_transform_check(
         return vals * s / u**2
 
     pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=False)
-    lhs = integrate(integrand, 0.0, 1.0, ctl, breakpoints=pts)
+    lhs = integrate(integrand, 0.0, 1.0, breakpoints=pts)
 
     def over_t(t: np.ndarray) -> np.ndarray:
         return np.asarray(f(t), dtype=float) / t
 
-    rhs = forward_numeric(q, over_t, s, ctl)
+    rhs = forward_numeric(q, over_t, s)
     return CheckReport("qintegral-of-transform", lhs, rhs, _rel_err(lhs, rhs))
 
 
-def integral_rule_diagnostic(
-    q: QParam,
-    f: CatalogFunction,
-    s_grid,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> RatioScanReport:
+def integral_rule_diagnostic(q: QParam, f: CatalogFunction, s_grid) -> RatioScanReport:
     """Transform-of-antiderivative diagnostic.
 
     Computes LHS = L_q[ integral_0^t f ] and
@@ -557,8 +506,8 @@ def integral_rule_diagnostic(
     q_inner = QParam(1.0 / (2.0 - q.q))
     ratios = []
     for s in s_values:
-        lhs = forward_numeric(q, antiderivative, s, ctl)
-        rhs = (2.0 - q.q) / s * forward_numeric(q_inner, f, s * (2.0 - q.q), ctl)
+        lhs = forward_numeric(q, antiderivative, s)
+        rhs = (2.0 - q.q) / s * forward_numeric(q_inner, f, s * (2.0 - q.q))
         if lhs == 0.0:
             raise QLaplaceError(f"transform of the antiderivative underflows to 0 at s = {s}")
         ratios.append(rhs / lhs)
@@ -567,27 +516,21 @@ def integral_rule_diagnostic(
     return RatioScanReport(s_values, tuple(ratios), mean, spread)
 
 
-def convolution_check_classical(
-    f: CatalogFunction,
-    g: CatalogFunction,
-    s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
-) -> CheckReport:
+def convolution_check_classical(f: CatalogFunction, g: CatalogFunction, s: float) -> CheckReport:
     """Classical (q = 1) convolution theorem: L[f * g] = F(s) G(s).
 
     The convolution is evaluated by nested quadrature with the inner
     tolerance loosened tenfold for cost control.
     """
     one = QParam(1.0)
-    inner_cfg = replace(ctl, rel_tol=ctl.rel_tol * 10.0, abs_tol=ctl.abs_tol * 10.0)
 
     def conv(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return integrate(lambda tau: f(tau) * g(t - tau), 0.0, t, inner_cfg)
+        return integrate(lambda tau: f(tau) * g(t - tau), 0.0, t, rel_tol=10.0 * _REL_TOL, abs_tol=10.0 * _ABS_TOL)
 
-    lhs = forward_numeric(one, conv, s, ctl)
-    rhs = forward_numeric(one, f, s, ctl) * forward_numeric(one, g, s, ctl)
+    lhs = forward_numeric(one, conv, s)
+    rhs = forward_numeric(one, f, s) * forward_numeric(one, g, s)
     return CheckReport("convolution(q=1)", lhs, rhs, _rel_err(lhs, rhs))
 
 
@@ -598,7 +541,6 @@ def linearity_check(
     f2: CatalogFunction,
     a2: float,
     s: float,
-    ctl: QuadratureConfig = QuadratureConfig(),
 ) -> CheckReport:
     """L_q[a1 f1 + a2 f2] against a1 F1 + a2 F2."""
 
@@ -606,9 +548,9 @@ def linearity_check(
         arr = np.asarray(t, dtype=float)
         return a1 * np.asarray(f1(arr), dtype=float) + a2 * np.asarray(f2(arr), dtype=float)
 
-    lhs = forward_numeric(q, combo, s, ctl)
-    v1 = forward_numeric(q, f1, s, ctl)
-    v2 = forward_numeric(q, f2, s, ctl)
+    lhs = forward_numeric(q, combo, s)
+    v1 = forward_numeric(q, f1, s)
+    v2 = forward_numeric(q, f2, s)
     rhs = a1 * v1 + a2 * v2
     scale = max(abs(a1 * v1), abs(a2 * v2))
     return CheckReport("linearity", lhs, rhs, _rel_err(lhs, rhs, scale))

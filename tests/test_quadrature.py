@@ -20,7 +20,6 @@ from qlaplace import (
     QParam,
     QSine,
     QSinh,
-    QuadratureConfig,
     QuadratureError,
     Sine,
     Sinh,
@@ -121,10 +120,11 @@ def test_unreachable_tolerance_near_pole():
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_depth=0)
+    # the two tolerances are integrate's only settings
+    with pytest.raises(DomainError, match="rel_tol=-1.0"):
+        integrate(lambda t: t, 0.0, 1.0, rel_tol=-1.0)
+    with pytest.raises(DomainError, match="abs_tol=0.0"):
+        integrate(lambda t: t, 0.0, 1.0, abs_tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -133,13 +133,27 @@ def test_config_validation():
         ({"rel_tol": math.nan}, "tolerances"),
         ({"abs_tol": math.nan}, "tolerances"),
         ({"rel_tol": math.inf}, "tolerances"),
-        ({"max_depth": 2.5}, "max_depth"),
-        ({"max_depth": math.nan}, "max_depth"),
+        ({"abs_tol": math.inf}, "tolerances"),
     ),
 )
 def test_config_rejects_nan_and_fractional(kwargs, what):
     with pytest.raises(DomainError, match=what):
-        QuadratureConfig(**kwargs)
+        integrate(lambda t: t, 0.0, 1.0, **kwargs)
+
+
+def test_tolerances_set_the_stopping_rule():
+    # a looser tolerance stops sooner on the same integrand, and each result meets its own bound
+    calls = {}
+
+    def counted(tol):
+        def f(t):
+            calls[tol] = calls.get(tol, 0) + 1
+            return np.sqrt(t)
+        return f
+
+    for tol in (1e-4, 1e-12):
+        assert abs(integrate(counted(tol), 0.0, 1.0, rel_tol=tol, abs_tol=tol) - 2.0 / 3.0) <= 10.0 * tol
+    assert calls[1e-4] < calls[1e-12]
 
 
 def test_library_error_from_the_integrand_propagates():

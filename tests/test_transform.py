@@ -1,6 +1,7 @@
 """Forward transform, closed-form catalog, and the identity/diagnostic suite."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,11 +35,12 @@ from qlaplace import (
     q_poly,
     qderivative_of_transform_check,
     qintegral_of_transform_check,
+    roundtrip,
     scaling_check,
     shift_kernel_factor,
     translation_check,
 )
-from qlaplace.transform import _classical_series
+from qlaplace.qmath import _power_map
 from pfq_oracle import CATALOG_SPECS, pfq_series
 
 Q5 = QParam(0.5)
@@ -153,9 +155,31 @@ class TestCatalogTransform:
         expected = [1.0 / q_poly(1.5, n + 1) for n in range(6)]
         assert F.coeffs == pytest.approx(expected, rel=1e-13)
 
-    def test_requires_deformed(self):
-        with pytest.raises(DomainError):
-            catalog_transform(Q1, Monomial(2))
+    @pytest.mark.parametrize("f", (Monomial(4), Exponential(1.3, -1), Cosine(0.7), Sine(2.0), Gaussian(0.5),
+                                   QExponential(QParam(0.6), 1.0, 1), QCosh(QParam(0.8), 0.5)),
+                             ids=lambda f: f.label)
+    def test_classical_coefficients_are_a_n_factorial(self, f):
+        # at q = 1 the power map is t**n -> n! s**-(n+1)
+        F = catalog_transform(Q1, f, 30)
+        a = f.taylor_coefficients(len(F.coeffs) - 1)
+        want = [a_n * math.factorial(n) for n, a_n in enumerate(a)]
+        assert F.coeffs == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("f", (QSine(QParam(0.7), 1.0), QSinh(QParam(0.7), 0.5), QSinh(QParam(0.5), 1.0),
+                                   Monomial(3)),
+                             ids=lambda f: f.label)
+    def test_q1_series_is_bit_identical_to_the_direct_build(self, f):
+        # the q = 1 series of qintegral_of_transform_check (its test_classical_deformed_family
+        # cases, and Monomial(3) as in `identities --q 1.0`) against c_n = a_n n! over 60 Taylor
+        # terms built directly: a power is truncated at its degree, which keeps the nonzero
+        # terms, so value, derivative and s_min are the same to the bit
+        F = catalog_transform(Q1, f, 60)
+        G = PowerSeriesTransform(_power_map(Q1, f.taylor_coefficients(59)), Q1, f.cut)
+        assert [c for c in F.coeffs if c] == [c for c in G.coeffs if c]
+        assert F.s_min == G.s_min
+        sigma = G.s_min * np.array([1.0, 1.3, 2.0, 10.0, 1e3]) if G.s_min else np.array([0.1, 1.0, 10.0])
+        for k in (0, 1):
+            assert np.array_equal(F.derivative_value(k, sigma), G.derivative_value(k, sigma)), k
 
     @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
     def test_matches_pfq_closed_forms(self, qv):
@@ -513,7 +537,7 @@ class TestQIntegralOfTransform:
     def test_classical_deformed_family(self, f):
         # the classical series of a deformed family grows faster than geometrically, or (sinh
         # at q' = 1/2) is the one-term t of a function cut at t = 2, yet holds from its s_min on
-        s_min = _classical_series(f, 60).s_min
+        s_min = catalog_transform(Q1, f, 60).s_min
         for s in (s_min, 2.0 * s_min):
             assert qintegral_of_transform_check(Q1, f, s).rel_err < 1e-7, s
         with pytest.raises(DomainError, match="below series validity bound"):
@@ -559,3 +583,28 @@ class TestConvolution:
         rep = convolution_check_classical(Exponential(1.0, -1), Exponential(1.0, -1), 1.0)
         assert rep.lhs == pytest.approx(0.25, rel=1e-8)
         assert rep.rel_err < 1e-8
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    (
+        (lambda: derivative_rule_check(QParam(0.9), Monomial(2), 1.5, 1.0), "n = 1.5"),
+        (lambda: qderivative_of_transform_check(QParam(0.9), Monomial(2), 1.5, 1.0), "n = 1.5"),
+        (lambda: q_poly(1.5, 2.5), "m = 2.5"),
+        (lambda: catalog_transform(Q5, Sine(1.0), 2.5), "n_terms = 2.5"),
+        (lambda: roundtrip(Q5, Sine(1.0), 4.5), "n_terms = 4.5"),
+        (lambda: Monomial(2.5), "power = 2.5"),
+        (lambda: shift_kernel_factor(Q5, math.nan, 1.0, 0.1), "s = nan"),
+        (lambda: translation_check(Q5, Monomial(2), math.nan, 1.0), "t0 = nan"),
+    ),
+    ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "shift", "translation"),
+)
+def test_fractional_count_or_nan_argument_is_a_domain_error(call, named):
+    # each used to raise a bare TypeError, or to report a meaningless rel_err or nan values
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call()
+
+
+def test_whole_float_counts_are_accepted():
+    assert Monomial(3.0).taylor_coefficients(3) == [0.0, 0.0, 1.0, 0.0]
+    assert q_poly(1.5, 3.0) == q_poly(1.5, 3)
