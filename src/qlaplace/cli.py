@@ -8,9 +8,15 @@ roundtrip   closed form -> term-wise inversion -> coefficient comparison
 identities  run the transform identity/diagnostic suite at one q
 statmech    partition-function inversion: density-of-states tables
 
+Every subcommand but ``statmech`` (whose partition functions need q < 1)
+takes any q in (0, 1], the classical q = 1 included.
+
 Output is CSV (default) or JSON, deterministic for a fixed configuration;
 numbers are printed with 17 significant digits so values round-trip.  An
-optional flat ``key=value`` config file mirrors the flags (flags win).
+optional flat ``key=value`` config file (``--config``) fills click's
+default_map: a key is a parameter name with dashes or any flag spelling
+(``fn``, ``s-grid``, ``D``, ``E-grid``), explicit flags win, and an unknown
+key exits 2.
 
 Exit codes: 0 all good, 1 hard assertion failed, 2 invalid configuration,
 3 numeric failure.
@@ -21,9 +27,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from functools import partial
 
 import click
-from click.core import ParameterSource
 
 from . import __version__
 from .catalog import Cosine, Exponential, Monomial, make_catalog_function
@@ -32,6 +38,8 @@ from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
 from .qmath import QParam
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
 from .transform import (
+    RatioScanReport,
+    TranslationReport,
     catalog_transform,
     derivative_rule_check,
     forward_numeric,
@@ -71,41 +79,19 @@ def _read_config(path: str) -> dict[str, str]:
     return data
 
 
-class ConfigOption(click.Option):
-    """Option that may be satisfied by the --config file instead of a flag."""
-
-    def __init__(self, *args, config_required: bool = False, **kwargs):
-        self.config_required = config_required
-        super().__init__(*args, **kwargs)
-
-
-class ConfigCommand(click.Command):
-    """Command that back-fills unset options from a --config file.
-
-    Required-ness of ConfigOption fields is enforced here, after the merge,
-    so a value may come from either a flag or the file (flags win).
-    """
-
-    def invoke(self, ctx: click.Context):
-        path = ctx.params.get("config")
-        if path:
-            data = _read_config(path)
-            known = {}
-            for param in self.params:
-                known[param.name.replace("_", "-")] = param
-                for opt in param.opts:
-                    known[opt.lstrip("-")] = param
-            for key, raw in data.items():
-                if key not in known:
-                    raise click.UsageError(f"unknown config key {key!r}")
-                param = known[key]
-                if ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
-                    continue
-                ctx.params[param.name] = param.type_cast_value(ctx, raw)
-        for param in self.params:
-            if getattr(param, "config_required", False) and ctx.params.get(param.name) is None:
-                raise click.UsageError(f"missing option {param.opts[0]!r} (flag or config file)")
-        return super().invoke(ctx)
+def _load_config(ctx: click.Context, _param, path: str | None) -> None:
+    """Eager --config callback: the file's values become click's default_map, so flags win."""
+    if path is None:
+        return
+    names = {}
+    for param in ctx.command.params:
+        for key in (param.name.replace("_", "-"), *(opt.lstrip("-") for opt in param.opts)):
+            names[key] = param.name
+    ctx.default_map = {}
+    for key, raw in _read_config(path).items():
+        if key not in names:
+            raise click.UsageError(f"unknown config key {key!r}")
+        ctx.default_map[names[key]] = raw
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +99,10 @@ class ConfigCommand(click.Command):
 
 
 def _output_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None, help="key=value config file; flags override")(fn)
+    fn = click.option(
+        "--config", type=click.Path(), is_eager=True, expose_value=False, callback=_load_config,
+        help="key=value config file; flags override",
+    )(fn)
     fn = click.option("--output", default="-", show_default=True, help="output path, '-' for stdout")(fn)
     fn = click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
@@ -123,7 +112,7 @@ def _output_options(fn):
 
 
 def _function_options(fn):
-    fn = click.option("--fn", "fn_name", cls=ConfigOption, config_required=True, help="catalog function name")(fn)
+    fn = click.option("--fn", "fn_name", required=True, help="catalog function name")(fn)
     fn = click.option("--m", type=int, default=None, help="power index for monomial")(fn)
     fn = click.option("--alpha", type=float, default=None, help="rate/frequency parameter")(fn)
     fn = click.option("--qprime", type=float, default=None, help="deformation of the input function")(fn)
@@ -230,17 +219,15 @@ def main() -> None:
 # transform
 
 
-@main.command(cls=ConfigCommand)
-@click.option("--q", type=float, cls=ConfigOption, config_required=True)
-@click.option("--s-grid", "s_grid", cls=ConfigOption, config_required=True, help="start:stop:count[:log]")
+@main.command()
+@click.option("--q", type=float, required=True)
+@click.option("--s-grid", "s_grid", required=True, help="start:stop:count[:log]")
 @click.option("--n-terms", type=int, default=40, show_default=True)
 @_function_options
 @_output_options
-def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta, config):
+def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Quadrature vs closed-form transform values on an s grid."""
     qp = _qparam(q)
-    if qp.classical:
-        raise click.UsageError("transform tables need q < 1 (closed forms target the deformed case)")
     f = _build_function(fn_name, m, alpha, qprime, sign)
     grid = _parse_grid(s_grid, "--s-grid")
 
@@ -268,21 +255,17 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
 # invert
 
 
-@main.command(cls=ConfigCommand)
-@click.option("--q", type=float, cls=ConfigOption, config_required=True)
-@click.option("--t-grid", "t_grid", cls=ConfigOption, config_required=True, help="start:stop:count[:log]")
+@main.command()
+@click.option("--q", type=float, required=True)
+@click.option("--t-grid", "t_grid", required=True, help="start:stop:count[:log]")
 @click.option("--k-schedule", "k_schedule", default="4,8,16,32,64", show_default=True)
 @click.option("--n-terms", type=int, default=40, show_default=True)
 @click.option("--fixed-m", type=int, default=None, help="fixed-power scaling index (default per-term)")
 @_function_options
 @_output_options
-def invert(
-    q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, sign, fmt, output, no_meta, config
-):
+def invert(q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Finite-k inversion estimates against the original function."""
     qp = _qparam(q)
-    if qp.classical:
-        raise click.UsageError("invert tables need q < 1 (closed forms target the deformed case)")
     f = _build_function(fn_name, m, alpha, qprime, sign)
     grid = _parse_grid(t_grid, "--t-grid")
     ks = _parse_schedule(k_schedule)
@@ -311,16 +294,14 @@ def invert(
 # roundtrip
 
 
-@main.command(cls=ConfigCommand)
-@click.option("--q", type=float, cls=ConfigOption, config_required=True)
+@main.command("roundtrip")
+@click.option("--q", type=float, required=True)
 @click.option("--n-terms", type=int, default=20, show_default=True)
 @_function_options
 @_output_options
-def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta, config):
+def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Coefficient table for closed form -> term-wise inversion -> original."""
     qp = _qparam(q)
-    if qp.classical:
-        raise click.UsageError("roundtrip needs q < 1")
     f = _build_function(fn_name, m, alpha, qprime, sign)
 
     def run():
@@ -335,93 +316,54 @@ def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_m
     _emit(("n", "coeff_recovered", "coeff_reference", "rel_err"), rows, meta, fmt, output, no_meta)
 
 
-main.add_command(roundtrip_cmd, name="roundtrip")
-
-
 # --------------------------------------------------------------------------
 # identities
 
 
-def _identity_rows(qp: QParam, s: float):
-    rows = []
-
-    def record(name, runner, diagnostic=False, tol=_PASS_TOL):
-        try:
-            lhs, rhs, err, ratio = runner()
-        except DomainError as exc:
-            reason = str(exc).replace(",", ";")
-            rows.append((name, "skipped", "", "", "", reason))
-            return
-        if diagnostic:
-            status = "diagnostic"
-        else:
-            status = "pass" if err <= tol else "fail"
-        rows.append((name, status, lhs, rhs, err, ratio))
-
-    def limit_i():
-        rep = limit_identity_check(qp, Cosine(1.0), "I")
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def limit_ii():
-        rep = limit_identity_check(qp, Exponential(1.0, -1), "II", ladder=(1e-4, 1e-5, 1e-6, 1e-7))
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def scaling():
-        rep = scaling_check(qp, Monomial(2), 2.0, s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def shift():
-        rep = shift_kernel_factor(qp, 2.0 * s, s, 0.2 / s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def translation():
-        rep = translation_check(qp, Monomial(2), 0.1 / s, s)
+def _columns(rep) -> tuple:
+    """(lhs, rhs, rel_err, ratio) of a check report."""
+    if isinstance(rep, TranslationReport):
         return rep.lhs_proof_form, rep.rhs_integral, abs(rep.ratio_proof - 1.0), rep.ratio_proof
-
-    def derivative():
-        rep = derivative_rule_check(qp, Monomial(2), 1, s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def qderiv():
-        rep = qderivative_of_transform_check(qp, Monomial(2), 1, s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def qint():
-        rep = qintegral_of_transform_check(qp, Monomial(3), s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
-
-    def integral_rule():
-        rep = integral_rule_diagnostic(qp, Monomial(2), [0.5 * s, s, 2.0 * s, 4.0 * s])
+    if isinstance(rep, RatioScanReport):
         return rep.ratios[0], rep.ratios[-1], rep.spread_rel, rep.ratio_mean
+    return rep.lhs, rep.rhs, rep.rel_err, ""
 
-    def linearity():
-        rep = linearity_check(qp, Monomial(2), 2.0, Exponential(1.0, -1), -0.5, s)
-        return rep.lhs, rep.rhs, rep.rel_err, ""
 
-    record("limit-I", limit_i)
-    record("limit-II", limit_ii, tol=1e-5)
-    record("scaling", scaling)
-    record("shift-kernel", shift)
-    record("translation", translation, diagnostic=True)
-    record("derivative-rule-n1", derivative)
-    record("qderivative-of-transform", qderiv)
-    record("qintegral-of-transform", qint)
-    record("integral-rule", integral_rule)
-    record("linearity", linearity)
+def _identity_rows(qp: QParam, s: float):
+    """One row per (name, check, tol) of the suite; tol None marks a diagnostic,
+    and a check whose domain excludes this q or s is reported as skipped."""
+    mono2, decay = Monomial(2), Exponential(1.0, -1)
+    table = [
+        ("limit-I", partial(limit_identity_check, qp, Cosine(1.0), "I"), _PASS_TOL),
+        ("limit-II", partial(limit_identity_check, qp, decay, "II", ladder=(1e-4, 1e-5, 1e-6, 1e-7)), 1e-5),
+        ("scaling", partial(scaling_check, qp, mono2, 2.0, s), _PASS_TOL),
+        ("shift-kernel", partial(shift_kernel_factor, qp, 2.0 * s, s, 0.2 / s), _PASS_TOL),
+        ("translation", partial(translation_check, qp, mono2, 0.1 / s, s), None),
+        ("derivative-rule-n1", partial(derivative_rule_check, qp, mono2, 1, s), _PASS_TOL),
+        ("qderivative-of-transform", partial(qderivative_of_transform_check, qp, mono2, 1, s), _PASS_TOL),
+        ("qintegral-of-transform", partial(qintegral_of_transform_check, qp, Monomial(3), s), _PASS_TOL),
+        ("integral-rule", partial(integral_rule_diagnostic, qp, mono2, [0.5 * s, s, 2.0 * s, 4.0 * s]), _PASS_TOL),
+        ("linearity", partial(linearity_check, qp, mono2, 2.0, decay, -0.5, s), _PASS_TOL),
+    ]
     if qp.classical:
-        def convolution():
-            rep = convolution_check_classical(Exponential(1.0, -1), Exponential(1.0, -1), s)
-            return rep.lhs, rep.rhs, rep.rel_err, ""
-
-        record("convolution", convolution)
+        table.append(("convolution", partial(convolution_check_classical, decay, decay, s), _PASS_TOL))
+    rows = []
+    for name, check, tol in table:
+        try:
+            lhs, rhs, err, ratio = _columns(check())
+        except DomainError as exc:
+            rows.append((name, "skipped", "", "", "", str(exc).replace(",", ";")))
+            continue
+        status = "diagnostic" if tol is None else "pass" if err <= tol else "fail"
+        rows.append((name, status, lhs, rhs, err, ratio))
     return rows
 
 
-@main.command(cls=ConfigCommand)
-@click.option("--q", type=float, cls=ConfigOption, config_required=True)
+@main.command()
+@click.option("--q", type=float, required=True)
 @click.option("--s", type=float, default=1.0, show_default=True, help="base evaluation point")
 @_output_options
-def identities(q, s, fmt, output, no_meta, config):
+def identities(q, s, fmt, output, no_meta):
     """Run the transform identity suite; exit 1 if any hard check fails."""
     qp = _qparam(q)
     if not 0.0 < s < math.inf:
@@ -437,23 +379,23 @@ def identities(q, s, fmt, output, no_meta, config):
 # statmech
 
 
-@main.command(cls=ConfigCommand)
-@click.option("--q", type=float, cls=ConfigOption, config_required=True)
-@click.option("--model", type=click.Choice(["ideal-gas", "oscillator"]), cls=ConfigOption, config_required=True)
-@click.option("--d", "--D", "dim", type=int, cls=ConfigOption, config_required=True, help="spatial dimension D")
-@click.option("--n", "--N", "count", type=int, cls=ConfigOption, config_required=True, help="particle count N")
+@main.command()
+@click.option("--q", type=float, required=True)
+@click.option("--model", type=click.Choice(["ideal-gas", "oscillator"]), required=True)
+@click.option("--d", "--D", "dim", type=int, required=True, help="spatial dimension D")
+@click.option("--n", "--N", "count", type=int, required=True, help="particle count N")
 @click.option("--v", "--V", "volume", type=float, default=1.0, show_default=True)
 @click.option("--mass", type=float, default=1.0, show_default=True)
 @click.option("--h-const", type=float, default=1.0, show_default=True)
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @click.option("--hbar", type=float, default=1.0, show_default=True)
-@click.option("--e-grid", "--E-grid", "e_grid", cls=ConfigOption, config_required=True, help="start:stop:count[:log]")
+@click.option("--e-grid", "--E-grid", "e_grid", required=True, help="start:stop:count[:log]")
 @click.option("--k-schedule", "k_schedule", default="4,8,16,32,64", show_default=True)
 @click.option("--no-extrapolate", is_flag=True, help="report the raw final-k estimate")
 @_output_options
 def statmech(
     q, model, dim, count, volume, mass, h_const, omega, hbar, e_grid, k_schedule,
-    no_extrapolate, fmt, output, no_meta, config,
+    no_extrapolate, fmt, output, no_meta,
 ):
     """Density of states from the partition function, numeric vs analytic."""
     qp = _qparam(q)

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
+from .qmath import _integer_arg
 
 __all__ = ["PFQParams", "SeriesControl", "pfq", "pfq_term_coefficients"]
 
@@ -79,8 +80,7 @@ class SeriesControl:
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
             raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        object.__setattr__(self, "max_terms", _integer_arg("max_terms", self.max_terms, 1))
 
 
 def pfq(params: PFQParams, ctl: SeriesControl = SeriesControl()) -> float:
@@ -130,8 +130,7 @@ def pfq_term_coefficients(params: PFQParams, n_max: int) -> list[float]:
     Exact recurrence, no truncation heuristics; ``params.argument`` is not
     consulted.  Coefficient n is ``prod (upper)_n / (prod (lower)_n * n!)``.
     """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
+    n_max = _integer_arg("n_max", n_max, 0)
     coeffs = [1.0]
     c = 1.0
     for n in range(n_max):

@@ -100,16 +100,14 @@ class WidderConfig:
     extrapolate: bool = True
 
     def __post_init__(self) -> None:
-        ks = tuple(int(k) for k in self.k_schedule)
+        ks = tuple(_integer_arg("k", k, 1) for k in self.k_schedule)
         object.__setattr__(self, "k_schedule", ks)
-        if not ks or any(k < 1 for k in ks):
-            raise DomainError("k_schedule must contain positive integers")
+        if not ks:
+            raise DomainError("k_schedule must not be empty")
         if any(b <= a for a, b in zip(ks[:-1], ks[1:])):
             raise DomainError("k_schedule must be strictly increasing")
         if self.fixed_m is not None:
-            if not float(self.fixed_m).is_integer() or self.fixed_m < 2:
-                raise DomainError(f"fixed-power mode requires an integer m >= 2, got {self.fixed_m}")
-            object.__setattr__(self, "fixed_m", int(self.fixed_m))
+            object.__setattr__(self, "fixed_m", _integer_arg("fixed_m", self.fixed_m, 2))
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,7 @@ def classical_post_widder(F_deriv, t: float, k: int) -> float:
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and positive, got t = {t}")
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = _integer_arg("k", k, 1)
     s = k / t
     d = float(F_deriv(k, s))
     if not math.isfinite(d):
@@ -267,8 +264,7 @@ def widder_weight(q: QParam, k: int, y):
     k-th power of one factor, so that y**k and the kernel power cannot
     overflow and underflow apart.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = _integer_arg("k", k, 1)
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("y must be nonnegative")

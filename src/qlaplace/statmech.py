@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, QLaplaceError
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
-from .qmath import QParam, _log_q_poly, _q_exp_pow, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
+from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
 from .quadrature import dyadic_breakpoints, integrate
 
 __all__ = [
@@ -62,8 +62,8 @@ class IdealGasModel:
     h: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.D < 1 or self.N < 1:
-            raise DomainError("D and N must be positive integers")
+        object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
+        object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
         if not all(0.0 < x < math.inf for x in (self.V, self.mass, self.h)):
             raise DomainError(f"V, mass and h must be finite and positive, got {self.V}, {self.mass}, {self.h}")
         if self.D * self.N < 2:
@@ -96,8 +96,8 @@ class OscillatorModel:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.D < 1 or self.N < 1:
-            raise DomainError("D and N must be positive integers")
+        object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
+        object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
         if not (0.0 < self.omega < math.inf and 0.0 < self.hbar < math.inf):
             raise DomainError(f"omega and hbar must be finite and positive, got {self.omega}, {self.hbar}")
         if self.D * self.N > _MAX_DOF:

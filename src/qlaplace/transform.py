@@ -117,9 +117,7 @@ class PowerSeriesTransform:
 
     def derivative_value(self, k, s):
         """F^(k)(s) for an integral order k >= 0 and s in (0, inf), scalar or array."""
-        if not (float(k).is_integer() and k >= 0):
-            raise DomainError(f"derivative order must be an integer >= 0, got k = {k}")
-        return self._term_sum(int(k), s)
+        return self._term_sum(_integer_arg("k", k, 0), s)
 
     def _term_sum(self, k: int, s):
         arr = np.asarray(s, dtype=float)
@@ -319,8 +317,8 @@ def limit_identity_check(
 
 def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckReport:
     """Dilation rule: transform of f(a*t) equals F_q(s/a)/a."""
-    if a <= 0.0:
-        raise DomainError("scaling factor must be positive")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"scaling factor must be finite and positive, got a = {a}")
     lhs = forward_numeric(q, lambda t: f(a * np.asarray(t, dtype=float)), s)
     rhs = forward_numeric(q, f, s / a) / a
     return CheckReport("scaling", lhs, rhs, _rel_err(lhs, rhs))
@@ -343,8 +341,11 @@ def shift_kernel_factor(q: QParam, s: float, s0: float, t: float) -> CheckReport
     for x in args:
         if 1.0 + q.eps * x <= 0.0:
             raise DomainError(f"shift factorization: argument {x} at or past cutoff")
-    lhs = q_exp(q, args[0])
-    rhs = q_exp(q, args[1]) * q_exp(q, args[2])
+    with np.errstate(over="ignore"):
+        lhs = q_exp(q, args[0])
+        rhs = q_exp(q, args[1]) * q_exp(q, args[2])
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise QLaplaceError(f"shift factorization: q_exp overflows double precision at arguments {args}")
     return CheckReport("shift-kernel", lhs, rhs, _rel_err(lhs, rhs))
 
 
@@ -543,6 +544,9 @@ def linearity_check(
     s: float,
 ) -> CheckReport:
     """L_q[a1 f1 + a2 f2] against a1 F1 + a2 F2."""
+    for name, a in (("a1", a1), ("a2", a2)):
+        if not math.isfinite(a):
+            raise DomainError(f"linearity weight {name} must be finite, got {name} = {a}")
 
     def combo(t):
         arr = np.asarray(t, dtype=float)

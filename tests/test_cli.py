@@ -100,9 +100,15 @@ class TestTransformCommand:
         res = runner.invoke(main, ["transform", "--q", "1.5", "--fn", "monomial", "--m", "2", "--s-grid", "1:2:2"])
         assert res.exit_code == 2
 
-    def test_classical_q_rejected(self, runner):
-        res = runner.invoke(main, ["transform", "--q", "1.0", "--fn", "monomial", "--m", "2", "--s-grid", "1:2:2"])
-        assert res.exit_code == 2
+    @pytest.mark.parametrize(
+        "fn", (["monomial", "--m", "3"], ["exponential", "--alpha", "1", "--sign", "-1"]), ids=lambda fn: fn[0]
+    )
+    def test_classical_q_accepted(self, runner, fn):
+        res = runner.invoke(main, ["transform", "--q", "1", "--fn", *fn, "--s-grid", "4:20:5"])
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 5
+        assert all(0.0 <= float(r[3]) < 1e-8 for r in rows)  # criterion 1
 
     def test_below_s_min_exits_2(self, runner):
         res = runner.invoke(
@@ -182,7 +188,48 @@ class TestConfigFile:
         cfg.write_text("q=0.5\n")
         res = runner.invoke(main, ["transform", "--config", str(cfg)])
         assert res.exit_code == 2
-        assert "missing option" in res.output
+        assert "Missing option '--s-grid'" in res.output
+
+    @pytest.mark.parametrize(
+        "command, lines, flags, code",
+        (
+            ("statmech", "model=ideal-gas q=0.9 D=3 N=2 E-grid=0.5:5:4",
+             "--model ideal-gas --q 0.9 --D 3 --N 2 --E-grid 0.5:5:4", 0),
+            ("transform", "q=0.5 fn=monomial m=2 s-grid=1:2:2 no-meta=true",
+             "--q 0.5 --fn monomial --m 2 --s-grid 1:2:2 --no-meta", 0),
+            ("transform", "q=0.5 fn=exponential alpha=1 sign=-1 s-grid=4:8:3",
+             "--q 0.5 --fn exponential --alpha 1 --sign -1 --s-grid 4:8:3", 0),
+            ("transform", "q=0.5 fn=exponential alpha=1 sign=2 s-grid=4:8:3",
+             "--q 0.5 --fn exponential --alpha 1 --sign 2 --s-grid 4:8:3", 2),
+        ),
+        ids=("D-and-E-grid", "no-meta-true", "sign-choice", "sign-invalid"),
+    )
+    def test_key_acts_as_its_flag(self, runner, tmp_path, command, lines, flags, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines.split()) + "\n")
+        from_file = runner.invoke(main, [command, "--config", str(cfg)])
+        from_flags = runner.invoke(main, [command, *flags.split()])
+        assert from_file.exit_code == from_flags.exit_code == code, from_file.output
+        assert from_file.output == from_flags.output
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    (
+        ("transform", ("--q", "--s-grid", "--fn")),
+        ("invert", ("--q", "--t-grid", "--fn")),
+        ("roundtrip", ("--q", "--fn")),
+        ("identities", ("--q",)),
+        ("statmech", ("--q", "--model", "--d", "--n", "--e-grid")),
+    ),
+)
+def test_help_marks_required_options(runner, command, required):
+    res = runner.invoke(main, [command, "--help"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    for opt in required:
+        line = next(ln for ln in lines if ln.strip().startswith(opt + " ") or ln.strip().startswith(opt + ","))
+        assert "[required]" in line, line
 
 
 class TestInvertCommand:
@@ -211,6 +258,18 @@ class TestInvertCommand:
         assert res.exit_code == 2, res.output
         assert "t values [5.0, 9.0] lie above the series validity bound t_max = 4.44" in res.output
 
+    def test_classical_q_fixed_power_law(self, runner):
+        # single power t^2 (s^-3): estimate = t^2 * Gamma(3+k)/(k^2 Gamma(k+1)) at q = 1 too
+        res = runner.invoke(
+            main, ["invert", "--q", "1", "--fn", "monomial", "--m", "3", "--t-grid", "0.5:2:3", "--fixed-m", "3"]
+        )
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 15
+        for t, k, est, *_ in rows:
+            t, k = float(t), int(k)
+            assert float(est) == pytest.approx(t**2 * (k + 1) * (k + 2) / k**2, rel=1e-12)
+
     def test_fixed_m_past_q_poly_overflow(self, runner):
         # q_poly(1.9, 200) overflows a double: xi used to come out 0.0 and the run died
         res = runner.invoke(
@@ -233,6 +292,15 @@ class TestRoundtripCommand:
         header, rows = data_rows(res.output)
         assert header == ["n", "coeff_recovered", "coeff_reference", "rel_err"]
         assert len(rows) == 8
+        assert all(float(r[3]) < 1e-10 for r in rows)
+
+    @pytest.mark.parametrize("fn", (["sine", "--alpha", "1"], ["qgaussian", "--alpha", "1", "--qprime", "0.7"]),
+                             ids=lambda fn: fn[0])
+    def test_classical_q(self, runner, fn):
+        res = runner.invoke(main, ["roundtrip", "--q", "1", "--fn", *fn, "--n-terms", "12"])
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 12
         assert all(float(r[3]) < 1e-10 for r in rows)
 
 

@@ -13,7 +13,10 @@ from qlaplace import (
     DomainError,
     Exponential,
     Gaussian,
+    IdealGasModel,
     Monomial,
+    OscillatorModel,
+    PFQParams,
     PowerSeriesTransform,
     QCosh,
     QCosine,
@@ -23,8 +26,11 @@ from qlaplace import (
     QParam,
     QSine,
     QSinh,
+    SeriesControl,
     Sine,
+    WidderConfig,
     catalog_transform,
+    classical_post_widder,
     convolution_check_classical,
     derivative_rule_check,
     forward_numeric,
@@ -32,6 +38,7 @@ from qlaplace import (
     kernel_pair_integral,
     limit_identity_check,
     linearity_check,
+    pfq_term_coefficients,
     q_poly,
     qderivative_of_transform_check,
     qintegral_of_transform_check,
@@ -39,6 +46,7 @@ from qlaplace import (
     scaling_check,
     shift_kernel_factor,
     translation_check,
+    widder_weight,
 )
 from qlaplace.qmath import _power_map
 from pfq_oracle import CATALOG_SPECS, pfq_series
@@ -596,15 +604,39 @@ class TestConvolution:
         (lambda: Monomial(2.5), "power = 2.5"),
         (lambda: shift_kernel_factor(Q5, math.nan, 1.0, 0.1), "s = nan"),
         (lambda: translation_check(Q5, Monomial(2), math.nan, 1.0), "t0 = nan"),
+        (lambda: catalog_transform(Q5, Sine(1.0)).derivative_value(1.5, 2.0), "k = 1.5"),
+        (lambda: WidderConfig((4.5, 8.2)), "k = 4.5"),
+        (lambda: WidderConfig((4, 8), fixed_m=2.5), "fixed_m = 2.5"),
+        (lambda: widder_weight(Q5, 2.5, 0.5), "k = 2.5"),
+        (lambda: classical_post_widder(lambda k, s: 1.0, 1.0, 2.5), "k = 2.5"),
+        (lambda: IdealGasModel(1.5, 2), "D = 1.5"),
+        (lambda: OscillatorModel(1, 2.5), "N = 2.5"),
+        (lambda: SeriesControl(max_terms=2.5), "max_terms = 2.5"),
+        (lambda: pfq_term_coefficients(PFQParams((), (), 0.0), 2.5), "n_max = 2.5"),
+        (lambda: scaling_check(Q5, Monomial(2), math.nan, 1.0), "a = nan"),
+        (lambda: scaling_check(Q5, Monomial(2), math.inf, 1.0), "a = inf"),
+        (lambda: linearity_check(Q5, Monomial(2), math.nan, Exponential(1.0, -1), -0.5, 1.0), "a1 = nan"),
+        (lambda: linearity_check(Q5, Monomial(2), 2.0, Exponential(1.0, -1), math.inf, 1.0), "a2 = inf"),
     ),
-    ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "shift", "translation"),
+    ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "shift", "translation",
+         "derivative-order", "k-schedule", "fixed-m", "widder-weight", "classical-post-widder", "gas-D",
+         "oscillator-N", "max-terms", "n-max", "scaling-nan", "scaling-inf", "linearity-a1", "linearity-a2"),
 )
 def test_fractional_count_or_nan_argument_is_a_domain_error(call, named):
-    # each used to raise a bare TypeError, or to report a meaningless rel_err or nan values
+    # each used to raise a bare TypeError or an error naming no argument, to report a
+    # meaningless rel_err or nan values, or to accept (or truncate) a fractional count
     with pytest.raises(DomainError, match=re.escape(named)):
         call()
+
+
+def test_shift_kernel_overflow_is_typed():
+    # q_exp(1e307) overflows: lhs = rhs = inf with rel_err nan, and a RuntimeWarning escaped
+    with pytest.raises(QLaplaceError, match="overflows double precision"):
+        shift_kernel_factor(Q5, 1.0, 1e308, 0.1)
 
 
 def test_whole_float_counts_are_accepted():
     assert Monomial(3.0).taylor_coefficients(3) == [0.0, 0.0, 1.0, 0.0]
     assert q_poly(1.5, 3.0) == q_poly(1.5, 3)
+    assert WidderConfig((4.0, 8.0), fixed_m=3.0) == WidderConfig((4, 8), fixed_m=3)
+    assert IdealGasModel(3.0, 2.0).transform_power == IdealGasModel(3, 2).transform_power == 3.0
