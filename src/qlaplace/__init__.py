@@ -52,7 +52,6 @@ from .inverse import (
     TaylorSeries,
     WidderConfig,
     WidderEstimate,
-    classical_post_widder,
     q_post_widder,
     roundtrip,
     series_invert,

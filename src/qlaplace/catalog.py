@@ -6,13 +6,12 @@ family carries its own deformation parameter ``qprime`` in (0, 1],
 independent of the transform's ``q``, and at ``qprime = 1`` it is the
 classical function.  The plain names ``Exponential``, ``Gaussian``,
 ``Cosine``, ``Sine``, ``Cosh`` and ``Sinh`` build that q'=1 member, whose
-``kind`` and ``label`` read as the plain name.  Each entry knows how to
-
-* evaluate itself on numpy arrays,
-* hand out an exact derivative of any order as a callable,
-* expand itself in a Taylor series straight from its defining product
-  formulas (used as the independent reference when checking the
-  transform/inversion round trip).
+``kind`` and ``label`` read as the plain name.  Each entry is one
+evaluator, ``_eval(arr, order)``, its exact order-th derivative on a float
+array, behind ``f(t)`` and ``f.derivative(order)``, plus its Taylor series
+straight from its defining product formulas (the independent reference when
+checking the transform/inversion round trip); every q-exponential series
+is the one recurrence `_qexp_taylor`.
 
 Deformed functions of a negative argument use the cutoff convention
 (value 0 once the base hits zero); closed-form transforms are quoted for
@@ -24,6 +23,7 @@ never does).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -56,23 +56,21 @@ __all__ = [
 _CLASSICAL = QParam(1.0)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and positive, got {alpha}")
-
-
-def _check_sign(sign: int) -> None:
-    if sign not in (-1, 1):
-        raise DomainError("sign must be +1 or -1")
-
-
-def _qexp_coef(eps: float, c: float, order: int) -> float:
-    """c**order * prod_{i<order} (1 - i*eps): the factor in front of
-    q_exp(c*u)**(1 - order*eps) in the order-th u-derivative of q_exp(c*u)."""
+def _scaled(eps: float, c: float, order: int, x):
+    """x times c**order * prod_{i<order} (1 - i*eps), the factor in front of
+    q_exp(c*u)**(1 - order*eps) in the order-th u-derivative of q_exp(c*u);
+    x itself at order 0, with no array work."""
+    if not order:
+        return x
     coef = c**order
     for i in range(order):
         coef *= 1.0 - i * eps
-    return coef
+    return coef * x
+
+
+def _qexp_deriv(eps: float, c: float, arr: np.ndarray, order: int):
+    """The order-th u-derivative of q_exp(c*u) at u = arr."""
+    return _scaled(eps, c, order, _q_exp_pow(eps, c * arr, 1.0 - order * eps))
 
 
 _SNAP = 32.0 * float(np.finfo(float).eps)
@@ -86,25 +84,60 @@ def _dfactor(j: float, eps_prime: float) -> float:
     if eps_prime == 0.0:
         return 1.0
     v = 1.0 - j * eps_prime
-    if abs(v) <= _SNAP * max(1.0, j * eps_prime):
-        return 0.0
-    return v
+    return 0.0 if abs(v) <= _SNAP * max(1.0, j * eps_prime) else v
 
 
 def _qexp_taylor(eps: float, c: float, n_max: int) -> list[float]:
-    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max."""
+    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max: the one recurrence."""
     coeffs = [1.0]
     for n in range(1, n_max + 1):
         coeffs.append(coeffs[-1] * (_dfactor(n - 1, eps) * c / n))
     return coeffs
 
 
-def _scalar_ok(t, out):
-    return out if np.ndim(t) else float(out)
+@functools.lru_cache(maxsize=256)
+def _gaussian_factor(eps: float, alpha: float, order: int) -> np.ndarray:
+    """Coefficients of R_order, where f^(n) = R_n * base**(1/eps - n) for
+    f = q_exp(-alpha t**2) and base = 1 - eps alpha t**2:
+    R_{n+1} = R_n' base + (1 - n eps) R_n base'/eps, base'/eps = -2 alpha t;
+    at eps = 0 this is the Hermite recurrence R_n' - 2 alpha t R_n."""
+    base = np.array([1.0, 0.0, -eps * alpha])
+    dbase = np.array([0.0, -2.0 * alpha])
+    r = np.array([1.0])
+    for n in range(order):
+        r = npp.polyadd(npp.polymul(npp.polyder(r), base), (1.0 - n * eps) * npp.polymul(r, dbase))
+    r.flags.writeable = False
+    return r
+
+
+class _Entry:
+    """What every catalog entry shares.  An entry defines ``_eval(arr, order)``,
+    its order-th derivative on a float array, and ``taylor_coefficients``;
+    ``f(t)`` is order 0 and ``f.derivative(order)`` any order, both converting
+    t once: a scalar t gives a float and an array t a float array of its
+    shape.  f(0) is the constant Taylor coefficient."""
+
+    limit_at_infinity: float | None = None
+
+    def __call__(self, t):
+        return self._value(t, 0)
+
+    def derivative(self, order: int) -> Callable:
+        order = _integer_arg("order", order, 0)
+        return lambda t: self._value(t, order)
+
+    def _value(self, t, order: int):
+        arr = np.asarray(t, dtype=float)
+        out = self._eval(arr, order)
+        return out if arr.ndim else float(out)
+
+    @property
+    def value_at_zero(self) -> float:
+        return self.taylor_coefficients(0)[0]
 
 
 @dataclass(frozen=True)
-class Monomial:
+class Monomial(_Entry):
     """f(t) = t**(power-1), power >= 1."""
 
     power: int
@@ -114,29 +147,18 @@ class Monomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "power", _integer_arg("power", self.power, 1))
 
-    def __call__(self, t):
-        return _scalar_ok(t, np.asarray(t, dtype=float) ** (self.power - 1))
-
-    def derivative(self, order: int) -> Callable:
+    def _eval(self, arr, order: int):
         deg = self.power - 1
         if order > deg:
-            return lambda t: _scalar_ok(t, np.zeros_like(np.asarray(t, dtype=float)))
-        coef = math.factorial(deg) / math.factorial(deg - order)
-
-        def d(t):
-            return _scalar_ok(t, coef * np.asarray(t, dtype=float) ** (deg - order))
-
-        return d
+            return np.zeros_like(arr)
+        out = arr ** (deg - order)
+        return float(math.perm(deg, order)) * out if order else out
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
         if self.power - 1 <= n_max:
             coeffs[self.power - 1] = 1.0
         return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 1.0 if self.power == 1 else 0.0
 
     @property
     def limit_at_infinity(self) -> float | None:
@@ -148,13 +170,11 @@ class Monomial:
 
 
 @dataclass(frozen=True)
-class _Family:
+class _Family(_Entry):
     """Fields and naming shared by the deformed families.
 
     ``_name`` is the classical (q' = 1) name; ``kind`` and ``label`` use it
-    at q' = 1 and prefix it with ``q`` otherwise.  Subclasses implement
-    ``__call__`` and either ``_eval(t, order)``, the order-th derivative,
-    or ``derivative`` itself.
+    at q' = 1 and prefix it with ``q`` otherwise.
     """
 
     qprime: QParam
@@ -163,15 +183,13 @@ class _Family:
     _cut_power = 0  # p of the branch q_exp(-alpha t**p) that f cuts, 0 if none
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def cut(self) -> float:
         e = self.qprime.eps * self.alpha
         return e ** (-1.0 / self._cut_power) if e and self._cut_power else math.inf
-
-    def derivative(self, order: int) -> Callable:
-        return lambda t: self._eval(t, order)
 
     def _params(self) -> str:
         return f"alpha={self.alpha}"
@@ -195,24 +213,17 @@ class QExponential(_Family):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        _check_sign(self.sign)
+        if self.sign not in (-1, 1):
+            raise DomainError("sign must be +1 or -1")
 
-    def __call__(self, t):
-        return _q_exp_pow(self.qprime.eps, self.sign * self.alpha * np.asarray(t, dtype=float))
-
-    def _eval(self, t, order: int):
-        e, c = self.qprime.eps, self.sign * self.alpha
-        return _qexp_coef(e, c, order) * _q_exp_pow(e, c * np.asarray(t, dtype=float), 1.0 - order * e)
+    def _eval(self, arr, order: int):
+        return _qexp_deriv(self.qprime.eps, self.sign * self.alpha, arr, order)
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         return _qexp_taylor(self.qprime.eps, self.sign * self.alpha, n_max)
 
     def _params(self) -> str:
         return f"sign={self.sign:+d}, alpha={self.alpha}"
-
-    @property
-    def value_at_zero(self) -> float:
-        return 1.0
 
     @property
     def limit_at_infinity(self) -> float | None:
@@ -228,73 +239,36 @@ class QGaussian(_Family):
 
     _name = "gaussian"
     _cut_power = 2
+    limit_at_infinity = 0.0
 
-    def __call__(self, t):
-        return _q_exp_pow(self.qprime.eps, -self.alpha * np.asarray(t, dtype=float) ** 2)
-
-    def derivative(self, order: int) -> Callable:
-        # f^(n) = R_n * base**(1/eps' - n) with base = 1 - eps' alpha t**2 and
-        # R_{n+1} = R_n' base + (1 - n eps') R_n base'/eps', base'/eps' = -2 alpha t;
-        # at eps' = 0 this is the Hermite recurrence R_n' - 2 alpha t R_n.
+    def _eval(self, arr, order: int):
         e = self.qprime.eps
-        base = np.array([1.0, 0.0, -e * self.alpha])
-        dbase = np.array([0.0, -2.0 * self.alpha])
-        r = np.array([1.0])
-        for n in range(order):
-            r = npp.polyadd(npp.polymul(npp.polyder(r), base), (1.0 - n * e) * npp.polymul(r, dbase))
-
-        def d(t):
-            arr = np.asarray(t, dtype=float)
-            return _scalar_ok(t, npp.polyval(arr, r) * _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e))
-
-        return d
+        out = _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e)
+        return npp.polyval(arr, _gaussian_factor(e, self.alpha, order)) * out if order else out
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
         coeffs[::2] = _qexp_taylor(self.qprime.eps, -self.alpha, n_max // 2)
         return coeffs
 
-    @property
-    def value_at_zero(self) -> float:
-        return 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return 0.0
-
 
 class _Paired(_Family):
     """Even (delta = 0) or odd (delta = 1) member of a circular/hyperbolic
-    pair.  ``_square_sign`` is the sign of (i*alpha)**2 or alpha**2 in the
-    Taylor step, and ``_classical`` the numpy function of alpha*t at q' = 1."""
+    pair: the real/imaginary part of q_exp(i*alpha*t), or the even/odd part
+    of q_exp(alpha*t).  Either way its Taylor coefficients are those of
+    q_exp(alpha*t) on its parity times ``_square_sign``**(n//2), the sign
+    of (i*alpha)**2 or alpha**2."""
 
     delta = 0
     _square_sign = 1.0
-    _classical = np.cosh
-
-    def __call__(self, t):
-        if self.qprime.eps == 0.0:
-            return _scalar_ok(t, self._classical(self.alpha * np.asarray(t, dtype=float)))
-        return self._eval(t, 0)
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
+        a, d = _qexp_taylor(self.qprime.eps, self.alpha, n_max), self.delta
         coeffs = [0.0] * (n_max + 1)
-        e = self.qprime.eps
-        g = self.alpha if self.delta else 1.0
-        for k in range((n_max - self.delta) // 2 + 1):
-            n = 2 * k + self.delta
-            if k:
-                g *= self._square_sign * _dfactor(n - 2, e) * _dfactor(n - 1, e) * self.alpha**2 / ((n - 1) * n)
-            coeffs[n] = g
+        coeffs[d::2] = a[d::2]
+        if self._square_sign < 0:  # (-1)**(n//2): every other term of the parity flips sign
+            coeffs[d + 2::4] = [-c for c in a[d + 2::4]]
         return coeffs
-
-    @property
-    def value_at_zero(self) -> float:
-        return 0.0 if self.delta else 1.0
-
-    @property
-    def limit_at_infinity(self) -> float | None:
-        return None
 
 
 class _QTrig(_Paired):
@@ -311,25 +285,22 @@ class _QTrig(_Paired):
 
     _square_sign = -1.0
 
-    def _eval(self, t, order: int):
-        e, at = self.qprime.eps, self.alpha * np.asarray(t, dtype=float)
-        scale = _qexp_coef(e, self.alpha, order) * _q_exp_pow(e, e * at**2, (1.0 - order * e) / 2.0)
+    def _eval(self, arr, order: int):
+        e, at = self.qprime.eps, self.alpha * arr
         angle = at if e == 0.0 else (1.0 / e - order) * np.arctan(e * at)
-        if order:
-            angle = angle + order * math.pi / 2.0
-        circ = np.sin(angle) if self.delta else np.cos(angle)
-        return _scalar_ok(t, scale * circ)
+        circ = (np.sin if self.delta else np.cos)(angle + order * math.pi / 2.0 if order else angle)
+        if e == 0.0:
+            return _scaled(e, self.alpha, order, circ)
+        return _scaled(e, self.alpha, order, _q_exp_pow(e, e * at**2, (1.0 - order * e) / 2.0)) * circ
 
 
 class QCosine(_QTrig):
     _name = "cosine"
-    _classical = np.cos
 
 
 class QSine(_QTrig):
     delta = 1
     _name = "sine"
-    _classical = np.sin
 
 
 class _QHyper(_Paired):
@@ -345,15 +316,13 @@ class _QHyper(_Paired):
 
     _cut_power = 1
 
-    def _eval(self, t, order: int):
-        arr = np.asarray(t, dtype=float)
+    def _eval(self, arr, order: int):
         e = self.qprime.eps
         if e == 0.0:
             odd = (order + self.delta) % 2 == 1
-            return _scalar_ok(t, self.alpha**order * (np.sinh if odd else np.cosh)(self.alpha * arr))
-        plus, minus = (_qexp_coef(e, c, order) * _q_exp_pow(e, c * arr, 1.0 - order * e)
-                       for c in (self.alpha, -self.alpha))
-        return _scalar_ok(t, 0.5 * (plus - minus if self.delta else plus + minus))
+            return _scaled(e, self.alpha, order, (np.sinh if odd else np.cosh)(self.alpha * arr))
+        plus, minus = (_qexp_deriv(e, c, arr, order) for c in (self.alpha, -self.alpha))
+        return 0.5 * (plus - minus if self.delta else plus + minus)
 
 
 class QCosh(_QHyper):
@@ -363,7 +332,6 @@ class QCosh(_QHyper):
 class QSinh(_QHyper):
     delta = 1
     _name = "sinh"
-    _classical = np.sinh
 
 
 def Exponential(alpha: float, sign: int = 1) -> QExponential:

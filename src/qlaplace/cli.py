@@ -8,8 +8,7 @@ roundtrip   closed form -> term-wise inversion -> coefficient comparison
 identities  run the transform identity/diagnostic suite at one q
 statmech    partition-function inversion: density-of-states tables
 
-Every subcommand but ``statmech`` (whose partition functions need q < 1)
-takes any q in (0, 1], the classical q = 1 included.
+Every subcommand takes any q in (0, 1], the classical q = 1 included.
 
 Output is CSV (default) or JSON, deterministic for a fixed configuration;
 numbers are printed with 17 significant digits so values round-trip.  An

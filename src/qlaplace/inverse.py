@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction
-from .errors import DomainError, QLaplaceError
+from .errors import DomainError
 from .qmath import (
     QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _radius, xi_factor,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "WidderConfig",
     "WidderEstimate",
     "RoundtripReport",
-    "classical_post_widder",
     "q_post_widder",
     "series_invert",
     "roundtrip",
@@ -144,31 +143,6 @@ def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEs
     ]
 
 
-def classical_post_widder(F_deriv, t: float, k: int) -> float:
-    """Finite-k classical estimate (-1)**k/k! * s**(k+1) * F^(k)(s) at s = k/t.
-
-    ``F_deriv`` is a derivative oracle: a callable (k, s) -> F^(k)(s)
-    backed by an exact series or a closed form (finite differences are
-    hopeless at this order and are deliberately not offered).  Error
-    decays like O(1/k) for smooth f.
-    """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be finite and positive, got t = {t}")
-    k = _integer_arg("k", k, 1)
-    s = k / t
-    d = float(F_deriv(k, s))
-    if not math.isfinite(d):
-        raise QLaplaceError(f"derivative oracle returned non-finite value at k={k}, s={s}")
-    if d == 0.0:
-        return 0.0
-    log_mag = math.log(abs(d)) + (k + 1) * math.log(s) - math.lgamma(k + 1)
-    sign = math.copysign(1.0, d) * (-1.0 if k % 2 else 1.0)
-    try:
-        return sign * math.exp(log_mag)
-    except OverflowError:
-        raise QLaplaceError("estimate overflows double precision despite log-domain handling")
-
-
 def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
     """Finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n), one row per x > 0
     and one column per k, for weights w_n = sign_n * exp(log_w_n) (-inf for
@@ -240,7 +214,7 @@ def roundtrip(q: QParam, f: CatalogFunction, n_terms: int = 20) -> RoundtripRepo
     errors = [_rel_err(a_rec, a_ref) for a_rec, a_ref in zip(rec.coeffs, ref)]
     t_grid = np.linspace(0.0, rec.t_max, 33)
     series_vals = rec(t_grid)
-    true_vals = np.asarray(f(t_grid), dtype=float)
+    true_vals = f(t_grid)
     pw = np.abs(series_vals - true_vals) / np.maximum(np.abs(true_vals), 1.0)
     return RoundtripReport(
         max(errors),
@@ -266,8 +240,9 @@ def widder_weight(q: QParam, k: int, y):
     """
     k = _integer_arg("k", k, 1)
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("y must be nonnegative")
+    inside = (arr >= 0.0) & (arr < math.inf)
+    if not inside.all():
+        raise DomainError(f"y must be finite and nonnegative, got y = {arr[~inside].flat[0]}")
     with np.errstate(over="ignore"):
         out = (arr * _q_exp_pow(q.eps, -k * arr, 1.0 / k - q.eps)) ** k
     return out if np.ndim(y) else float(out)

@@ -178,8 +178,8 @@ def xi_factor(q: QParam, m: float) -> float:
     """Argument-scaling factor for the deformed Post-Widder limit, at real m >= 2: defined by
     ``xi**(m-1) = (2-q) / q_poly(2-q, m)``, in log form from `_log_q_poly` (finite where
     q_poly overflows); 1 at q = 1, undefined for m < 2 (the exponent 1/(m-1) degenerates)."""
-    if m < 2:
-        raise DomainError("xi_factor requires m >= 2")
+    if not 2.0 <= m < math.inf:
+        raise DomainError(f"xi_factor requires finite m >= 2, got m = {m}")
     return math.exp((math.log(2.0 - q.q) - _log_q_poly((q.eps,), m, 1)[0, 0]) / (m - 1.0))
 
 

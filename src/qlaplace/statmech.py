@@ -128,15 +128,14 @@ def _exp(log_x: float, what: str) -> float:
         raise QLaplaceError(f"{what} overflows double precision") from None
 
 
-def _check_deformed(q: QParam) -> None:
-    if q.classical:
-        raise DomainError("partition functions are defined for q < 1 here")
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and positive, got beta = {beta}")
 
 
 def _partition(q: QParam, model: ThermoModel, beta: float) -> float:
-    _check_deformed(q)
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
+    """C * beta**-m; at q = 1 the q_poly factor is 1, so this is the classical Z."""
+    _check_beta(beta)
     return _exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta), "Z_q")
 
 
@@ -157,11 +156,12 @@ def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float)
     (which is what the closed form counts; a first-quadrant-only domain
     would come out 4x smaller) and multiplies by the configurational
     volume V**N / (h**DN N!).  Restricted to D*N = 2 where the 2D nested
-    quadrature, at rel_tol 1e-8 and abs_tol 1e-12, is cheap.
+    quadrature, at rel_tol 1e-8 and abs_tol 1e-12, is cheap.  The momentum
+    disc has radius 1/sqrt((1-q) beta/(2 mass)), so q < 1 only.
     """
-    _check_deformed(q)
-    if beta <= 0.0:
-        raise DomainError("beta must be positive")
+    if q.classical:
+        raise DomainError("the brute-force momentum disc is bounded for q < 1 only")
+    _check_beta(beta)
     if model.D * model.N != 2:
         raise DomainError("brute-force cross-check is implemented for D*N = 2 only")
     half = beta / (2.0 * model.mass)
@@ -179,11 +179,9 @@ def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float)
         pts = dyadic_breakpoints(0.0, p2_max, toward_a=False, toward_b=True, levels=20)
         return integrate(integrand, 0.0, p2_max, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
 
-    def outer(p1: np.ndarray) -> np.ndarray:
-        return np.fromiter((inner(float(p)) for p in p1), dtype=float, count=len(p1))
-
+    # inner takes one p1 at a time: integrate maps it over the nodes
     pts = dyadic_breakpoints(0.0, radius, toward_a=False, toward_b=True, levels=20)
-    momentum_plane = 4.0 * integrate(outer, 0.0, radius, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
+    momentum_plane = 4.0 * integrate(inner, 0.0, radius, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
     log_config = (
         model.N * math.log(model.V)
         - model.D * model.N * math.log(model.h)
@@ -228,9 +226,9 @@ def density_of_states(
     ``cfg.fixed_m`` when that is set, else m; all energies and k at once, in
     log magnitude (QLaplaceError, never inf, on overflow).  The analytic
     limit g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is carried
-    alongside and is independent of q.
+    alongside and is independent of q; at q = 1 the estimator is the
+    classical Post-Widder one (xi = 1).
     """
-    _check_deformed(q)
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")

@@ -319,7 +319,7 @@ def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckRep
     """Dilation rule: transform of f(a*t) equals F_q(s/a)/a."""
     if not 0.0 < a < math.inf:
         raise DomainError(f"scaling factor must be finite and positive, got a = {a}")
-    lhs = forward_numeric(q, lambda t: f(a * np.asarray(t, dtype=float)), s)
+    lhs = forward_numeric(q, lambda t: f(a * t), s)
     rhs = forward_numeric(q, f, s / a) / a
     return CheckReport("scaling", lhs, rhs, _rel_err(lhs, rhs))
 
@@ -366,7 +366,7 @@ def translation_check(q: QParam, f: CatalogFunction, t0: float, s: float) -> Tra
     if c <= 0.0:
         raise DomainError("t0 lies at or beyond the kernel cutoff for this s")
 
-    rhs = _kernel_quadrature(q, lambda u: np.asarray(f(u / c), dtype=float), s, t0)
+    rhs = _kernel_quadrature(q, lambda u: f(u / c), s, t0)
     base_transform = forward_numeric(q, f, s)
     power = 2.0 - q.q
     lhs_proof = base_transform * q_exp(q, -s * t0) ** power
@@ -400,9 +400,9 @@ def derivative_rule_check(q: QParam, f: CatalogFunction, n: int, s: float) -> Ch
 
     lhs = forward_numeric(q, f.derivative(n), s)
 
-    boundary = float(f.derivative(n - 1)(0.0))
+    boundary = f.derivative(n - 1)(0.0)
     for ell in range(1, n):
-        boundary += prods[ell - 1] * s**ell * float(f.derivative(n - ell - 1)(0.0))
+        boundary += prods[ell - 1] * s**ell * f.derivative(n - ell - 1)(0.0)
     q_shift = QParam(a[n + 1] / a[n])
     shifted = forward_numeric(q_shift, f, a[n] * s)
     main = prods[n - 1] * s**n * shifted
@@ -436,13 +436,7 @@ def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: flo
 
     def g(j: int):
         sign = -1.0 if j % 2 else 1.0
-
-        def fn(sv: float) -> float:
-            return forward_numeric(
-                q, lambda t: sign * np.asarray(t, dtype=float) ** j * np.asarray(f(t), dtype=float), sv
-            )
-
-        return fn
+        return lambda sv: forward_numeric(q, lambda t: sign * t**j * f(t), sv)
 
     g_n = g(n)
     g_prev = g(n - 1)
@@ -478,10 +472,7 @@ def qintegral_of_transform_check(q: QParam, f: CatalogFunction, s: float) -> Che
     pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=False)
     lhs = integrate(integrand, 0.0, 1.0, breakpoints=pts)
 
-    def over_t(t: np.ndarray) -> np.ndarray:
-        return np.asarray(f(t), dtype=float) / t
-
-    rhs = forward_numeric(q, over_t, s)
+    rhs = forward_numeric(q, lambda t: f(t) / t, s)
     return CheckReport("qintegral-of-transform", lhs, rhs, _rel_err(lhs, rhs))
 
 
@@ -548,11 +539,7 @@ def linearity_check(
         if not math.isfinite(a):
             raise DomainError(f"linearity weight {name} must be finite, got {name} = {a}")
 
-    def combo(t):
-        arr = np.asarray(t, dtype=float)
-        return a1 * np.asarray(f1(arr), dtype=float) + a2 * np.asarray(f2(arr), dtype=float)
-
-    lhs = forward_numeric(q, combo, s)
+    lhs = forward_numeric(q, lambda t: a1 * f1(t) + a2 * f2(t), s)
     v1 = forward_numeric(q, f1, s)
     v2 = forward_numeric(q, f2, s)
     rhs = a1 * v1 + a2 * v2

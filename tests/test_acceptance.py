@@ -29,7 +29,6 @@ from qlaplace import (
     Sinh,
     WidderConfig,
     catalog_transform,
-    classical_post_widder,
     density_of_states,
     derivative_rule_check,
     forward_numeric,
@@ -49,6 +48,7 @@ from qlaplace import (
     translation_check,
 )
 from pfq_oracle import pfq_series
+from post_widder_oracle import classical_post_widder
 
 Q_SET = (0.3, 0.6, 0.9)
 

@@ -138,6 +138,56 @@ class TestTaylor:
         assert all(c == 0.0 for c in QSine(QP, 1.0).taylor_coefficients(9)[0::2])
 
 
+def make_entry(key: str, qprime: float = 0.7):
+    """The entry of one CATALOG constructor, from make_catalog_function."""
+    fields = {"m": 3} if key == "monomial" else {"alpha": 0.8}
+    if key.startswith("q"):
+        fields["qprime"] = qprime
+    return make_catalog_function(key, **fields)
+
+
+PAIRED = ("cosine", "sine", "cosh", "sinh")
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG))
+class TestContract:
+    """Every entry is one evaluator: f(t) is its order-0 derivative, a scalar gives a float and
+    an array a float array of its shape, and f(0) is the constant Taylor coefficient."""
+
+    def test_scalar_and_array(self, key):
+        f = make_entry(key)
+        for t in (0.0, 0.4, 2, np.float64(1.5)):
+            for g in (f, f.derivative(0), f.derivative(2)):
+                assert type(g(t)) is float
+        t = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+        for g in (f, f.derivative(0), f.derivative(3)):
+            out = g(t)
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (2, 3)
+
+    def test_call_is_order_zero(self, key):
+        f = make_entry(key)
+        t = np.concatenate([np.linspace(0.0, 5.0, 41), [1e-300, 40.0]])
+        assert f(t).tobytes() == f.derivative(0)(t).tobytes()
+        assert all(f(float(x)) == f.derivative(0)(float(x)) for x in t)
+
+    def test_value_at_zero(self, key):
+        f = make_entry(key)
+        assert f.value_at_zero == f.taylor_coefficients(0)[0] == f(0.0)
+
+@pytest.mark.parametrize("key", [k for k in sorted(CATALOG) if k.removeprefix("q") in PAIRED])
+def test_paired_parity_and_termination(key):
+    odd = key.removeprefix("q") in ("sine", "sinh")
+    cases = ((0.7, None), (0.75, 4), (0.8, 5), (0.5, 2)) if key.startswith("q") else ((1.0, None),)
+    for qprime, stop in cases:
+        a = make_entry(key, qprime).taylor_coefficients(30)
+        assert all(c == 0.0 for c in a[1 - odd::2])
+        if stop is None:
+            assert all(c != 0.0 for c in a[odd::2])
+        else:  # 1/(1-q') = stop: q_exp(i alpha t) and q_exp(alpha t) are polynomials of degree stop
+            assert all(c != 0.0 for c in a[odd:stop + 1:2])
+            assert all(c == 0.0 for c in a[stop + 1:])
+
+
 class TestMetadata:
     def test_value_at_zero(self):
         assert Monomial(1).value_at_zero == 1.0

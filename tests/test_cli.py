@@ -400,6 +400,14 @@ class TestStatmechCommand:
         _, rows = data_rows(res.output)
         assert float(rows[0][2]) == pytest.approx(0.5, rel=1e-10)
 
+    def test_classical_q(self, runner):
+        # the finite-k estimates of a single power do not depend on q, so q = 1 prints the q = 0.6 rows
+        args = ["statmech", "--model", "oscillator", "--d", "1", "--n", "3", "--e-grid", "1:2:2", "--no-meta"]
+        res1, res6 = (runner.invoke(main, [*args, "--q", q]) for q in ("1", "0.6"))
+        assert res1.exit_code == 0, res1.output
+        rows1, rows6 = data_rows(res1.output)[1], data_rows(res6.output)[1]
+        assert [float(v) for row in rows1 for v in row] == pytest.approx([float(v) for row in rows6 for v in row], rel=1e-13)
+
     def test_uppercase_flag_spelling(self, runner):
         res = runner.invoke(
             main,

@@ -18,7 +18,6 @@ from qlaplace import (
     TaylorSeries,
     WidderConfig,
     catalog_transform,
-    classical_post_widder,
     q_post_widder,
     roundtrip,
     series_invert,
@@ -27,6 +26,7 @@ from qlaplace import (
 )
 from qlaplace.inverse import _widder_sums
 from pfq_oracle import CATALOG_SPECS
+from post_widder_oracle import classical_post_widder
 
 Q5 = QParam(0.5)
 Q1 = QParam(1.0)

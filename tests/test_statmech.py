@@ -15,9 +15,13 @@ from qlaplace import (
     ideal_gas_partition,
     ideal_gas_partition_quadrature,
     oscillator_partition,
+    widder_weight,
+    xi_factor,
 )
+from post_widder_oracle import classical_post_widder
 
 Q5 = QParam(0.5)
+Q1 = QParam(1.0)
 
 
 class TestIdealGasPartition:
@@ -50,9 +54,7 @@ class TestIdealGasPartition:
             prev = err
         assert prev < 1e-3
 
-    def test_rejects_classical_and_bad_beta(self):
-        with pytest.raises(DomainError):
-            ideal_gas_partition(QParam(1.0), IdealGasModel(1, 2), 1.0)
+    def test_rejects_bad_beta(self):
         with pytest.raises(DomainError):
             ideal_gas_partition(Q5, IdealGasModel(1, 2), 0.0)
 
@@ -228,6 +230,23 @@ class TestNonFiniteParameters:
         with pytest.raises(DomainError, match="finite"):
             OscillatorModel(1, 3, **{field: bad})
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    @pytest.mark.parametrize(
+        "call, named",
+        (
+            (lambda x: ideal_gas_partition(Q5, IdealGasModel(1, 2), x), "beta"),
+            (lambda x: oscillator_partition(Q5, OscillatorModel(1, 1), x), "beta"),
+            (lambda x: ideal_gas_partition_quadrature(Q5, IdealGasModel(1, 2), x), "beta"),
+            (lambda x: widder_weight(Q5, 3, x), "y"),
+            (lambda x: xi_factor(Q5, x), "m"),
+        ),
+        ids=("gas", "oscillator", "gas-quadrature", "widder-weight", "xi-factor"),
+    )
+    def test_argument_is_named(self, call, named, bad):
+        # each used to return nan or 0, warn, or raise an error naming another quantity
+        with pytest.raises(DomainError, match=f"{named} = {bad}"):
+            call(bad)
+
 
 def mp_partition(q, model, beta):
     """Z_q(beta) = prefactor / q_poly(2-q, m) * beta**-m from the model's
@@ -267,3 +286,40 @@ class TestClassicalContinuity:
         q, model = QParam(1.0 - 1e-8), OscillatorModel(1, 3)
         want = mp_partition(q, model, 1.0)
         assert abs(oscillator_partition(q, model, 1.0) - want) <= 1e-14 * want
+
+
+class TestClassicalQ:
+    """q = 1: the q_poly factor and xi are 1, so Z and the Post-Widder estimates of g(E)
+    are the classical ones."""
+
+    def test_gas_partition(self):
+        model = IdealGasModel(2, 3, V=0.7, mass=1.3, h=0.9)
+        beta, dn = 1.3, 6
+        classical = model.V**model.N * (2.0 * math.pi * model.mass / beta) ** (dn / 2.0) / (
+            model.h**dn * math.factorial(model.N)
+        )
+        assert ideal_gas_partition(Q1, model, beta) == pytest.approx(classical, rel=1e-14)
+
+    def test_oscillator_partition(self):
+        model = OscillatorModel(2, 2, omega=1.7, hbar=0.8)
+        beta = 0.9
+        assert oscillator_partition(Q1, model, beta) == pytest.approx((beta * 0.8 * 1.7) ** -4.0, rel=1e-14)
+
+    @pytest.mark.parametrize("model", (IdealGasModel(3, 2, V=0.7), OscillatorModel(1, 3, omega=2.0)),
+                             ids=("gas", "oscillator"))
+    def test_density_of_states_is_classical_post_widder(self, model):
+        # Z = C beta**-m: F^(k)(s) = C (-1)**k Gamma(m+k)/Gamma(m) s**-(m+k)
+        m = model.transform_power
+        log_c = model.log_prefactor
+        oracle = lambda k, s: (-1.0) ** k * math.exp(log_c + math.lgamma(m + k) - math.lgamma(m) - (m + k) * math.log(s))
+        cfg = WidderConfig((4, 16, 64), None, extrapolate=False)
+        dos = density_of_states(Q1, model, [0.5, 2.0], cfg)
+        for e, ests in dos.k_estimates:
+            for est in ests:
+                assert est.value == pytest.approx(classical_post_widder(oracle, e, est.k), rel=1e-12)
+        assert dos.analytic(2.0) == pytest.approx(math.exp(log_c) * 2.0 ** (m - 1) / math.gamma(m), rel=1e-13)
+
+    def test_brute_force_needs_q_below_1(self):
+        # the momentum disc of radius 1/sqrt((1-q) beta/(2 mass)) is unbounded at q = 1
+        with pytest.raises(DomainError, match="q < 1"):
+            ideal_gas_partition_quadrature(Q1, IdealGasModel(1, 2), 1.0)

@@ -30,7 +30,6 @@ from qlaplace import (
     Sine,
     WidderConfig,
     catalog_transform,
-    classical_post_widder,
     convolution_check_classical,
     derivative_rule_check,
     forward_numeric,
@@ -50,6 +49,7 @@ from qlaplace import (
 )
 from qlaplace.qmath import _power_map
 from pfq_oracle import CATALOG_SPECS, pfq_series
+from post_widder_oracle import classical_post_widder
 
 Q5 = QParam(0.5)
 Q1 = QParam(1.0)
@@ -602,6 +602,8 @@ class TestConvolution:
         (lambda: catalog_transform(Q5, Sine(1.0), 2.5), "n_terms = 2.5"),
         (lambda: roundtrip(Q5, Sine(1.0), 4.5), "n_terms = 4.5"),
         (lambda: Monomial(2.5), "power = 2.5"),
+        (lambda: Gaussian(1.0).derivative(1.5), "order = 1.5"),
+        (lambda: Sine(1.0).derivative(-1), "order = -1"),
         (lambda: shift_kernel_factor(Q5, math.nan, 1.0, 0.1), "s = nan"),
         (lambda: translation_check(Q5, Monomial(2), math.nan, 1.0), "t0 = nan"),
         (lambda: catalog_transform(Q5, Sine(1.0)).derivative_value(1.5, 2.0), "k = 1.5"),
@@ -618,7 +620,8 @@ class TestConvolution:
         (lambda: linearity_check(Q5, Monomial(2), math.nan, Exponential(1.0, -1), -0.5, 1.0), "a1 = nan"),
         (lambda: linearity_check(Q5, Monomial(2), 2.0, Exponential(1.0, -1), math.inf, 1.0), "a2 = inf"),
     ),
-    ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "shift", "translation",
+    ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "catalog-order",
+         "catalog-negative-order", "shift", "translation",
          "derivative-order", "k-schedule", "fixed-m", "widder-weight", "classical-post-widder", "gas-D",
          "oscillator-N", "max-terms", "n-max", "scaling-nan", "scaling-inf", "linearity-a1", "linearity-a2"),
 )
