@@ -76,23 +76,20 @@ def _qexp_deriv(eps: float, c: float, arr: np.ndarray, order: int):
 _SNAP = 32.0 * float(np.finfo(float).eps)
 
 
-def _dfactor(j: float, eps_prime: float) -> float:
-    """The series step factor 1 - j*(1-q'), snapped to exact 0 within a few
-    ulps so that terminating deformed series (integer 1/(1-q')) terminate
-    exactly instead of trailing rounding noise.  At q' = 1 it is 1, returned
-    without the snap test, which would otherwise dominate classical series."""
-    if eps_prime == 0.0:
-        return 1.0
-    v = 1.0 - j * eps_prime
-    return 0.0 if abs(v) <= _SNAP * max(1.0, j * eps_prime) else v
-
-
 def _qexp_taylor(eps: float, c: float, n_max: int) -> list[float]:
-    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max: the one recurrence."""
-    coeffs = [1.0]
-    for n in range(1, n_max + 1):
-        coeffs.append(coeffs[-1] * (_dfactor(n - 1, eps) * c / n))
-    return coeffs
+    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max: the one recurrence
+    a_n = a_(n-1) * (d_(n-1)*c/n), one running product over its step factors.
+    d_j = 1 - j*(1-q') is snapped to exact 0 within a few ulps so that terminating
+    deformed series (integer 1/(1-q')) terminate exactly instead of trailing rounding
+    noise.  Coefficients past double range come out inf (nan once a zero factor meets
+    them), quietly: the transform refuses them."""
+    j = np.arange(n_max, dtype=float)
+    d = 1.0 - j * eps
+    d[np.abs(d) <= _SNAP * np.maximum(1.0, j * eps)] = 0.0
+    steps = np.ones(n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps[1:] = d * c / (j + 1.0)
+        return np.cumprod(steps).tolist()
 
 
 @functools.lru_cache(maxsize=256)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +66,12 @@ class TaylorSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
-        if not all(math.isfinite(a) for a in self.coeffs):
+        c = np.asarray(self.coeffs, dtype=float)
+        if not len(c):
+            raise DomainError("empty Taylor series")
+        if not np.all(np.isfinite(c)):
             raise DomainError("non-finite Taylor coefficient")
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     @functools.cached_property
     def t_max(self) -> float:
@@ -109,8 +113,10 @@ class WidderConfig:
             object.__setattr__(self, "fixed_m", _integer_arg("fixed_m", self.fixed_m, 2))
 
 
-@dataclass(frozen=True)
-class WidderEstimate:
+class WidderEstimate(NamedTuple):
+    """One finite-k estimate and, after the first of a schedule, its running
+    Richardson value (None when extrapolation is off)."""
+
     k: int
     value: float
     extrapolated: float | None = None
@@ -135,12 +141,13 @@ def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEs
     """Wrap raw finite-k values, one row per point and one column per k,
     attaching to each estimate after the first its running 1/k Richardson
     value when ``enabled``."""
-    values = np.asarray(values, dtype=float)
-    extr = values @ _richardson_weights(tuple(ks)).T
-    return [
-        [WidderEstimate(int(k), v, e if enabled and i else None) for i, (k, v, e) in enumerate(zip(ks, row, row_e))]
-        for row, row_e in zip(values.tolist(), extr.tolist())
-    ]
+    ks, values = [int(k) for k in ks], np.asarray(values, dtype=float)
+    if not enabled:
+        return [list(map(WidderEstimate, ks, row)) for row in values.tolist()]
+    extr = (values @ _richardson_weights(tuple(ks)).T).tolist()
+    for row_e in extr:  # the first k has nothing to extrapolate from
+        row_e[0] = None
+    return [list(map(WidderEstimate, ks, row, row_e)) for row, row_e in zip(values.tolist(), extr)]
 
 
 def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
@@ -165,15 +172,18 @@ def q_post_widder(
     """
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and positive, got t = {t}")
-    c = np.asarray(F.coeffs)
-    if not np.any(c):
+    n, log_c, sign_c = F._log_form
+    if not len(n):
         raise DomainError("empty transform series")
-    # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(np.abs(c)) - _log_power_map(0.0 if cfg.fixed_m else q.eps, len(c).bit_length())[: len(c)]
+    # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero c_n
+    # stays in as a -inf exponent, as _widder_sums takes the whole run of orders 0..size-1
+    size = len(F.coeffs)
+    log_w, sign = np.full(size, -math.inf), np.zeros(size)
+    log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
+    sign[n] = sign_c
     if cfg.fixed_m:
-        log_w += math.log(2.0 - q.q) - np.arange(len(c)) * math.log(xi_factor(q, cfg.fixed_m))
-    values = _widder_sums(log_w, np.sign(c), 0.0, [t], cfg.k_schedule)
+        log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
+    values = _widder_sums(log_w, sign, 0.0, [t], cfg.k_schedule)
     return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)[0]
 
 
@@ -185,7 +195,7 @@ def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
     t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude.  Also valid
     at q = 1, where it reduces to the classical rule a_n = c_n/n!.
     """
-    return TaylorSeries(tuple(_power_map(q, F.coeffs, inverse=True).tolist()))
+    return TaylorSeries(_power_map(q, F.coeffs, inverse=True))
 
 
 @dataclass(frozen=True)

@@ -232,8 +232,13 @@ def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, wh
     powers_n * log x), one row per x > 0 (checked by the caller), each term in
     log magnitude (-inf is a zero term); QLaplaceError naming ``what`` on overflow."""
     log_x = np.log(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * np.ndim(log_w))
+    exponent = log_w + log_x * powers
+    # with every exponent below 709 - log(n), each of the n terms is below e**709 / n and
+    # their sum below e**709 < DBL_MAX: only past that (or at a nan) can a sum leave double range
+    if exponent.max(initial=-math.inf) < 709.0 - math.log(max(exponent.shape[-1], 1)):
+        return (np.exp(exponent) * sign).sum(axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = (np.exp(log_w + log_x * powers) * sign).sum(axis=-1)
+        sums = (np.exp(exponent) * sign).sum(axis=-1)
     if not np.all(np.isfinite(sums)):
         raise QLaplaceError(f"{what} overflows double precision despite log-domain handling")
     return sums

@@ -120,15 +120,21 @@ class PowerSeriesTransform:
         return self._term_sum(_integer_arg("k", k, 0), s)
 
     def _term_sum(self, k: int, s):
-        arr = np.asarray(s, dtype=float)
-        inside = (arr > 0.0) & (arr < math.inf)
-        if not inside.all():
-            raise DomainError(f"s must be finite and positive, got s = {arr[~inside].flat[0]}")
-        n, log_c, sign = self._log_form
-        log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
-        log_w = log_c + (log_fact[n + k] - log_fact[n])
-        out = _log_term_sum(log_w, -sign if k % 2 else sign, -1.0 - k - n, arr, f"F^({k})(s)")
-        return out.reshape(arr.shape) if arr.ndim else float(out[0])
+        if isinstance(s, (float, int)):  # a plain number is checked without array work
+            arr = float(s)
+            if not 0.0 < arr < math.inf:
+                raise DomainError(f"s must be finite and positive, got s = {arr}")
+        else:
+            arr = np.asarray(s, dtype=float)
+            inside = (arr > 0.0) & (arr < math.inf)
+            if not inside.all():
+                raise DomainError(f"s must be finite and positive, got s = {arr[~inside].flat[0]}")
+        n, log_w, sign = self._log_form
+        if k:  # log|c_n| + log((n+k)!/n!), and the sign of (-1)**k
+            log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
+            log_w, sign = log_w + (log_fact[n + k] - log_fact[n]), -sign if k % 2 else sign
+        out = _log_term_sum(log_w, sign, -1.0 - k - n, arr, f"F^({k})(s)")
+        return out.reshape(arr.shape) if np.ndim(arr) else float(out[0])
 
 
 # --------------------------------------------------------------------------

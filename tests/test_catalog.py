@@ -25,6 +25,7 @@ from qlaplace import (
     catalog_transform,
     make_catalog_function,
 )
+from qlaplace.catalog import _SNAP, _qexp_taylor
 
 QP = QParam(0.7)
 
@@ -136,6 +137,46 @@ class TestTaylor:
     def test_parity(self):
         assert all(c == 0.0 for c in Gaussian(1.0).taylor_coefficients(9)[1::2])
         assert all(c == 0.0 for c in QSine(QP, 1.0).taylor_coefficients(9)[0::2])
+
+
+def scalar_qexp_taylor(eps: float, c: float, n_max: int) -> list[float]:
+    """The q-exponential Taylor recurrence term by term in Python floats: the reference the
+    array recurrence must equal bit for bit (same step factors, same multiplication order)."""
+    coeffs = [1.0]
+    for n in range(1, n_max + 1):
+        d = 1.0
+        if eps != 0.0:
+            d = 1.0 - (n - 1) * eps
+            if abs(d) <= _SNAP * max(1.0, (n - 1) * eps):
+                d = 0.0
+        coeffs.append(coeffs[-1] * (d * c / n))
+    return coeffs
+
+
+class TestTaylorRecurrence:
+    @pytest.mark.parametrize("qprime", (1.0, 0.5, 2.0 / 3.0, 0.985, 1.0 - 1e-12))
+    @pytest.mark.parametrize("c", (2.5, -2.5))
+    @pytest.mark.parametrize("n_max", (0, 1, 40, 200))
+    def test_equals_scalar_recurrence(self, qprime, c, n_max):
+        eps = QParam(qprime).eps
+        got = _qexp_taylor(eps, c, n_max)
+        assert got == scalar_qexp_taylor(eps, c, n_max)
+        assert len(got) == n_max + 1 and all(type(a) is float for a in got)
+
+    def test_terminating_snap(self):
+        # 1/(1-q') = 3 up to rounding of 1-q': the factor 1 - 3(1-q') snaps to exact 0
+        assert _qexp_taylor(QParam(2.0 / 3.0).eps, 2.5, 40)[4:] == [0.0] * 37
+
+    def test_overflow_to_inf_is_quiet(self):
+        # the coefficients of test_non_finite_coefficients_rejected pass double range: the
+        # recurrence leaves inf with no RuntimeWarning (which the suite makes an error)
+        eps = QParam(0.2).eps
+        got = _qexp_taylor(eps, 60.0, 199)
+        assert math.inf in got and got == scalar_qexp_taylor(eps, 60.0, 199)
+        # a step factor d_j c/(j+1) itself past double range
+        eps = QParam(0.01).eps
+        assert _qexp_taylor(eps, 1e307, 5) == scalar_qexp_taylor(eps, 1e307, 5) == [
+            1.0, 1e307, math.inf, -math.inf, math.inf, -math.inf]
 
 
 def make_entry(key: str, qprime: float = 0.7):

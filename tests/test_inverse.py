@@ -17,6 +17,7 @@ from qlaplace import (
     Sine,
     TaylorSeries,
     WidderConfig,
+    WidderEstimate,
     catalog_transform,
     q_post_widder,
     roundtrip,
@@ -24,7 +25,7 @@ from qlaplace import (
     widder_weight,
     xi_factor,
 )
-from qlaplace.inverse import _widder_sums
+from qlaplace.inverse import _richardson_weights, _widder_sums, extrapolate_schedule
 from pfq_oracle import CATALOG_SPECS
 from post_widder_oracle import classical_post_widder
 
@@ -200,6 +201,29 @@ class TestRichardson:
         ests = q_post_widder(q, F, 0.5, WidderConfig((4, 8, 16), extrapolate=False))
         assert all(e.extrapolated is None for e in ests)
 
+    def test_schedule_rows(self):
+        ks = (4, 8, 16, 32, 64)
+        values = np.random.default_rng(5).normal(size=(3, len(ks)))
+        off = extrapolate_schedule(ks, values, enabled=False)
+        assert [[e.k for e in row] for row in off] == [list(ks)] * 3
+        assert [[e.value for e in row] for row in off] == values.tolist()
+        assert all(e.extrapolated is None for row in off for e in row)
+        on = extrapolate_schedule(ks, values)
+        want = values @ _richardson_weights(ks).T
+        assert [[e.value for e in row] for row in on] == values.tolist()
+        assert all(row[0].extrapolated is None for row in on)
+        assert [[e.extrapolated for e in row[1:]] for row in on] == want[:, 1:].tolist()
+
+
+class TestWidderEstimate:
+    def test_immutable_record(self):
+        e = WidderEstimate(8, 0.25)
+        assert (e.k, e.value, e.extrapolated) == (8, 0.25, None)
+        with pytest.raises(AttributeError):
+            e.value = 1.0
+        k, value, extrapolated = WidderEstimate(16, 0.5, 0.49)
+        assert (k, value, extrapolated) == (16, 0.5, 0.49) == WidderEstimate(16, 0.5, 0.49)
+
 
 class TestQPostWidderPerTerm:
     @pytest.mark.parametrize("qv", REFERENCE_QS)
@@ -305,6 +329,10 @@ class TestSeriesInvert:
         assert ts.t_max == pytest.approx(math.factorial(19) ** (1 / 19) * 1e-13 ** (1 / 19), rel=1e-14)
         assert abs(ts(ts.t_max) - math.exp(ts.t_max)) <= 1e-12 * math.exp(ts.t_max)
         assert "t_max" in vars(ts)
+
+    def test_empty_taylor_series_rejected(self):
+        with pytest.raises(DomainError, match="empty Taylor series"):
+            TaylorSeries(())
 
     def test_taylor_series_evaluation(self):
         ts = TaylorSeries((1.0, -1.0, 0.5))

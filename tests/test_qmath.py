@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qlaplace import DomainError, QParam, q_exp, q_log, q_poly, q_product_arg, xi_factor
-from qlaplace.qmath import _log_q_poly, _radius, _xi_factor_real
+from qlaplace import DomainError, QLaplaceError, QParam, q_exp, q_log, q_poly, q_product_arg, xi_factor
+from qlaplace.qmath import _log_q_poly, _log_term_sum, _radius, _xi_factor_real
 
 Q_GRID = (0.3, 0.6, 0.9)
 
@@ -287,6 +287,50 @@ class TestRadius:
 
     def test_overflowing_radius_is_inf(self):
         assert _radius(np.arange(3), np.array([0.0, -800.0, -1600.0]), 3) == math.inf
+
+
+def checked_term_sum(log_w, sign, powers, x):
+    """The series sum with every overflow left in (inf or nan), for comparison."""
+    log_x = np.log(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * np.ndim(log_w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.exp(log_w + log_x * powers) * sign).sum(axis=-1)
+
+
+class TestLogTermSum:
+    """The one series evaluator: a sum that can leave double range raises, naming it."""
+
+    @pytest.mark.parametrize(
+        "log_w",
+        (
+            np.array([709.8]),  # the term itself overflows
+            np.full(200, 705.0),  # each term finite, their sum past DBL_MAX
+            np.array([0.0, math.nan, 1.0]),  # a nan weight
+        ),
+        ids=("one-term", "sum", "nan"),
+    )
+    def test_overflow_raises(self, log_w):
+        n = len(log_w)
+        with pytest.raises(QLaplaceError, match="the probe"):
+            _log_term_sum(log_w, np.ones(n), np.zeros(n), [1.0], "the probe")
+
+    def test_below_threshold_is_the_checked_sum(self):
+        # largest exponent just under 709 - log(200), mixed signs, powers and two rows of x
+        rng = np.random.default_rng(3)
+        powers = np.arange(200.0)
+        x = np.array([0.5, 2.0])
+        log_w = rng.uniform(600.0, 700.0, 200) - powers * np.log(2.0)
+        log_w += 709.0 - math.log(200.0) - 1e-9 - (log_w + powers * math.log(2.0)).max()
+        sign = rng.choice((-1.0, 1.0), 200)
+        got = _log_term_sum(log_w, sign, powers, x, "sum")
+        assert np.array_equal(got, checked_term_sum(log_w, sign, powers, x))
+        assert np.all(np.isfinite(got))
+
+    def test_above_threshold_finite_sum(self):
+        # 200 terms at 704 > 709 - log(200) take the checked route and still sum to e**709.3
+        log_w = np.full(200, 704.0)
+        got = _log_term_sum(log_w, np.ones(200), np.zeros(200), [1.0], "sum")
+        assert got[0] == checked_term_sum(log_w, np.ones(200), np.zeros(200), [1.0])[0]
+        assert got[0] == pytest.approx(200.0 * math.exp(704.0), rel=1e-13)
 
 
 class TestBridgeIdentities:
