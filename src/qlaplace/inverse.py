@@ -23,16 +23,17 @@ Only the weights and the offset p0 differ between callers:
 * statmech.density_of_states: one power C * s**-m at real m, a single term
   at p0 = m - 1.
 
-Every term is formed in log magnitude by the package's one series evaluator,
-qmath._log_term_sum, so the schedule can run to large k; a result past double
-range raises QLaplaceError.  Richardson extrapolation in 1/k is one cached
-weight matrix per schedule.
+Every term, of these and of a TaylorSeries value (the t view of the one series
+type, qmath.PowerSeries), is formed in log magnitude by qmath._log_term_sum, so the
+schedule runs to large k and a sum past double range raises QLaplaceError.
+Richardson extrapolation in 1/k is one cached weight matrix per schedule.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ import numpy as np
 from .catalog import CatalogFunction
 from .errors import DomainError
 from .qmath import (
-    QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _radius, xi_factor,
+    PowerSeries, QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, xi_factor,
 )
 from .transform import PowerSeriesTransform, _rel_err, catalog_transform
 
@@ -58,35 +59,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TaylorSeries:
-    """f(t) = sum_n coeffs[n] * t**n, valid for |t| <= t_max: the radius of
-    `qmath._radius`, read on first use and cached, capped at 1e3 so that a
-    one-term series still has a finite grid to sample."""
+class TaylorSeries(PowerSeries):
+    """f(t) = sum_n coeffs[n] * t**n, valid for |t| <= t_max, the t view of `qmath.PowerSeries`
+    summed by its term sum: t_max, cached on first read, is its radius capped at 1e3 (a one-term
+    series still gets a grid) and at the t where a term |a_n| t**n would reach DBL_MAX/len(coeffs)."""
 
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if not len(c):
-            raise DomainError("empty Taylor series")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("non-finite Taylor coefficient")
-        object.__setattr__(self, "coeffs", tuple(c.tolist()))
+    _kind = "Taylor"
 
     @functools.cached_property
     def t_max(self) -> float:
-        c = np.asarray(self.coeffs)
-        n = np.flatnonzero(c)
-        return min(_radius(n, np.log(np.abs(c[n])), len(c)), 1e3)
+        n, log_a, _ = self._log_form
+        log_cap = ((math.log(sys.float_info.max / len(self.coeffs)) - log_a[n > 0]) / n[n > 0]).min(initial=math.inf)
+        return min(self.radius, 1e3 if log_cap > math.log(1e3) else math.exp(log_cap))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError(f"t must be finite, got t = {arr[~np.isfinite(arr)].flat[0]}")
-        acc = np.zeros_like(arr)
-        for a in reversed(self.coeffs):
-            acc = acc * arr + a
-        return acc if np.ndim(t) else float(acc)
+        n, log_a, sign = self._log_form
+        # terms at |t| with the sign (-1)**n where t < 0; t = 0 (summed at the least normal |t|) is a_0
+        y, signs = np.abs(arr).reshape(-1), np.where(arr.reshape(-1, 1) < 0.0, sign * (1 - 2 * (n % 2)), sign)
+        out = np.where(y > 0.0, _log_term_sum(log_a, signs, n, y.clip(sys.float_info.min), "f(t)"), self.coeffs[0])
+        return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ catalog's deformed functions and their derivatives, the Boltzmann weight
 and the Widder weight, is one routine, `_q_exp_pow`, which forms it as
 ``exp(p*log1p(eps*x)/eps)`` and so stays exact to rounding as q -> 1.
 
-The power-series helpers live here too: the power map, the one series
-evaluator and the one validity rule, `_radius`, behind `s_min` and `t_max`.
+The power-series helpers live here too: the power map, the one series type,
+`PowerSeries`, the one series evaluator, `_log_term_sum`, that sums both of its
+views, and the one validity rule, `_radius`, behind `s_min` and `t_max`.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -242,3 +243,27 @@ def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, wh
     if not np.all(np.isfinite(sums)):
         raise QLaplaceError(f"{what} overflows double precision despite log-domain handling")
     return sums
+
+
+@dataclass(frozen=True)
+class PowerSeries:
+    """Coefficients x_n, checked once for the two views, `transform.PowerSeriesTransform` and
+    `inverse.TaylorSeries`, each naming itself by ``_kind``; ``_log_form`` is what `_log_term_sum`
+    sums (nonzero n, log|x_n|, signs) and ``radius`` the `_radius` of it, cached on first read."""
+
+    coeffs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        c = np.asarray(self.coeffs, dtype=float)
+        if not len(c):
+            raise DomainError(f"empty {self._kind} series")
+        if not np.isfinite(c).all():
+            n = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise QLaplaceError(f"{self._kind} coefficient c_{n} = {c[n]} is not finite")
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
+        n = c.nonzero()[0]
+        object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
+
+    @functools.cached_property
+    def radius(self) -> float:
+        return _radius(*self._log_form[:2], len(self.coeffs))

@@ -33,9 +33,11 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, QLaplaceError
+from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule
+from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _xi_factor_real
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
-from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule, q_post_widder  # noqa: F401
-from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _xi_factor_real, q_poly as _q_poly_real  # noqa: F401
+from .inverse import q_post_widder  # noqa: F401
+from .qmath import q_poly as _q_poly_real  # noqa: F401
 from .quadrature import dyadic_breakpoints, integrate
 
 __all__ = [

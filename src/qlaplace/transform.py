@@ -15,9 +15,9 @@ The analytic route (`catalog_transform`) gives the closed forms of the
 catalog families as power series F(s) = sum_n c_n s^-(n+1) for every q,
 q = 1 included, transforming the Taylor series of f term by term: t^n maps
 to n!/q_poly(2-q, n+1) s^-(n+1) (n! s^-(n+1) at q = 1), the rule the paper
-sums into pFq closed forms; its values and s-derivatives are one
-log-magnitude term sum (`qmath._log_term_sum`).  The numeric route shares
-none of this, so each can serve as the other's oracle.
+sums into pFq closed forms, held as a PowerSeriesTransform (the 1/s view of
+`qmath.PowerSeries`; values and s-derivatives by `qmath._log_term_sum`).  The
+numeric route shares none of this, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import numpy as np
 
 from .catalog import CatalogFunction, Monomial
 from .errors import DomainError, QLaplaceError, QuadratureError
-# perfbench/spans.py wraps pfq_term_coefficients and q_poly here: keep both importable.
-from .hypergeom import pfq_term_coefficients  # noqa: F401
-from .qmath import (  # noqa: F401
-    QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp, q_poly,
+from .qmath import (
+    PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp,
 )
 from .quadrature import _ABS_TOL, _REL_TOL, _vectorized, dyadic_breakpoints, integrate
-# perfbench/spans.py wraps integrate_half_line here, which nothing in the package calls: keep it importable.
+# perfbench/spans.py wraps these three here (nothing in the package calls the last): keep them importable.
+from .hypergeom import pfq_term_coefficients  # noqa: F401
+from .qmath import q_poly  # noqa: F401
 from .quadrature import integrate_half_line  # noqa: F401
 
 __all__ = [
@@ -66,46 +66,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PowerSeriesTransform:
-    """F(s) = sum_n coeffs[n] * s**-(n+1), valid for s >= s_min.
+class PowerSeriesTransform(PowerSeries):
+    """F(s) = sum_n coeffs[n] * s**-(n+1), valid for s >= s_min, the 1/s view of `qmath.PowerSeries`.
 
     ``s_min``, read off the coefficients on first read and cached, keeps 1/s
     within their radius and the kernel support 1/((1-q)s) within that of the
     Taylor coefficients they map from, and short of ``t_cut``, the t past
     which the input function leaves its Taylor series (inf if it never
-    does; at q = 1 the kernel reaches t = -log(1e-13)/s).  Every coefficient
-    must be finite.  Values and derivatives, exact term by term, are one
-    log-magnitude sum over the nonzero terms, at s in (0, inf):
+    does; at q = 1 the kernel reaches t = -log(1e-13)/s).  Values and
+    derivatives, exact term by term, are one log-magnitude sum over the
+    nonzero terms, at s in (0, inf):
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
     """
 
-    coeffs: tuple[float, ...]
     q: QParam
     t_cut: float = math.inf
+    _kind = "transform"
 
     def __post_init__(self) -> None:
-        # one float array gives the coeffs tuple and the log form every evaluation sums:
-        # nonzero indices, log|c_n| and signs
-        c = np.asarray(self.coeffs, dtype=float)
-        if len(c) == 0:
-            raise DomainError("empty transform series")
-        if not np.all(np.isfinite(c)):
-            n = int(np.flatnonzero(~np.isfinite(c))[0])
-            raise QLaplaceError(f"transform coefficient c_{n} = {c[n]} is not finite")
+        super().__post_init__()
         if not self.t_cut > 0.0:
             raise DomainError(f"t_cut must be positive, got {self.t_cut}")
-        object.__setattr__(self, "coeffs", tuple(c.tolist()))
-        n = np.flatnonzero(c)
-        object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
 
     @functools.cached_property
     def s_min(self) -> float:
         """The largest of 1/R(c), 1/((1-q) R(a)) and the s whose kernel reaches t_cut, for the
         radii R of `qmath._radius` (the second is dropped at q = 1)."""
-        n, log_c, _ = self._log_form
+        (n, log_c, _), radius = self._log_form, self.radius
         size, reach = len(self.coeffs), -math.log(_TAIL)  # exp(-s t) falls to _TAIL at t = reach/s
-        radius = _radius(n, log_c, size)
         if not self.q.classical:  # the support ends at t = reach/s
             log_a = log_c - _log_power_map(self.q.eps, size.bit_length())[n]
             radius, reach = min(radius, self.q.eps * _radius(n, log_a, size)), 1.0 / self.q.eps

@@ -1,6 +1,10 @@
 """Post-Widder inversion: classical and deformed estimators, series rule."""
 
+import importlib.util
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +349,90 @@ class TestSeriesInvert:
         for arg in (t, np.array([0.5, t])):
             with pytest.raises(DomainError):
                 ts(arg)
+
+
+class TestTaylorValues:
+    """Taylor values are the one log-magnitude term sum at |t|, with the parity sign
+    (-1)**n where t < 0 and the constant term at t = 0."""
+
+    # c of the bound c*u*sum|a_n t**n| against a 40-digit sum of the same coefficients: each
+    # term is exp of its log magnitude, so it carries about |log|a_n t**n||*u; the largest
+    # ratio measured on this grid is 8.2 (Horner's is 2.8), doubled and rounded up to 16
+    C = 16.0
+
+    @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9, 1.0))
+    @pytest.mark.parametrize("f", CATALOG_SPECS, ids=lambda f: f.label)
+    def test_against_mpmath(self, f, qv):
+        mpmath = pytest.importorskip("mpmath")
+        q = QParam(qv)
+        for n_terms in (16, 21, 24, 40):
+            ts = series_invert(q, catalog_transform(q, f, n_terms))
+            t = np.linspace(-1.0, 1.0, 33) * ts.t_max  # t = 0 in the middle
+            values = ts(t)
+            assert values[16] == ts(0.0) == ts.coeffs[0]
+            for x, v in zip(t.tolist(), values.tolist()):
+                with mpmath.workdps(40):
+                    terms = [mpmath.mpf(a) * mpmath.mpf(x) ** n for n, a in enumerate(ts.coeffs)]
+                    want, scale = mpmath.fsum(terms), float(mpmath.fsum(map(abs, terms)))
+                    errors = [float(abs(mpmath.mpf(got) - want)) for got in (v, ts(x))]
+                assert max(errors) <= self.C * 2.0**-53 * scale, (n_terms, x)
+
+
+def _load_benchmark_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneValidation:
+    """Both series views are checked once, by qmath.PowerSeries: an empty series is a
+    DomainError and a non-finite coefficient a QLaplaceError naming it; a Taylor value
+    past double range raises instead of overflowing to inf."""
+
+    VIEWS = ((TaylorSeries, "Taylor"), (lambda c: PowerSeriesTransform(c, Q5), "transform"))
+
+    def test_empty(self):
+        for make, what in self.VIEWS:
+            with pytest.raises(DomainError, match=f"empty {what} series"):
+                make(())
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_coefficient(self, bad):
+        for make, what in self.VIEWS:
+            with pytest.raises(QLaplaceError, match=f"{what} coefficient c_1 = ") as info:
+                make((1.0, bad, 2.0))
+            assert not isinstance(info.value, DomainError)
+
+    def test_value_past_double_range(self):
+        ts = TaylorSeries((1e300, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e10, -1e10, np.array([1.0, 1e10])):
+                with pytest.raises(QLaplaceError, match="overflows"):
+                    ts(t)
+
+    def test_t_max_keeps_every_term_in_double_range(self):
+        # t**120 passes DBL_MAX below t = 1e3: t_max stops where |a_n| t**n reaches
+        # DBL_MAX/len(coeffs), so the roundtrip grid of Monomial(m >= 104) stays finite
+        ts = TaylorSeries((0.0,) * 120 + (1.0,))
+        assert ts.t_max == pytest.approx((sys.float_info.max / 121) ** (1 / 120), rel=1e-14)
+        assert math.isfinite(ts(ts.t_max)) and math.isfinite(ts(-ts.t_max))
+        assert TaylorSeries((1.0, 1e-300)).t_max == 1e3
+        for m in (104, 120, 400):
+            rep = roundtrip(Q5, Monomial(m), 20)
+            assert all(e <= 1e-9 for e in rep.pointwise_errors), m
+
+    def test_benchmark_invert200_inputs_do_not_raise(self):
+        # the 39 fixed 200-term series_invert ops of the benchmark's series-inverse workload
+        inputs = _load_benchmark_inputs()
+        cases = inputs.invert200_inputs()
+        assert len(cases) == 39
+        for qv, spec in cases:
+            q = QParam(qv)
+            rec = series_invert(q, catalog_transform(q, inputs.build_family(spec), 200))
+            assert all(math.isfinite(a) for a in rec.coeffs), (qv, spec)
 
 
 class TestFiniteKFactor:
