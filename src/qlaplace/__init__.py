@@ -28,6 +28,7 @@ from .catalog import (
     make_catalog_function,
 )
 from .transform import (
+    IDENTITIES,
     CheckReport,
     LimitIdentityReport,
     PowerSeriesTransform,
@@ -37,6 +38,7 @@ from .transform import (
     convolution_check_classical,
     derivative_rule_check,
     forward_numeric,
+    identity_rows,
     integral_rule_diagnostic,
     kernel_pair_integral,
     limit_identity_check,

@@ -5,7 +5,7 @@ Subcommands
 transform   evaluate a catalog transform on an s grid, quadrature vs closed form
 invert      finite-k inversion estimates against the known original
 roundtrip   closed form -> term-wise inversion -> coefficient comparison
-identities  run the transform identity/diagnostic suite at one q
+identities  print the rows of the library's identity table (`transform.identity_rows`) at one q
 statmech    partition-function inversion: density-of-states tables
 
 Every subcommand takes any q in (0, 1], the classical q = 1 included.
@@ -26,35 +26,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import partial
 
 import click
 
 from . import __version__
-from .catalog import Cosine, Exponential, Monomial, make_catalog_function
+from .catalog import make_catalog_function
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
 from .qmath import QParam
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
-from .transform import (
-    RatioScanReport,
-    TranslationReport,
-    catalog_transform,
-    derivative_rule_check,
-    forward_numeric,
-    integral_rule_diagnostic,
-    limit_identity_check,
-    linearity_check,
-    convolution_check_classical,
-    qderivative_of_transform_check,
-    qintegral_of_transform_check,
-    scaling_check,
-    shift_kernel_factor,
-    translation_check,
-    _rel_err,
-)
-
-_PASS_TOL = 1e-6
+from .transform import _rel_err, catalog_transform, forward_numeric, identity_rows
 
 
 # --------------------------------------------------------------------------
@@ -319,45 +300,6 @@ def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_m
 # identities
 
 
-def _columns(rep) -> tuple:
-    """(lhs, rhs, rel_err, ratio) of a check report."""
-    if isinstance(rep, TranslationReport):
-        return rep.lhs_proof_form, rep.rhs_integral, abs(rep.ratio_proof - 1.0), rep.ratio_proof
-    if isinstance(rep, RatioScanReport):
-        return rep.ratios[0], rep.ratios[-1], rep.spread_rel, rep.ratio_mean
-    return rep.lhs, rep.rhs, rep.rel_err, ""
-
-
-def _identity_rows(qp: QParam, s: float):
-    """One row per (name, check, tol) of the suite; tol None marks a diagnostic,
-    and a check whose domain excludes this q or s is reported as skipped."""
-    mono2, decay = Monomial(2), Exponential(1.0, -1)
-    table = [
-        ("limit-I", partial(limit_identity_check, qp, Cosine(1.0), "I"), _PASS_TOL),
-        ("limit-II", partial(limit_identity_check, qp, decay, "II", ladder=(1e-4, 1e-5, 1e-6, 1e-7)), 1e-5),
-        ("scaling", partial(scaling_check, qp, mono2, 2.0, s), _PASS_TOL),
-        ("shift-kernel", partial(shift_kernel_factor, qp, 2.0 * s, s, 0.2 / s), _PASS_TOL),
-        ("translation", partial(translation_check, qp, mono2, 0.1 / s, s), None),
-        ("derivative-rule-n1", partial(derivative_rule_check, qp, mono2, 1, s), _PASS_TOL),
-        ("qderivative-of-transform", partial(qderivative_of_transform_check, qp, mono2, 1, s), _PASS_TOL),
-        ("qintegral-of-transform", partial(qintegral_of_transform_check, qp, Monomial(3), s), _PASS_TOL),
-        ("integral-rule", partial(integral_rule_diagnostic, qp, mono2, [0.5 * s, s, 2.0 * s, 4.0 * s]), _PASS_TOL),
-        ("linearity", partial(linearity_check, qp, mono2, 2.0, decay, -0.5, s), _PASS_TOL),
-    ]
-    if qp.classical:
-        table.append(("convolution", partial(convolution_check_classical, decay, decay, s), _PASS_TOL))
-    rows = []
-    for name, check, tol in table:
-        try:
-            lhs, rhs, err, ratio = _columns(check())
-        except DomainError as exc:
-            rows.append((name, "skipped", "", "", "", str(exc).replace(",", ";")))
-            continue
-        status = "diagnostic" if tol is None else "pass" if err <= tol else "fail"
-        rows.append((name, status, lhs, rhs, err, ratio))
-    return rows
-
-
 @main.command()
 @click.option("--q", type=float, required=True)
 @click.option("--s", type=float, default=1.0, show_default=True, help="base evaluation point")
@@ -367,7 +309,7 @@ def identities(q, s, fmt, output, no_meta):
     qp = _qparam(q)
     if not 0.0 < s < math.inf:
         raise click.UsageError("--s must be finite and positive")
-    rows = _numeric_guard(lambda: _identity_rows(qp, s))
+    rows = _numeric_guard(lambda: identity_rows(qp, s))
     meta = {"command": f"identities q={q} s={s}"}
     _emit(("identity", "status", "lhs", "rhs", "rel_err", "ratio"), rows, meta, fmt, output, no_meta)
     if any(row[1] == "fail" for row in rows):

@@ -167,8 +167,6 @@ def q_post_widder(
     if not 0.0 < t < math.inf:
         raise DomainError(f"t must be finite and positive, got t = {t}")
     n, log_c, sign_c = F._log_form
-    if not len(n):
-        raise DomainError("empty transform series")
     # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero c_n
     # stays in as a -inf exponent, as _widder_sums takes the whole run of orders 0..size-1
     size = len(F.coeffs)

@@ -9,10 +9,12 @@ The deformation is controlled by a parameter ``q`` in ``(0, 1]``.  With
 reducing to ``exp(x)`` at ``q = 1``.  The cutoff branch makes the kernel
 ``q_exp(-s*t)`` compactly supported on ``[0, 1/(eps*s)]`` for ``q < 1``,
 which is what keeps every transform integral in this package finite.
-Every power of it in the package, the kernel, its pair partner, the
+Every power of it in the package, the kernel and its s-derivative, the
 catalog's deformed functions and their derivatives, the Boltzmann weight
 and the Widder weight, is one routine, `_q_exp_pow`, which forms it as
-``exp(p*log1p(eps*x)/eps)`` and so stays exact to rounding as q -> 1.
+``exp(p*log1p(eps*x)/eps)`` and so stays exact to rounding as q -> 1; the
+kernel-pair integrand, a product of two powers, is the same form with both
+logs in one exponent (`transform.kernel_pair_integral`).
 
 The power-series helpers live here too: the power map, the one series type,
 `PowerSeries`, the one series evaluator, `_log_term_sum`, that sums both of its

@@ -9,7 +9,10 @@ at q = 1; the numeric route maps either onto [0, 1) by one substitution,
 t = u/(s*(1-q*u)), and integrates there by adaptive quadrature at the
 package's one tolerance (`quadrature._REL_TOL`, `_ABS_TOL`); no function
 here takes a quadrature setting, and only the convolution's inner integral
-runs looser, by 10x.
+runs looser, by 10x.  The route takes the kernel at a power p: 1 for the
+transform, q for its exact s-derivative, 0 for the kernel-pair integrand.
+The paper's identities run from one table, `IDENTITIES`, whose rows
+`identity_rows(q, s)` returns for the CLI `identities` command to print.
 
 The analytic route (`catalog_transform`) gives the closed forms of the
 catalog families as power series F(s) = sum_n c_n s^-(n+1) for every q,
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CatalogFunction, Monomial
+from .catalog import CatalogFunction, Cosine, Exponential, Monomial
 from .errors import DomainError, QLaplaceError, QuadratureError
 from .qmath import (
     PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp,
@@ -58,6 +61,8 @@ __all__ = [
     "qintegral_of_transform_check",
     "convolution_check_classical",
     "linearity_check",
+    "IDENTITIES",
+    "identity_rows",
 ]
 
 
@@ -149,8 +154,8 @@ def forward_numeric(q: QParam, f, s: float) -> float:
 _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
 
 
-def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0) -> float:
-    """Integral of q_exp(-s*t) * g(t - t0) over t >= t0, for a vectorised g.
+def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0, p: float = 1.0) -> float:
+    """Integral of q_exp(-s*t)**p * g(t - t0) over t >= t0, for a vectorised g.
 
     One substitution serves every q in (0, 1]: with c = 1 - (1-q)*s*t0 and
     x = u/(1 - q*u), t = t0 + (c/s)*x maps u in [0, 1) onto the support
@@ -158,18 +163,21 @@ def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0) -> float:
     1 - (1-q)*s*t = c*(1-u)/(1-q*u), q_exp(-s*t) = q_exp(-s*t0) * q_exp(-x)
     exactly.  The integral is then
 
-        (c/s) q_exp(-s*t0) * integral_0^1 q_exp(-x) (1-q*u)**-2 g((c/s)*x) du,
+        (c/s) q_exp(-s*t0)**p * integral_0^1 q_exp(-x)**p (1-q*u)**-2 g((c/s)*x) du,
 
     with the cutoff at u = 1 for every q.  g is evaluated only where the
-    kernel is nonzero, and a non-finite sample is reported at its t.
+    kernel is nonzero, and a non-finite sample is reported at its t.  The
+    kernel power p is 1 for a transform, q for its s-derivative
+    (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
+    carries its own kernel (`kernel_pair_integral`).
     """
     scale = (1.0 - q.eps * s * t0) / s  # c/s
-    weight = scale * _q_exp_pow(q.eps, -s * t0)
+    weight = scale * _q_exp_pow(q.eps, -s * t0, p)
 
     def integrand(u: np.ndarray) -> np.ndarray:
         om = 1.0 - q.q * u
         x = u / om
-        w = _q_exp_pow(q.eps, -x) * (weight / (om * om))
+        w = _q_exp_pow(q.eps, -x, p) * (weight / (om * om))
         t = scale * x
         if w.item(w.argmin()) > 0.0:
             y = w * g(t)
@@ -214,14 +222,21 @@ def kernel_pair_integral(q: QParam, s: float, s_prime: float) -> float:
     """Integral of q_exp(-s t) * q_exp(-s' t)**(2q-3) over t >= 0.
 
     Requires 0 < s' < s; equals 1/((2-q)(s-s')).  For q < 1 the first
-    factor's support bounds the domain and the second factor stays finite
-    there.
+    factor's support bounds the domain, and the integrand is formed as one
+    exponent, (log1p(-eps*s*t) + (2q-3)*log1p(-eps*s'*t))/eps, at kernel
+    power 0: the second factor alone, about exp(s't), overflows near q = 1
+    where the product is still finite.
     """
     if not (0.0 < s_prime < s):
         raise DomainError("kernel pair integral requires 0 < s_prime < s")
     if q.classical:  # exp(-s t) exp(s' t) is the kernel at s - s' alone
         return _kernel_quadrature(q, np.ones_like, s - s_prime)
-    return _kernel_quadrature(q, lambda t: _q_exp_pow(q.eps, -s_prime * t, 2.0 * q.q - 3.0), s)
+    eps, power = q.eps, 2.0 * q.q - 3.0
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.exp((np.log1p(-eps * s * t) + power * np.log1p(-eps * s_prime * t)) / eps)
+
+    return _kernel_quadrature(q, integrand, s, p=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -278,36 +293,32 @@ class RatioScanReport:
 
 
 _LADDER_I = (1e3, 1e4, 1e5, 1e6)
-_LADDER_II = (1e-3, 1e-4, 1e-5, 1e-6)
+_LADDER_II = (1e-4, 1e-5, 1e-6, 1e-7)
 
 
-def limit_identity_check(
-    q: QParam,
-    f: CatalogFunction,
-    which: str,
-    ladder: tuple[float, ...] | None = None,
-) -> LimitIdentityReport:
+def limit_identity_check(q: QParam, f: CatalogFunction, which: str) -> LimitIdentityReport:
     """Initial/final-value identity: s*F_q(s) -> f(0)/(2-q) as s -> inf
     (which="I") and -> f(inf)/(2-q) as s -> 0 (which="II").
 
-    Evaluates s*F_q(s) along an s ladder; errors are scaled against
-    max(|rhs|, 1) so a zero limit still reports a meaningful number.
+    Evaluates s*F_q(s) along the s ladder 1e3..1e6 (I) or 1e-4..1e-7 (II);
+    errors are scaled against max(|rhs|, 1) so a zero limit still reports a
+    meaningful number.
     """
     if which not in ("I", "II"):
         raise DomainError("which must be 'I' or 'II'")
     if which == "I":
         rhs = f.value_at_zero / (2.0 - q.q)
-        s_values = ladder or _LADDER_I
+        s_values = _LADDER_I
     else:
         tail = f.limit_at_infinity
         if tail is None:
             raise DomainError(f"{f.label} has no limit at infinity; identity II does not apply")
         rhs = tail / (2.0 - q.q)
-        s_values = ladder or _LADDER_II
+        s_values = _LADDER_II
     lhs_values = tuple(s * forward_numeric(q, f, s) for s in s_values)
     scale = max(abs(rhs), 1.0)
     errors = tuple(abs(v - rhs) / scale for v in lhs_values)
-    return LimitIdentityReport(which, tuple(s_values), lhs_values, rhs, errors)
+    return LimitIdentityReport(which, s_values, lhs_values, rhs, errors)
 
 
 def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckReport:
@@ -406,14 +417,6 @@ def derivative_rule_check(q: QParam, f: CatalogFunction, n: int, s: float) -> Ch
     return CheckReport(f"derivative-rule(n={n})", lhs, rhs, _rel_err(lhs, rhs, scale))
 
 
-def _s_derivative(fn, s: float) -> float:
-    """Richardson-extrapolated central difference d fn / ds, step 1% of s."""
-    h = 0.01 * s
-    d1 = (fn(s + h) - fn(s - h)) / (2.0 * h)
-    d2 = (fn(s + 0.5 * h) - fn(s - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: float) -> CheckReport:
     """Deformed-derivative action on the transform, in integrated form.
 
@@ -422,22 +425,22 @@ def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: flo
 
         G_n(s) - (1-q) s G_n'(s)  ==  G_{n-1}'(s),
 
-    where G_j = L_q[(-t)^j f] and the s-derivatives come from
-    Richardson-extrapolated central differences of quadrature values.
+    where G_j = L_q[(-t)^j f].  The s-derivatives are exact: since
+    d/ds q_exp(-s t) = -t q_exp(-s t)**q, G_j'(s) is the integral of
+    (-t)^(j+1) f(t) against the kernel at power q.
     """
     n = _integer_arg("n", n, 1)
-    if s <= 0.0:
-        raise DomainError("s must be positive")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"s must be finite and positive, got s = {s}")
+    fv = _vectorized(f)
 
-    def g(j: int):
+    def moment(j: int, p: float) -> float:  # integral of (-t)^j f(t) q_exp(-s t)**p
         sign = -1.0 if j % 2 else 1.0
-        return lambda sv: forward_numeric(q, lambda t: sign * t**j * f(t), sv)
+        return _kernel_quadrature(q, lambda t: sign * t**j * fv(t), s, p=p)
 
-    g_n = g(n)
-    g_prev = g(n - 1)
-    gn_s = g_n(s)
-    lhs = gn_s - q.eps * s * _s_derivative(g_n, s)
-    rhs = _s_derivative(g_prev, s)
+    gn_s = moment(n, 1.0)
+    lhs = gn_s - q.eps * s * moment(n + 1, q.q)
+    rhs = moment(n, q.q)
     return CheckReport(
         f"qderivative-of-transform(n={n})", lhs, rhs, _rel_err(lhs, rhs, abs(gn_s))
     )
@@ -540,3 +543,51 @@ def linearity_check(
     rhs = a1 * v1 + a2 * v2
     scale = max(abs(a1 * v1), abs(a2 * v2))
     return CheckReport("linearity", lhs, rhs, _rel_err(lhs, rhs, scale))
+
+
+# --------------------------------------------------------------------------
+# the suite as one table
+
+
+_MONO2, _DECAY = Monomial(2), Exponential(1.0, -1)
+
+# (name, build(q, s), tol): each build runs one check at deformation q and base point s (None
+# where the row does not apply, the convolution away from q = 1); tol None marks a diagnostic.
+# The checks are looked up here at call time, so a replaced module attribute is the one run.
+IDENTITIES = (
+    ("limit-I", lambda q, s: limit_identity_check(q, Cosine(1.0), "I"), 1e-6),
+    ("limit-II", lambda q, s: limit_identity_check(q, _DECAY, "II"), 1e-5),
+    ("scaling", lambda q, s: scaling_check(q, _MONO2, 2.0, s), 1e-6),
+    ("shift-kernel", lambda q, s: shift_kernel_factor(q, 2.0 * s, s, 0.2 / s), 1e-6),
+    ("translation", lambda q, s: translation_check(q, _MONO2, 0.1 / s, s), None),
+    ("derivative-rule-n1", lambda q, s: derivative_rule_check(q, _MONO2, 1, s), 1e-6),
+    ("qderivative-of-transform", lambda q, s: qderivative_of_transform_check(q, _MONO2, 1, s), 1e-6),
+    ("qintegral-of-transform", lambda q, s: qintegral_of_transform_check(q, Monomial(3), s), 1e-6),
+    ("integral-rule", lambda q, s: integral_rule_diagnostic(q, _MONO2, [0.5 * s, s, 2.0 * s, 4.0 * s]), 1e-6),
+    ("linearity", lambda q, s: linearity_check(q, _MONO2, 2.0, _DECAY, -0.5, s), 1e-6),
+    ("convolution", lambda q, s: convolution_check_classical(_DECAY, _DECAY, s) if q.classical else None, 1e-6),
+)
+
+
+def identity_rows(q: QParam, s: float) -> list[tuple]:
+    """`IDENTITIES` at q and s as (name, status, lhs, rhs, rel_err, ratio) rows: pass or fail
+    against tol, or diagnostic; a DomainError makes a skipped row carrying its message (commas
+    made semicolons).  A ratio scan reads its first and last ratio, spread and mean."""
+    rows = []
+    for name, build, tol in IDENTITIES:
+        try:
+            rep = build(q, s)
+        except DomainError as exc:
+            rows.append((name, "skipped", "", "", "", str(exc).replace(",", ";")))
+            continue
+        if rep is None:
+            continue
+        if isinstance(rep, TranslationReport):
+            lhs, rhs, err, ratio = rep.lhs_proof_form, rep.rhs_integral, abs(rep.ratio_proof - 1.0), rep.ratio_proof
+        elif isinstance(rep, RatioScanReport):
+            lhs, rhs, err, ratio = rep.ratios[0], rep.ratios[-1], rep.spread_rel, rep.ratio_mean
+        else:
+            lhs, rhs, err, ratio = rep.lhs, rep.rhs, rep.rel_err, ""
+        status = "diagnostic" if tol is None else "pass" if err <= tol else "fail"
+        rows.append((name, status, lhs, rhs, err, ratio))
+    return rows

@@ -335,11 +335,11 @@ class TestIdentitiesCommand:
         assert row[2] == row[3] == row[4] == ""
 
     def test_failed_check_exits_1(self, runner, monkeypatch):
-        import qlaplace.cli as climod
+        import qlaplace.transform as transform
         from qlaplace.transform import CheckReport
 
         monkeypatch.setattr(
-            climod, "scaling_check", lambda *a, **k: CheckReport("scaling", 1.0, 2.0, 0.5)
+            transform, "scaling_check", lambda *a, **k: CheckReport("scaling", 1.0, 2.0, 0.5)
         )
         res = runner.invoke(main, ["identities", "--q", "0.9"])
         assert res.exit_code == 1

@@ -258,9 +258,14 @@ class TestQPostWidderPerTerm:
             classical = classical_post_widder(F.derivative_value, 0.7, est.k)
             assert est.value == pytest.approx(classical, rel=1e-12)
 
-    def test_empty_series(self):
-        with pytest.raises(DomainError):
-            q_post_widder(Q5, PowerSeriesTransform((0.0, 0.0), Q5), 1.0)
+    def test_all_zero_series(self):
+        # not empty: its inverse is f = 0, so every estimate is exactly 0
+        F = PowerSeriesTransform((0.0, 0.0), Q5)
+        for fixed_m in (None, 2):
+            for t in (0.5, 1.0, 3.0):
+                ests = q_post_widder(Q5, F, t, WidderConfig((4, 8, 16, 32, 64), fixed_m))
+                assert [e.k for e in ests] == [4, 8, 16, 32, 64]
+                assert all(e.value == 0.0 and e.extrapolated in (None, 0.0) for e in ests)
 
     @pytest.mark.parametrize("fixed_m", (None, 2))
     @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, 0.0))

@@ -374,6 +374,14 @@ class TestKernelPair:
         for qv in (0.9995, 1.0 - 1e-6):  # the partner exp(s't) overflows where the kernel is 0
             assert kernel_pair_integral(QParam(qv), 1.0, 0.5) == pytest.approx(1.0 / ((2.0 - qv) * 0.5), rel=1e-8)
 
+    @pytest.mark.parametrize("qv", (0.999, 0.9995, 1.0 - 1e-6, 0.3, 0.45, 0.6, 0.75, 0.9))
+    @pytest.mark.parametrize("s, sp", ((1.0, 0.99), (1.0, 0.5), (2.0, 1.0), (5.0, 0.2), (1.3, 1.1)))
+    def test_one_exponent_near_classical(self, qv, s, sp):
+        # the partner q_exp(-s't)**(2q-3) ~ exp(s't) alone overflows at s' = 0.99, q >= 0.999,
+        # where the whole integrand, one exponent, stays finite
+        expected = 1.0 / ((2.0 - qv) * (s - sp))
+        assert abs(kernel_pair_integral(QParam(qv), s, sp) - expected) <= 1e-12 * expected
+
     def test_precondition(self):
         with pytest.raises(DomainError):
             kernel_pair_integral(Q5, 1.0, 2.0)
@@ -508,6 +516,16 @@ class TestQDerivativeOfTransform:
     def test_higher_order(self):
         rep = qderivative_of_transform_check(QParam(0.8), Monomial(1), 2, 1.2)
         assert rep.rel_err < 1e-6
+
+    @pytest.mark.parametrize("qv", (0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.999, 1.0))
+    @pytest.mark.parametrize("f", (Monomial(1), Monomial(2), Exponential(1.0, -1), Cosine(1.0), Gaussian(1.0)),
+                             ids=lambda f: f.label)
+    @pytest.mark.parametrize("s", (0.7, 1.5))
+    def test_exact_derivative(self, qv, f, s):
+        # G' is the kernel integral at power q, so both sides agree to rounding (finite
+        # differences gave 3.6e-11 to 7.5e-9); s = 1 is left out because near q = 1 it is a zero
+        # of G_1 for the cosine, where |G_1| is 1e-3 of the integral of its modulus
+        assert qderivative_of_transform_check(QParam(qv), f, 1, s).rel_err <= 1e-14
 
 
 class TestQIntegralOfTransform:
