@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import DomainError
-from .qmath import QParam, _integer_arg, _q_exp_pow
+from .qmath import QParam, _integer_arg, _q_exp_pow, _real_arg
 
 __all__ = [
     "Monomial",
@@ -180,8 +180,7 @@ class _Family(_Entry):
     _cut_power = 0  # p of the branch q_exp(-alpha t**p) that f cuts, 0 if none
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and positive, got {self.alpha}")
+        _real_arg("alpha", self.alpha)
 
     @property
     def cut(self) -> float:

@@ -23,6 +23,7 @@ Exit codes: 0 all good, 1 hard assertion failed, 2 invalid configuration,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -137,14 +138,6 @@ def _parse_schedule(spec: str) -> tuple[int, ...]:
     return ks
 
 
-def _build_function(fn_name, m, alpha, qprime, sign):
-    return _numeric_guard(lambda: make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign)))
-
-
-def _qparam(q: float) -> QParam:
-    return _numeric_guard(lambda: QParam(q))
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -178,14 +171,20 @@ def _emit(columns, rows, meta: dict, fmt: str, output: str, no_meta: bool) -> No
             raise click.UsageError(f"cannot write --output {output}: {exc}")
 
 
-def _numeric_guard(fn):
-    try:
-        return fn()
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    except QLaplaceError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(3)
+def _numeric_guard(command):
+    """A command body whose DomainError exits 2 as a usage error and whose other library error exits 3."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except DomainError as exc:
+            raise click.UsageError(str(exc))
+        except QLaplaceError as exc:
+            click.echo(f"numeric failure: {exc}", err=True)
+            sys.exit(3)
+
+    return guarded
 
 
 @click.group()
@@ -205,28 +204,21 @@ def main() -> None:
 @click.option("--n-terms", type=int, default=40, show_default=True)
 @_function_options
 @_output_options
+@_numeric_guard
 def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Quadrature vs closed-form transform values on an s grid."""
-    qp = _qparam(q)
-    f = _build_function(fn_name, m, alpha, qprime, sign)
+    qp = QParam(q)
+    f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
     grid = _parse_grid(s_grid, "--s-grid")
-
-    def run():
-        series = catalog_transform(qp, f, n_terms)
-        low = [s for s in grid if s < series.s_min]
-        if low:
-            raise DomainError(
-                f"s values {low} lie below the series validity bound s_min = {series.s_min}"
-            )
-
-        def one(s: float):
-            num = forward_numeric(qp, f, s)
-            cat = series.value(s)
-            return (s, num, cat, _rel_err(num, cat))
-
-        return [one(s) for s in grid]
-
-    rows = _numeric_guard(run)
+    series = catalog_transform(qp, f, n_terms)
+    low = [s for s in grid if s < series.s_min]
+    if low:
+        raise DomainError(f"s values {low} lie below the series validity bound s_min = {series.s_min}")
+    rows = []
+    for s in grid:
+        num = forward_numeric(qp, f, s)
+        cat = series.value(s)
+        rows.append((s, num, cat, _rel_err(num, cat)))
     meta = {"command": f"transform q={q} fn={f.label} n-terms={n_terms}"}
     _emit(("s", "F_numeric", "F_catalog", "rel_err"), rows, meta, fmt, output, no_meta)
 
@@ -243,29 +235,25 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
 @click.option("--fixed-m", type=int, default=None, help="fixed-power scaling index (default per-term)")
 @_function_options
 @_output_options
+@_numeric_guard
 def invert(q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Finite-k inversion estimates against the original function."""
-    qp = _qparam(q)
-    f = _build_function(fn_name, m, alpha, qprime, sign)
+    qp = QParam(q)
+    f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
     grid = _parse_grid(t_grid, "--t-grid")
     ks = _parse_schedule(k_schedule)
-
-    def run():
-        series = catalog_transform(qp, f, n_terms)
-        t_max = series_invert(qp, series).t_max
-        high = [t for t in grid if t > t_max]
-        if high:
-            raise DomainError(f"t values {high} lie above the series validity bound t_max = {t_max}")
-        cfg = WidderConfig(ks, fixed_m, extrapolate=False)
-
-        def one(t: float):
-            ests = q_post_widder(qp, series, t, cfg)
-            truth = float(f(t))
-            return [(t, est.k, est.value, truth, _rel_err(est.value, truth)) for est in ests]
-
-        return [row for t in grid for row in one(t)]
-
-    rows = _numeric_guard(run)
+    series = catalog_transform(qp, f, n_terms)
+    t_max = series_invert(qp, series).t_max
+    high = [t for t in grid if t > t_max]
+    if high:
+        raise DomainError(f"t values {high} lie above the series validity bound t_max = {t_max}")
+    cfg = WidderConfig(ks, fixed_m, extrapolate=False)
+    rows = []
+    for t in grid:
+        ests = q_post_widder(qp, series, t, cfg)
+        truth = float(f(t))
+        for est in ests:
+            rows.append((t, est.k, est.value, truth, _rel_err(est.value, truth)))
     meta = {"command": f"invert q={q} fn={f.label} k-schedule={','.join(map(str, ks))}"}
     _emit(("t", "k", "estimate", "analytic", "rel_err"), rows, meta, fmt, output, no_meta)
 
@@ -279,19 +267,13 @@ def invert(q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, s
 @click.option("--n-terms", type=int, default=20, show_default=True)
 @_function_options
 @_output_options
+@_numeric_guard
 def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Coefficient table for closed form -> term-wise inversion -> original."""
-    qp = _qparam(q)
-    f = _build_function(fn_name, m, alpha, qprime, sign)
-
-    def run():
-        rep = roundtrip(qp, f, n_terms)
-        return [
-            (n, rec, ref, err)
-            for n, (rec, ref, err) in enumerate(zip(rep.recovered, rep.reference, rep.coeff_errors))
-        ]
-
-    rows = _numeric_guard(run)
+    qp = QParam(q)
+    f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
+    rep = roundtrip(qp, f, n_terms)
+    rows = [(n, *row) for n, row in enumerate(zip(rep.recovered, rep.reference, rep.coeff_errors))]
     meta = {"command": f"roundtrip q={q} fn={f.label} n-terms={n_terms}"}
     _emit(("n", "coeff_recovered", "coeff_reference", "rel_err"), rows, meta, fmt, output, no_meta)
 
@@ -304,12 +286,13 @@ def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_m
 @click.option("--q", type=float, required=True)
 @click.option("--s", type=float, default=1.0, show_default=True, help="base evaluation point")
 @_output_options
+@_numeric_guard
 def identities(q, s, fmt, output, no_meta):
     """Run the transform identity suite; exit 1 if any hard check fails."""
-    qp = _qparam(q)
+    qp = QParam(q)
     if not 0.0 < s < math.inf:
         raise click.UsageError("--s must be finite and positive")
-    rows = _numeric_guard(lambda: identity_rows(qp, s))
+    rows = identity_rows(qp, s)
     meta = {"command": f"identities q={q} s={s}"}
     _emit(("identity", "status", "lhs", "rhs", "rel_err", "ratio"), rows, meta, fmt, output, no_meta)
     if any(row[1] == "fail" for row in rows):
@@ -334,29 +317,24 @@ def identities(q, s, fmt, output, no_meta):
 @click.option("--k-schedule", "k_schedule", default="4,8,16,32,64", show_default=True)
 @click.option("--no-extrapolate", is_flag=True, help="report the raw final-k estimate")
 @_output_options
+@_numeric_guard
 def statmech(
     q, model, dim, count, volume, mass, h_const, omega, hbar, e_grid, k_schedule,
     no_extrapolate, fmt, output, no_meta,
 ):
     """Density of states from the partition function, numeric vs analytic."""
-    qp = _qparam(q)
+    qp = QParam(q)
     grid = _parse_grid(e_grid, "--e-grid")
     ks = _parse_schedule(k_schedule)
-
-    def run():
-        if model == "ideal-gas":
-            mdl = IdealGasModel(dim, count, volume, mass, h_const)
-        else:
-            mdl = OscillatorModel(dim, count, omega, hbar)
-        cfg = WidderConfig(ks, None, extrapolate=not no_extrapolate)
-        dos = density_of_states(qp, mdl, grid, cfg)
-        out = []
-        for e, g_num in dos.samples:
-            g_ana = float(dos.analytic(e))
-            out.append((e, g_num, g_ana, _rel_err(g_num, g_ana)))
-        return out
-
-    rows = _numeric_guard(run)
+    if model == "ideal-gas":
+        mdl = IdealGasModel(dim, count, volume, mass, h_const)
+    else:
+        mdl = OscillatorModel(dim, count, omega, hbar)
+    dos = density_of_states(qp, mdl, grid, WidderConfig(ks, None, extrapolate=not no_extrapolate))
+    rows = []
+    for e, g_num in dos.samples:
+        g_ana = dos.analytic(e)
+        rows.append((e, g_num, g_ana, _rel_err(g_num, g_ana)))
     meta = {"command": f"statmech q={q} model={model} D={dim} N={count}"}
     _emit(("E", "g_numeric", "g_analytic", "rel_err"), rows, meta, fmt, output, no_meta)
 

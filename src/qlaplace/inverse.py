@@ -42,7 +42,8 @@ import numpy as np
 from .catalog import CatalogFunction
 from .errors import DomainError
 from .qmath import (
-    PowerSeries, QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, xi_factor,
+    PowerSeries, QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _real_arg,
+    xi_factor,
 )
 from .transform import PowerSeriesTransform, _rel_err, catalog_transform
 
@@ -73,9 +74,7 @@ class TaylorSeries(PowerSeries):
         return min(self.radius, 1e3 if log_cap > math.log(1e3) else math.exp(log_cap))
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if not np.isfinite(arr).all():
-            raise DomainError(f"t must be finite, got t = {arr[~np.isfinite(arr)].flat[0]}")
+        arr = np.asarray(_real_arg("t", t, -math.inf))
         n, log_a, sign = self._log_form
         # terms at |t| with the sign (-1)**n where t < 0; t = 0 (summed at the least normal |t|) is a_0
         y, signs = np.abs(arr).reshape(-1), np.where(arr.reshape(-1, 1) < 0.0, sign * (1 - 2 * (n % 2)), sign)
@@ -164,8 +163,7 @@ def q_post_widder(
     Richardson extrapolation in 1/k.  At q = 1 the formula degenerates to
     the classical Post-Widder estimator (scale factor 1, prefactor 1).
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be finite and positive, got t = {t}")
+    t = _real_arg("t", t)
     n, log_c, sign_c = F._log_form
     # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero c_n
     # stays in as a -inf exponent, as _widder_sums takes the whole run of orders 0..size-1
@@ -241,10 +239,7 @@ def widder_weight(q: QParam, k: int, y):
     overflow and underflow apart.
     """
     k = _integer_arg("k", k, 1)
-    arr = np.asarray(y, dtype=float)
-    inside = (arr >= 0.0) & (arr < math.inf)
-    if not inside.all():
-        raise DomainError(f"y must be finite and nonnegative, got y = {arr[~inside].flat[0]}")
+    arr = np.asarray(_real_arg("y", y, closed=True))
     with np.errstate(over="ignore"):
         out = (arr * _q_exp_pow(q.eps, -k * arr, 1.0 / k - q.eps)) ** k
-    return out if np.ndim(y) else float(out)
+    return out if arr.ndim else float(out)

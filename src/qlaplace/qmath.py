@@ -96,15 +96,13 @@ def q_exp(q: QParam, x):
 
 
 def q_log(q: QParam, x):
-    """Deformed logarithm ``(x**(1-q) - 1)/(1-q)``, inverse of q_exp for x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("q_log requires x > 0")
+    """Deformed logarithm ``(x**(1-q) - 1)/(1-q)``, inverse of q_exp for finite x > 0."""
+    arr = _real_arg("x", x)
     if q.classical:
         out = np.log(arr)
     else:
         out = np.expm1(q.eps * np.log(arr)) / q.eps
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(arr) else float(out)
 
 
 def q_product_arg(q: QParam, x: float, y: float) -> float:
@@ -122,6 +120,28 @@ def _integer_arg(name: str, value, low: int) -> int:
     if not (float(value).is_integer() and value >= low):
         raise DomainError(f"{name} must be an integer >= {low}, got {name} = {value}")
     return int(value)
+
+
+def _real_arg(name: str, value, low: float = 0.0, closed: bool = False):
+    """value as a float, or a float array for an array; DomainError naming the argument and its
+    first bad entry unless every entry is finite and > low (>= low when ``closed``)."""
+    if isinstance(value, (float, int)):  # a plain number is checked without array work
+        bad = float(value)
+        if (low <= bad if closed else low < bad) and bad < math.inf:
+            return bad
+    else:
+        arr = np.asarray(value, dtype=float)
+        inside = ((arr >= low) if closed else (arr > low)) & (arr < math.inf)
+        if inside.all():
+            return arr
+        bad = float(arr[~inside].flat[0])
+    if low == -math.inf:
+        rule = "finite"
+    elif low == 0.0:
+        rule = "finite and " + ("nonnegative" if closed else "positive")
+    else:
+        rule = f"finite and {'>=' if closed else '>'} {low:g}"
+    raise DomainError(f"{name} must be {rule}, got {name} = {bad}")
 
 
 def q_poly(q_arg: float, m: int) -> float:
@@ -181,8 +201,7 @@ def xi_factor(q: QParam, m: float) -> float:
     """Argument-scaling factor for the deformed Post-Widder limit, at real m >= 2: defined by
     ``xi**(m-1) = (2-q) / q_poly(2-q, m)``, in log form from `_log_q_poly` (finite where
     q_poly overflows); 1 at q = 1, undefined for m < 2 (the exponent 1/(m-1) degenerates)."""
-    if not 2.0 <= m < math.inf:
-        raise DomainError(f"xi_factor requires finite m >= 2, got m = {m}")
+    m = _real_arg("m", m, 2.0, closed=True)
     return math.exp((math.log(2.0 - q.q) - _log_q_poly((q.eps,), m, 1)[0, 0]) / (m - 1.0))
 
 

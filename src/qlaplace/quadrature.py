@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, QLaplaceError, QuadratureError
+from .qmath import _real_arg
 
 __all__ = ["integrate", "integrate_half_line"]
 
@@ -171,8 +172,7 @@ def integrate_half_line(f, *, scale: float = 1.0) -> float:
     should match the decay scale of the integrand so that the transformed
     integrand varies on O(1) scales in u.
     """
-    if not 0.0 < scale < math.inf:
-        raise DomainError(f"scale must be finite and positive, got {scale}")
+    scale = _real_arg("scale", scale)
 
     def g(u):
         om = 1.0 - u

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule
-from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _xi_factor_real
+from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _real_arg, _xi_factor_real
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import q_post_widder  # noqa: F401
 from .qmath import q_poly as _q_poly_real  # noqa: F401
@@ -66,8 +66,8 @@ class IdealGasModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
         object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
-        if not all(0.0 < x < math.inf for x in (self.V, self.mass, self.h)):
-            raise DomainError(f"V, mass and h must be finite and positive, got {self.V}, {self.mass}, {self.h}")
+        for name in ("V", "mass", "h"):
+            _real_arg(name, getattr(self, name))
         if self.D * self.N < 2:
             raise DomainError("need D*N/2 >= 1 for a valid transform power")
         if self.D * self.N > _MAX_DOF:
@@ -100,8 +100,8 @@ class OscillatorModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
         object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
-        if not (0.0 < self.omega < math.inf and 0.0 < self.hbar < math.inf):
-            raise DomainError(f"omega and hbar must be finite and positive, got {self.omega}, {self.hbar}")
+        for name in ("omega", "hbar"):
+            _real_arg(name, getattr(self, name))
         if self.D * self.N > _MAX_DOF:
             raise DomainError(f"D*N > {_MAX_DOF} rejected (overflow guard)")
 
@@ -130,14 +130,9 @@ def _exp(log_x: float, what: str) -> float:
         raise QLaplaceError(f"{what} overflows double precision") from None
 
 
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and positive, got beta = {beta}")
-
-
 def _partition(q: QParam, model: ThermoModel, beta: float) -> float:
     """C * beta**-m; at q = 1 the q_poly factor is 1, so this is the classical Z."""
-    _check_beta(beta)
+    beta = _real_arg("beta", beta)
     return _exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta), "Z_q")
 
 
@@ -163,7 +158,7 @@ def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float)
     """
     if q.classical:
         raise DomainError("the brute-force momentum disc is bounded for q < 1 only")
-    _check_beta(beta)
+    beta = _real_arg("beta", beta)
     if model.D * model.N != 2:
         raise DomainError("brute-force cross-check is implemented for D*N = 2 only")
     half = beta / (2.0 * model.mass)
@@ -206,12 +201,14 @@ class DensityOfStates:
         return _exp(self.log_prefactor, "g(E) prefactor")
 
     def analytic(self, E):
-        """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow)."""
+        """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow);
+        a float for a scalar E, an array for an array."""
+        arr = np.asarray(E, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):
-            g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(E, 0.0)))
-        if np.any(np.isinf(g)):
+            g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(arr, 0.0)))
+        if np.isinf(g).any():
             raise QLaplaceError("g(E) overflows double precision")
-        return g
+        return g if arr.ndim else float(g)
 
 
 def density_of_states(
@@ -234,9 +231,9 @@ def density_of_states(
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
-    energies = [float(e) for e in E_grid]
-    if not energies or not all(0.0 < e < math.inf for e in energies):
-        raise DomainError("energy grid must be finite, positive and nonempty")
+    energies = _real_arg("E", E_grid).tolist()
+    if not energies:
+        raise DomainError("energy grid must be nonempty")
     log_w = (
         math.log(2.0 - q.q)
         + _log_power_coefficient(q, model)

@@ -34,7 +34,8 @@ import numpy as np
 from .catalog import CatalogFunction, Cosine, Exponential, Monomial
 from .errors import DomainError, QLaplaceError, QuadratureError
 from .qmath import (
-    PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _TAIL, q_exp,
+    PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _real_arg, _TAIL,
+    q_exp,
 )
 from .quadrature import _ABS_TOL, _REL_TOL, _vectorized, dyadic_breakpoints, integrate
 # perfbench/spans.py wraps these three here (nothing in the package calls the last): keep them importable.
@@ -114,15 +115,7 @@ class PowerSeriesTransform(PowerSeries):
         return self._term_sum(_integer_arg("k", k, 0), s)
 
     def _term_sum(self, k: int, s):
-        if isinstance(s, (float, int)):  # a plain number is checked without array work
-            arr = float(s)
-            if not 0.0 < arr < math.inf:
-                raise DomainError(f"s must be finite and positive, got s = {arr}")
-        else:
-            arr = np.asarray(s, dtype=float)
-            inside = (arr > 0.0) & (arr < math.inf)
-            if not inside.all():
-                raise DomainError(f"s must be finite and positive, got s = {arr[~inside].flat[0]}")
+        arr = _real_arg("s", s)
         n, log_w, sign = self._log_form
         if k:  # log|c_n| + log((n+k)!/n!), and the sign of (-1)**k
             log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
@@ -145,25 +138,22 @@ def forward_numeric(q: QParam, f, s: float) -> float:
     is nonzero.  At q = 1 the caller is responsible for f being integrable
     against exp(-s*t).
     """
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"forward transform requires finite s > 0, got s = {s}")
-    return _kernel_quadrature(q, _vectorized(f), s)
+    return _kernel_quadrature(q, _vectorized(f), _real_arg("s", s))
 
 
 # u in [0, 1) spans the kernel support for every q, with panels accumulating toward both ends
 _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
 
 
-def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0, p: float = 1.0) -> float:
-    """Integral of q_exp(-s*t)**p * g(t - t0) over t >= t0, for a vectorised g.
+def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
+    """Integral of q_exp(-s*t)**p * g(t) over t >= 0, for a vectorised g.
 
-    One substitution serves every q in (0, 1]: with c = 1 - (1-q)*s*t0 and
-    x = u/(1 - q*u), t = t0 + (c/s)*x maps u in [0, 1) onto the support
-    [t0, 1/((1-q)s)) (the half line at q = 1), and since
-    1 - (1-q)*s*t = c*(1-u)/(1-q*u), q_exp(-s*t) = q_exp(-s*t0) * q_exp(-x)
-    exactly.  The integral is then
+    One substitution serves every q in (0, 1]: with x = u/(1 - q*u),
+    t = x/s maps u in [0, 1) onto the support [0, 1/((1-q)s)) (the half
+    line at q = 1), and since 1 - (1-q)*s*t = (1-u)/(1-q*u),
+    q_exp(-s*t) = q_exp(-x) exactly.  The integral is then
 
-        (c/s) q_exp(-s*t0)**p * integral_0^1 q_exp(-x)**p (1-q*u)**-2 g((c/s)*x) du,
+        (1/s) integral_0^1 q_exp(-x)**p (1-q*u)**-2 g(x/s) du,
 
     with the cutoff at u = 1 for every q.  g is evaluated only where the
     kernel is nonzero, and a non-finite sample is reported at its t.  The
@@ -171,13 +161,12 @@ def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0, p: float = 1.0) 
     (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
     carries its own kernel (`kernel_pair_integral`).
     """
-    scale = (1.0 - q.eps * s * t0) / s  # c/s
-    weight = scale * _q_exp_pow(q.eps, -s * t0, p)
+    scale = 1.0 / s
 
     def integrand(u: np.ndarray) -> np.ndarray:
         om = 1.0 - q.q * u
         x = u / om
-        w = _q_exp_pow(q.eps, -x, p) * (weight / (om * om))
+        w = _q_exp_pow(q.eps, -x, p) * (scale / (om * om))
         t = scale * x
         if w.item(w.argmin()) > 0.0:
             y = w * g(t)
@@ -189,7 +178,7 @@ def _kernel_quadrature(q: QParam, g, s: float, t0: float = 0.0, p: float = 1.0) 
         if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
             bad = t[~np.isfinite(y)]
             if len(bad):
-                raise QuadratureError(f"non-finite integrand sample at t = {t0 + bad[0]}")
+                raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
         return y
 
     return integrate(integrand, 0.0, 1.0, breakpoints=_KERNEL_BREAKS)
@@ -227,8 +216,9 @@ def kernel_pair_integral(q: QParam, s: float, s_prime: float) -> float:
     power 0: the second factor alone, about exp(s't), overflows near q = 1
     where the product is still finite.
     """
-    if not (0.0 < s_prime < s):
-        raise DomainError("kernel pair integral requires 0 < s_prime < s")
+    s, s_prime = _real_arg("s", s), _real_arg("s_prime", s_prime)
+    if not s_prime < s:
+        raise DomainError(f"kernel pair integral requires s_prime < s, got s_prime = {s_prime}, s = {s}")
     if q.classical:  # exp(-s t) exp(s' t) is the kernel at s - s' alone
         return _kernel_quadrature(q, np.ones_like, s - s_prime)
     eps, power = q.eps, 2.0 * q.q - 3.0
@@ -323,8 +313,7 @@ def limit_identity_check(q: QParam, f: CatalogFunction, which: str) -> LimitIden
 
 def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckReport:
     """Dilation rule: transform of f(a*t) equals F_q(s/a)/a."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"scaling factor must be finite and positive, got a = {a}")
+    a = _real_arg("a", a)
     lhs = forward_numeric(q, lambda t: f(a * t), s)
     rhs = forward_numeric(q, f, s / a) / a
     return CheckReport("scaling", lhs, rhs, _rel_err(lhs, rhs))
@@ -337,9 +326,7 @@ def shift_kernel_factor(q: QParam, s: float, s0: float, t: float) -> CheckReport
 
     All three arguments must stay above the kernel cutoff.
     """
-    for name, x in (("s", s), ("s0", s0), ("t", t)):
-        if not math.isfinite(x):
-            raise DomainError(f"shift factorization: {name} must be finite, got {name} = {x}")
+    s, s0, t = (_real_arg(name, x, -math.inf) for name, x in (("s", s), ("s0", s0), ("t", t)))
     den = 1.0 - q.eps * s * t
     if den <= 0.0:
         raise DomainError("shift factorization: -s*t argument at or past cutoff")
@@ -362,17 +349,20 @@ def translation_check(q: QParam, f: CatalogFunction, t0: float, s: float) -> Tra
 
         RHS = L_q[ f((t-t0)/(1-(1-q)s t0)) * step(t-t0) ](s)
 
-    and compares it against both candidate left-hand sides: the proof form
-    L_q[f] * q_exp(-s t0)**(2-q) and the stated form with q_exp(+s t0).
-    Reports the two ratios; asserts nothing.
+    as `forward_numeric` of the delayed function itself, a route
+    independent of L_q[f], and compares it against both candidate
+    left-hand sides: the proof form L_q[f] * q_exp(-s t0)**(2-q) and the
+    stated form with q_exp(+s t0).  Reports the two ratios; asserts nothing.
     """
-    if not (0.0 < t0 < math.inf and 0.0 < s < math.inf):
-        raise DomainError(f"t0 and s must be finite and positive, got t0 = {t0}, s = {s}")
+    t0, s = _real_arg("t0", t0), _real_arg("s", s)
     c = 1.0 - q.eps * s * t0
     if c <= 0.0:
         raise DomainError("t0 lies at or beyond the kernel cutoff for this s")
 
-    rhs = _kernel_quadrature(q, lambda u: f(u / c), s, t0)
+    def delayed(t: np.ndarray) -> np.ndarray:
+        return np.where(t > t0, f(np.maximum(t - t0, 0.0) / c), 0.0)
+
+    rhs = forward_numeric(q, delayed, s)
     base_transform = forward_numeric(q, f, s)
     power = 2.0 - q.q
     lhs_proof = base_transform * q_exp(q, -s * t0) ** power
@@ -427,11 +417,11 @@ def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: flo
 
     where G_j = L_q[(-t)^j f].  The s-derivatives are exact: since
     d/ds q_exp(-s t) = -t q_exp(-s t)**q, G_j'(s) is the integral of
-    (-t)^(j+1) f(t) against the kernel at power q.
+    (-t)^(j+1) f(t) against the kernel at power q.  At q = 1 the row is
+    definitional: the (1-q) term vanishes and G_n' at power q is G_n
+    itself, so both sides are G_n(s) and no further quadrature is run.
     """
-    n = _integer_arg("n", n, 1)
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"s must be finite and positive, got s = {s}")
+    n, s = _integer_arg("n", n, 1), _real_arg("s", s)
     fv = _vectorized(f)
 
     def moment(j: int, p: float) -> float:  # integral of (-t)^j f(t) q_exp(-s t)**p
@@ -439,8 +429,11 @@ def qderivative_of_transform_check(q: QParam, f: CatalogFunction, n: int, s: flo
         return _kernel_quadrature(q, lambda t: sign * t**j * fv(t), s, p=p)
 
     gn_s = moment(n, 1.0)
-    lhs = gn_s - q.eps * s * moment(n + 1, q.q)
-    rhs = moment(n, q.q)
+    if q.classical:
+        lhs = rhs = gn_s
+    else:
+        lhs = gn_s - q.eps * s * moment(n + 1, q.q)
+        rhs = moment(n, q.q)
     return CheckReport(
         f"qderivative-of-transform(n={n})", lhs, rhs, _rel_err(lhs, rhs, abs(gn_s))
     )
@@ -456,6 +449,7 @@ def qintegral_of_transform_check(q: QParam, f: CatalogFunction, s: float) -> Che
     derivative come from the 60-term closed-form series, so s must sit
     inside the series' validity domain.
     """
+    s = _real_arg("s", s)
     if f.value_at_zero != 0.0:
         raise DomainError("f(0) != 0: f(t)/t is not integrable at the origin")
     series = catalog_transform(q, f, 60)
@@ -486,9 +480,9 @@ def integral_rule_diagnostic(q: QParam, f: CatalogFunction, s_grid) -> RatioScan
     if not isinstance(f, Monomial):
         raise DomainError("integral-rule diagnostic needs a catalog-expressible antiderivative (powers only)")
     m = f.power
-    s_values = tuple(float(s) for s in s_grid)
-    if any(s <= 0.0 for s in s_values) or not s_values:
-        raise DomainError("s grid must be positive and nonempty")
+    s_values = tuple(_real_arg("s", s_grid).tolist())
+    if not s_values:
+        raise DomainError("s grid must be nonempty")
 
     def antiderivative(t):
         return np.asarray(t, dtype=float) ** m / m
@@ -533,10 +527,7 @@ def linearity_check(
     s: float,
 ) -> CheckReport:
     """L_q[a1 f1 + a2 f2] against a1 F1 + a2 F2."""
-    for name, a in (("a1", a1), ("a2", a2)):
-        if not math.isfinite(a):
-            raise DomainError(f"linearity weight {name} must be finite, got {name} = {a}")
-
+    a1, a2 = _real_arg("a1", a1, -math.inf), _real_arg("a2", a2, -math.inf)
     lhs = forward_numeric(q, lambda t: a1 * f1(t) + a2 * f2(t), s)
     v1 = forward_numeric(q, f1, s)
     v2 = forward_numeric(q, f2, s)

@@ -74,7 +74,7 @@ class TestForwardNumeric:
     @pytest.mark.parametrize("q", (Q5, Q1), ids=("q=0.5", "q=1"))
     @pytest.mark.parametrize("s", (math.nan, math.inf, -math.inf), ids=("nan", "inf", "-inf"))
     def test_rejects_non_finite_s(self, q, s):
-        with pytest.raises(DomainError, match="finite s > 0"):
+        with pytest.raises(DomainError, match="s must be finite and positive"):
             forward_numeric(q, Exponential(1.0), s)
 
     def test_scalar_only_callable(self):
