@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import DomainError
 from .qmath import QParam, _integer_arg, _q_exp_pow, _real_arg
@@ -100,9 +99,9 @@ def _gaussian_factor(eps: float, alpha: float, order: int) -> np.ndarray:
     at eps = 0 this is the Hermite recurrence R_n' - 2 alpha t R_n."""
     base = np.array([1.0, 0.0, -eps * alpha])
     dbase = np.array([0.0, -2.0 * alpha])
-    r = np.array([1.0])
-    for n in range(order):
-        r = npp.polyadd(npp.polymul(npp.polyder(r), base), (1.0 - n * eps) * npp.polymul(r, dbase))
+    r = dbase if order else np.ones(1)  # lowest power first; R_1 = base'/eps
+    for n in range(1, order):
+        r = np.convolve(r[1:] * np.arange(1, len(r)), base) + (1.0 - n * eps) * np.convolve(r, dbase)
     r.flags.writeable = False
     return r
 
@@ -240,7 +239,7 @@ class QGaussian(_Family):
     def _eval(self, arr, order: int):
         e = self.qprime.eps
         out = _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e)
-        return npp.polyval(arr, _gaussian_factor(e, self.alpha, order)) * out if order else out
+        return np.polyval(_gaussian_factor(e, self.alpha, order)[::-1], arr) * out if order else out
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)

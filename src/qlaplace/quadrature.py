@@ -12,6 +12,10 @@ resolves integrand features living on much smaller scales than the
 interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
+`integrate` is a sweep of `_measure` over the initial panels, then one
+adaptive loop, `_refine`, which the transform layer's table sweep (by
+`_panel_value`) feeds too: the loop, its limits and its errors are written once.
+
 The tolerances are constants: every integral in the package meets
 max(_ABS_TOL, _REL_TOL*|result|) unless its caller passes ``rel_tol`` and
 ``abs_tol`` to `integrate`, and no panel is bisected more than _MAX_DEPTH
@@ -34,7 +38,14 @@ from .qmath import _real_arg
 
 __all__ = ["integrate", "integrate_half_line"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+# numpy's leggauss(15), whose module also starts LAPACK: node 0 and the upper half, then their weights
+_HALF = [float.fromhex(h) for h in """
+    0x0.0p+0 0x1.9c0ba62ef04b5p-3 0x1.939c69257d6b6p-2 0x1.245676f08f3a4p-1 0x1.72e6e181ab3c4p-1
+    0x1.b248221fffd63p-1 0x1.dfe24c4f8b447p-1 0x1.f9da27c32e6d0p-1 0x1.9ee1575f9c980p-3
+    0x1.96633f1fd02cfp-3 0x1.7d41fa76dc267p-3 0x1.5484f30a86ed3p-3 0x1.1dd73b4963165p-3
+    0x1.b6ec9635f1120p-4 0x1.2038260b5d03ap-4 0x1.f7dc7227a2908p-6""".split()]
+_NODES = np.array([-x for x in _HALF[7:0:-1]] + _HALF[:8])
+_WEIGHTS = np.array(_HALF[15:8:-1] + _HALF[8:])
 # a panel [a, b] is sampled at a + (b-a)*_FRACTIONS: the 15 nodes of the whole panel, then
 # those of each half; per unit width, row 0 of _PANEL_WEIGHTS is the whole-panel rule and
 # row 1 the sum of the two half-panel rules
@@ -69,13 +80,16 @@ def _vectorized(f):
 
 
 def _measure(f, a: float, b: float) -> tuple[float, float]:
-    """Two-half panel value and its error against the whole-panel rule, from one 45-node call;
-    QuadratureError on a non-finite sample or panel value (the caller silences numpy's warnings).
-    Every node has a nonzero weight in one row, so a non-finite sample makes a value non-finite
-    and the samples are searched only then."""
+    """Two-half panel value and its error against the whole-panel rule, from one 45-node call."""
+    x = a + (b - a) * _FRACTIONS
+    return _panel_value(f(x), x, a, b)
+
+
+def _panel_value(y: np.ndarray, x: np.ndarray, a: float, b: float) -> tuple[float, float]:
+    """`_measure` from the samples y at the panel's nodes x; QuadratureError on a non-finite sample
+    or value (the caller silences numpy).  Every node has a nonzero weight in one row, so a
+    non-finite sample makes a value non-finite and the samples are searched only then."""
     width = b - a
-    x = a + width * _FRACTIONS
-    y = f(x)
     whole, value = (_PANEL_WEIGHTS @ y).tolist()
     whole, value = width * whole, width * value
     if not (math.isfinite(whole) and math.isfinite(value)):
@@ -124,42 +138,50 @@ def integrate(
     if b == a:
         return 0.0
     fv = _vectorized(f)
-
     edges = [a, *(p for p in sorted(breakpoints or ()) if a < p < b), b]
-    heap, total, err_total, seq = [], 0.0, 0.0, 0  # heap entries: (-err, seq, lo, hi, value, depth)
+    with np.errstate(all="ignore"):  # _measure raises on the non-finite values these warnings flag
+        panels = [(lo, hi, *_measure(fv, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        return _refine(fv, panels, rel_tol, abs_tol)
+
+
+def _refine(f, panels: list[tuple[float, float, float, float]], rel_tol: float, abs_tol: float) -> float:
+    """The adaptive loop of `integrate` from its initial panels (lo, hi, value, err) in order:
+    bisect the worst panel, measuring the halves by `_measure` of the vectorised f, until the
+    tolerance is met; QuadratureError as `integrate` says (the caller silences numpy)."""
+    heap, total, err_total = [], 0.0, 0.0  # heap entries: (-err, seq, lo, hi, value, depth)
+    for seq, (lo, hi, value, err) in enumerate(panels, 1):
+        total, err_total = total + value, err_total + err
+        heapq.heappush(heap, (-err, seq, lo, hi, value, 0))
+    seq = len(heap)
 
     def push(lo: float, hi: float, depth: int) -> None:
         nonlocal total, err_total, seq
-        value, err = _measure(fv, lo, hi)
+        value, err = _measure(f, lo, hi)
         total, err_total, seq = total + value, err_total + err, seq + 1
         heapq.heappush(heap, (-err, seq, lo, hi, value, depth))
 
-    with np.errstate(all="ignore"):  # _measure raises on the non-finite values these warnings flag
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            push(lo, hi, 0)
-
-        noise_floor = 64.0 * np.finfo(float).eps
-        while heap:
-            tol = max(abs_tol, rel_tol * abs(total))
-            if err_total <= tol:
-                break
-            neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
-            err = -neg_err
-            if err <= noise_floor * max(abs(total), abs(value)):
-                # at double-precision noise floor; refining cannot help
-                err_total -= err
-                continue
-            if depth >= _MAX_DEPTH:
-                raise QuadratureError(f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={_MAX_DEPTH}")
-            if seq >= _MAX_PANELS:
-                raise QuadratureError("tolerance not met: panel budget exhausted")
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                raise QuadratureError("tolerance not met: panel narrower than float spacing")
-            total -= value
+    noise_floor = 64.0 * np.finfo(float).eps
+    while heap:
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err_total <= tol:
+            break
+        neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
+        err = -neg_err
+        if err <= noise_floor * max(abs(total), abs(value)):
+            # at double-precision noise floor; refining cannot help
             err_total -= err
-            push(lo, mid, depth + 1)
-            push(mid, hi, depth + 1)
+            continue
+        if depth >= _MAX_DEPTH:
+            raise QuadratureError(f"tolerance not met: panel [{lo}, {hi}] exhausted max_depth={_MAX_DEPTH}")
+        if seq >= _MAX_PANELS:
+            raise QuadratureError("tolerance not met: panel budget exhausted")
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise QuadratureError("tolerance not met: panel narrower than float spacing")
+        total -= value
+        err_total -= err
+        push(lo, mid, depth + 1)
+        push(mid, hi, depth + 1)
     if not math.isfinite(total):
         raise QuadratureError("integral overflows double precision")
     return total

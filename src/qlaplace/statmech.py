@@ -202,8 +202,8 @@ class DensityOfStates:
 
     def analytic(self, E):
         """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow);
-        a float for a scalar E, an array for an array."""
-        arr = np.asarray(E, dtype=float)
+        a float for a scalar E, an array for an array; DomainError naming E if it is not finite."""
+        arr = np.asarray(_real_arg("E", E, -math.inf))
         with np.errstate(over="ignore", divide="ignore"):
             g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(arr, 0.0)))
         if np.isinf(g).any():

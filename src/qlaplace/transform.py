@@ -11,6 +11,9 @@ package's one tolerance (`quadrature._REL_TOL`, `_ABS_TOL`); no function
 here takes a quadrature setting, and only the convolution's inner integral
 runs looser, by 10x.  The route takes the kernel at a power p: 1 for the
 transform, q for its exact s-derivative, 0 for the kernel-pair integrand.
+Its 64 initial panels read all that depends on (q, p) alone from one cached
+table, scaled by 1/s; the rare bisected panels (`quadrature._refine`) get
+the per-panel integrand, which gives the same samples to the bit.
 The paper's identities run from one table, `IDENTITIES`, whose rows
 `identity_rows(q, s)` returns for the CLI `identities` command to print.
 
@@ -37,7 +40,7 @@ from .qmath import (
     PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _real_arg, _TAIL,
     q_exp,
 )
-from .quadrature import _ABS_TOL, _REL_TOL, _vectorized, dyadic_breakpoints, integrate
+from .quadrature import _ABS_TOL, _FRACTIONS, _REL_TOL, _panel_value, _refine, _vectorized, dyadic_breakpoints, integrate
 # perfbench/spans.py wraps these three here (nothing in the package calls the last): keep them importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
 from .qmath import q_poly  # noqa: F401
@@ -143,6 +146,21 @@ def forward_numeric(q: QParam, f, s: float) -> float:
 
 # u in [0, 1) spans the kernel support for every q, with panels accumulating toward both ends
 _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
+_KERNEL_EDGES = (0.0, *_KERNEL_BREAKS, 1.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_table(qv: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = u/(1-q*u), the kernel q_exp(-x)**p and (1-q*u)**2 at the 45 `_measure` nodes u of each
+    initial panel, a row a panel: all of the initial sweep but 1/s, read-only (69 KB)."""
+    edges = np.array(_KERNEL_EDGES)[:, None]
+    u = edges[:-1] + (edges[1:] - edges[:-1]) * _FRACTIONS
+    om = 1.0 - qv * u
+    x = u / om
+    table = x, _q_exp_pow(1.0 - qv, -x, p), om * om
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
@@ -159,19 +177,17 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     kernel is nonzero, and a non-finite sample is reported at its t.  The
     kernel power p is 1 for a transform, q for its s-derivative
     (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
-    carries its own kernel (`kernel_pair_integral`).
+    carries its own kernel (`kernel_pair_integral`).  The 64 initial panels
+    scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
+    are its own to the bit, and g is still called once a panel.
     """
     scale = 1.0 / s
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        om = 1.0 - q.q * u
-        x = u / om
-        w = _q_exp_pow(q.eps, -x, p) * (scale / (om * om))
-        t = scale * x
+    def weighted(w: np.ndarray, t: np.ndarray) -> np.ndarray:
         if w.item(w.argmin()) > 0.0:
             y = w * g(t)
         else:
-            y = np.zeros_like(u)
+            y = np.zeros_like(w)
             live = w > 0.0
             if live.any():
                 y[live] = w[live] * g(t[live])
@@ -181,7 +197,17 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
                 raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
         return y
 
-    return integrate(integrand, 0.0, 1.0, breakpoints=_KERNEL_BREAKS)
+    def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
+        om = 1.0 - q.q * u
+        x = u / om
+        return weighted(_q_exp_pow(q.eps, -x, p) * (scale / (om * om)), scale * x)
+
+    x, ker, om2 = _kernel_table(q.q, p)
+    with np.errstate(all="ignore"):  # weighted and _panel_value raise on what these warnings flag
+        w, t = ker * (scale / om2), scale * x
+        panels = [(lo, hi, *_panel_value(weighted(wi, ti), ti, lo, hi))
+                  for lo, hi, wi, ti in zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], w, t)]
+        return _refine(integrand, panels, _REL_TOL, _ABS_TOL)
 
 
 # --------------------------------------------------------------------------
@@ -312,10 +338,13 @@ def limit_identity_check(q: QParam, f: CatalogFunction, which: str) -> LimitIden
 
 
 def scaling_check(q: QParam, f: CatalogFunction, a: float, s: float) -> CheckReport:
-    """Dilation rule: transform of f(a*t) equals F_q(s/a)/a."""
+    """Dilation rule: transform of f(a*t) equals F_q(s/a)/a; QLaplaceError where exactly one
+    side underflows to 0, which no rel_err can weigh."""
     a = _real_arg("a", a)
     lhs = forward_numeric(q, lambda t: f(a * t), s)
     rhs = forward_numeric(q, f, s / a) / a
+    if (lhs == 0.0) != (rhs == 0.0):
+        raise QLaplaceError(f"scaling: one side underflows to 0 (lhs = {lhs}, rhs = {rhs}) at s/a = {s / a}")
     return CheckReport("scaling", lhs, rhs, _rel_err(lhs, rhs))
 
 

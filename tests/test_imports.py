@@ -1,7 +1,11 @@
 """Every name a package module imports is used there, exported, or marked as kept,
-and a statement marked as kept binds only names that nothing in the module uses."""
+and a statement marked as kept binds only names that nothing in the module uses; and
+importing the CLI loads no numpy submodule the package does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,11 @@ def test_the_check_sees_a_used_name_marked_as_kept():
     assert unused_imports(source) == ["line 2: pi is used but marked as kept"]
     assert unused_imports("from math import pi  # noqa: F401\n__all__ = ['pi']\n") == [
         "line 1: pi is used but marked as kept"]
+
+
+def test_cli_import_leaves_out_numpy_polynomial():
+    # the quadrature rule is written out and the Gaussian factor uses np.convolve/np.polyval
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qlaplace.cli; print('numpy.polynomial' in sys.modules, 'numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

@@ -26,9 +26,17 @@ from qlaplace import (
     forward_numeric,
     integrate,
     integrate_half_line,
+    kernel_pair_integral,
 )
-from qlaplace import quadrature
+from qlaplace import quadrature, transform
+from qlaplace.qmath import _q_exp_pow
 from qlaplace.quadrature import dyadic_breakpoints
+
+
+def test_rule_is_numpy_leggauss_15():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert quadrature._NODES.tolist() == nodes.tolist()
+    assert quadrature._WEIGHTS.tolist() == weights.tolist()
 
 
 def test_polynomial_exact():
@@ -248,10 +256,87 @@ def test_single_call_measure_matches_three_call_reference(monkeypatch, qv, f):
     q = QParam(qv)
     s_grid = (0.6, 1.7, 4.0)
     got = [forward_numeric(q, f, s) for s in s_grid]
+    # forward_numeric measures its initial panels from a table, without _measure: the reference
+    # is the per-panel route over the same 64 panels
     monkeypatch.setattr(quadrature, "_measure", _reference_measure)
-    want = [forward_numeric(q, f, s) for s in s_grid]
+    want = [_per_panel_route(q, f, s, 1.0) for s in s_grid]
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-14 * abs(w)
+
+
+def _per_panel_route(q, g, s, p):
+    """`transform._kernel_quadrature` as it was before its initial panels read a table: `integrate`
+    of one kernel integrand over u, which builds x, the kernel and (1-q*u)**2 for every panel."""
+    g, scale = quadrature._vectorized(g), 1.0 / s
+
+    def integrand(u):
+        om = 1.0 - q.q * u
+        x = u / om
+        w = _q_exp_pow(q.eps, -x, p) * (scale / (om * om))
+        t = scale * x
+        if w.item(w.argmin()) > 0.0:
+            y = w * g(t)
+        else:
+            y = np.zeros_like(u)
+            live = w > 0.0
+            if live.any():
+                y[live] = w[live] * g(t[live])
+        if not math.isfinite(y @ y):
+            bad = t[~np.isfinite(y)]
+            if len(bad):
+                raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
+        return y
+
+    return integrate(integrand, 0.0, 1.0, breakpoints=transform._KERNEL_BREAKS)
+
+
+def _pair_integrand(q, s, s_prime):  # the integrand of kernel_pair_integral, at kernel power 0
+    eps, power = q.eps, 2.0 * q.q - 3.0
+    return lambda t: np.exp((np.log1p(-eps * s * t) + power * np.log1p(-eps * s_prime * t)) / eps)
+
+
+@pytest.mark.parametrize("qv", (0.3, 0.6, 0.9, 1.0))
+@pytest.mark.parametrize("f", ALL_FAMILIES, ids=lambda f: f.label)
+def test_table_sweep_is_the_per_panel_route_to_the_bit(qv, f):
+    # at q = 1 the growing families need s above their rate, p = q is the transform itself and
+    # the kernel at power 0 is 1 on the half line
+    q, s_grid = QParam(qv), (0.6, 1.7, 4.0) if qv < 1.0 else (1.7, 4.0)
+    powers = (qv, 0.0) if qv < 1.0 else ()
+    for s in s_grid:
+        assert forward_numeric(q, f, s) == _per_panel_route(q, f, s, 1.0)
+        for p in powers:
+            assert transform._kernel_quadrature(q, quadrature._vectorized(f), s, p) == _per_panel_route(q, f, s, p)
+
+
+@pytest.mark.parametrize("qv", (0.3, 0.6, 0.9, 1.0))
+def test_kernel_pair_is_the_per_panel_route_to_the_bit(qv):
+    q = QParam(qv)
+    for s, s_prime in ((1.0, 0.5), (2.0, 0.2), (0.7, 0.6)):
+        want = (_per_panel_route(q, np.ones_like, s - s_prime, 1.0) if q.classical
+                else _per_panel_route(q, _pair_integrand(q, s, s_prime), s, 0.0))
+        assert kernel_pair_integral(q, s, s_prime) == want
+
+
+def test_kernel_table_cache_is_bounded_and_read_only():
+    for qv in np.linspace(0.01, 1.0, 100):
+        forward_numeric(QParam(float(qv)), np.cos, 2.0)
+    info = transform._kernel_table.cache_info()
+    assert info.maxsize <= 16 and info.currsize <= info.maxsize
+    for arr in transform._kernel_table(0.5, 1.0):
+        assert arr.shape == (64, 45) and not arr.flags.writeable
+
+
+def test_refined_panels_use_the_kernel_integrand():
+    # a kink inside one initial panel forces bisection past the table's 64 panels
+    calls = []
+
+    def g(t):
+        calls.append(np.size(t))
+        return np.abs(t - 0.3)
+
+    q = QParam(0.6)
+    assert forward_numeric(q, g, 1.0) == _per_panel_route(q, lambda t: np.abs(t - 0.3), 1.0, 1.0)
+    assert len(calls) > 64 and set(calls) == {45}
 
 
 def test_one_45_point_call_per_panel():

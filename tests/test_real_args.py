@@ -42,6 +42,7 @@ Q6 = QParam(0.6)
 Q1 = QParam(1.0)
 F = catalog_transform(Q6, Sine(1.0))
 MONO2, MONO3, DECAY = Monomial(2), Monomial(3), Cosine(1.0)
+DOS = density_of_states(Q6, IdealGasModel(3, 2), [1.0])  # analytic(E) is 0 at E <= 0: finite only
 
 # (id, call of the one bad value x, the argument's name, an out-of-range value or None where
 # only finiteness is required); every other argument of the call is valid
@@ -78,6 +79,8 @@ ENTRY_POINTS = (
     ("oscillator-beta", lambda x: oscillator_partition(Q6, OscillatorModel(1, 3), x), "beta", -1.0),
     ("gas-quadrature-beta", lambda x: ideal_gas_partition_quadrature(Q6, IdealGasModel(1, 2), x), "beta", 0.0),
     ("density-of-states-E", lambda x: density_of_states(Q6, IdealGasModel(3, 2), [1.0, x]), "E", 0.0),
+    ("dos-analytic-E", lambda x: DOS.analytic(x), "E", None),
+    ("dos-analytic-E-array", lambda x: DOS.analytic(np.array([1.0, x])), "E", None),
     ("q-log-x", lambda x: q_log(Q6, x), "x", 0.0),
     ("q-log-x-q1", lambda x: q_log(Q1, np.array([1.0, x])), "x", -1.0),
     ("xi-factor-m", lambda x: xi_factor(Q6, x), "m", 1.5),

@@ -441,6 +441,12 @@ class TestScaling:
         assert rep.lhs == pytest.approx(0.25, rel=1e-9)
         assert rep.rel_err < 1e-9
 
+    def test_one_side_underflowing_is_an_error(self):
+        # F(s/a) at s/a = 1e300 underflows to 0 while the lhs is 4.0e-301: rel_err read 1.0
+        with pytest.raises(QLaplaceError, match=re.escape(f"at s/a = {1.0 / 1e-300}")):
+            scaling_check(QParam(0.6), Monomial(2), 1e-300, 1.0)
+        assert scaling_check(QParam(0.6), Monomial(2), 1e-100, 1.0).rel_err < 1e-15
+
 
 class TestShiftKernel:
     def test_zero_shift(self):
