@@ -30,7 +30,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QLaplaceError
 from .qmath import QParam, _integer_arg, _q_exp_pow, _real_arg
 
 __all__ = [
@@ -111,7 +111,10 @@ class _Entry:
     its order-th derivative on a float array, and ``taylor_coefficients``;
     ``f(t)`` is order 0 and ``f.derivative(order)`` any order, both converting
     t once: a scalar t gives a float and an array t a float array of its
-    shape.  f(0) is the constant Taylor coefficient."""
+    shape.  A scalar t must be finite (DomainError naming it), and a value
+    past double range is a QLaplaceError, never a warning or an inf; an array
+    t is evaluated as it is (the transform kernel checks its own samples).
+    f(0) is the constant Taylor coefficient."""
 
     limit_at_infinity: float | None = None
 
@@ -124,8 +127,14 @@ class _Entry:
 
     def _value(self, t, order: int):
         arr = np.asarray(t, dtype=float)
-        out = self._eval(arr, order)
-        return out if arr.ndim else float(out)
+        if arr.ndim:
+            return self._eval(arr, order)
+        t = _real_arg("t", float(arr), -math.inf)
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, raised below
+            out = float(self._eval(arr, order))
+        if not math.isfinite(out):
+            raise QLaplaceError(f"{self.label} at t = {t} is not finite in double precision")
+        return out
 
     @property
     def value_at_zero(self) -> float:

@@ -25,13 +25,17 @@ Only the weights and the offset p0 differ between callers:
 
 Every term, of these and of a TaylorSeries value (the t view of the one series
 type, qmath.PowerSeries), is formed in log magnitude by qmath._log_term_sum, so the
-schedule runs to large k and a sum past double range raises QLaplaceError.
-Richardson extrapolation in 1/k is one cached weight matrix per schedule.
+schedule runs to large k and a sum past double range raises QLaplaceError.  On a
+series an evaluation is one term sum on a prepared row: the weights with log R
+folded in, kept by the series per (q, k_schedule, fixed_m), and for a TaylorSeries
+per sign of t.  Richardson extrapolation in 1/k is one cached weight matrix per
+schedule.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -70,16 +74,26 @@ class TaylorSeries(PowerSeries):
     @functools.cached_property
     def t_max(self) -> float:
         n, log_a, _ = self._log_form
-        log_cap = ((math.log(sys.float_info.max / len(self.coeffs)) - log_a[n > 0]) / n[n > 0]).min(initial=math.inf)
+        i = 1 if len(n) and not n[0] else 0  # no t reaches the cap through a_0
+        log_cap = ((math.log(sys.float_info.max / len(self.coeffs)) - log_a[i:]) / n[i:]).min(initial=math.inf)
         return min(self.radius, 1e3 if log_cap > math.log(1e3) else math.exp(log_cap))
 
     def __call__(self, t):
-        arr = np.asarray(_real_arg("t", t, -math.inf))
-        n, log_a, sign = self._log_form
-        # terms at |t| with the sign (-1)**n where t < 0; t = 0 (summed at the least normal |t|) is a_0
-        y, signs = np.abs(arr).reshape(-1), np.where(arr.reshape(-1, 1) < 0.0, sign * (1 - 2 * (n % 2)), sign)
-        out = np.where(y > 0.0, _log_term_sum(log_a, signs, n, y.clip(sys.float_info.min), "f(t)"), self.coeffs[0])
+        arr = _real_arg("t", t, -math.inf)
+        if isinstance(arr, float):  # t = 0 is a_0
+            return float(_log_term_sum(*self._taylor_row(arr < 0.0), abs(arr), "f(t)")) if arr else self.coeffs[0]
+        y, neg = np.abs(arr).reshape(-1), arr.reshape(-1) < 0.0
+        out = np.full(y.shape, self.coeffs[0])
+        for flip in (False, True) if neg.any() else (False,):
+            at = (y > 0.0) & (neg == flip)
+            out[at] = _log_term_sum(*self._taylor_row(flip), y[at], "f(t)")
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+    def _taylor_row(self, flip: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The prepared row at |t|: log|a_n|, the sign of a_n, times (-1)**n for t < 0 (``flip``),
+        and the powers n."""
+        n, log_a, sign = self._log_form
+        return self._row(flip, lambda: (log_a, sign * (1 - 2 * (n % 2)) if flip else sign, n))
 
 
 @dataclass(frozen=True)
@@ -130,25 +144,30 @@ def _richardson_weights(ks: tuple[int, ...]) -> np.ndarray:
     return weights
 
 
+# an estimate record from a (k, value, extrapolated) tuple, built in C: the named tuple's own
+# __new__ is a Python function, and a density of states builds one record per energy and k
+_estimate = functools.partial(tuple.__new__, WidderEstimate)
+
+
 def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEstimate]]:
     """Wrap raw finite-k values, one row per point and one column per k,
     attaching to each estimate after the first its running 1/k Richardson
     value when ``enabled``."""
     ks, values = [int(k) for k in ks], np.asarray(values, dtype=float)
-    if not enabled:
-        return [list(map(WidderEstimate, ks, row)) for row in values.tolist()]
-    extr = (values @ _richardson_weights(tuple(ks)).T).tolist()
-    for row_e in extr:  # the first k has nothing to extrapolate from
-        row_e[0] = None
-    return [list(map(WidderEstimate, ks, row, row_e)) for row, row_e in zip(values.tolist(), extr)]
+    if enabled:
+        extr = (values @ _richardson_weights(tuple(ks)).T).tolist()
+        for row_e in extr:  # the first k has nothing to extrapolate from
+            row_e[0] = None
+    else:
+        extr = itertools.repeat(itertools.repeat(None))
+    return [list(map(_estimate, zip(ks, row, row_e))) for row, row_e in zip(values.tolist(), extr)]
 
 
-def _widder_sums(log_w: np.ndarray, sign: np.ndarray, p0: float, x, ks: tuple[int, ...]) -> np.ndarray:
-    """Finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n), one row per x > 0
-    and one column per k, for weights w_n = sign_n * exp(log_w_n) (-inf for
-    a zero weight): qmath._log_term_sum with log R, qmath._log_q_poly at 1-q = 1/k, added."""
-    n, log_r = len(log_w), _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w))
-    return _log_term_sum(log_w + log_r, sign, p0 + np.arange(n), x, "estimate")
+def _widder_row(log_w: np.ndarray, sign: np.ndarray, p0: float, ks: tuple[int, ...]):
+    """The prepared row of the finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n) for weights
+    w_n = sign_n * exp(log_w_n) (-inf for a zero weight): log w_n + log R(k, p0+n), one row per
+    k (qmath._log_q_poly at 1-q = 1/k), the signs and the powers p0+n."""
+    return log_w + _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w)), sign, p0 + np.arange(len(log_w))
 
 
 def q_post_widder(
@@ -164,17 +183,21 @@ def q_post_widder(
     the classical Post-Widder estimator (scale factor 1, prefactor 1).
     """
     t = _real_arg("t", t)
-    n, log_c, sign_c = F._log_form
-    # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero c_n
-    # stays in as a -inf exponent, as _widder_sums takes the whole run of orders 0..size-1
-    size = len(F.coeffs)
-    log_w, sign = np.full(size, -math.inf), np.zeros(size)
-    log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
-    sign[n] = sign_c
-    if cfg.fixed_m:
-        log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
-    values = _widder_sums(log_w, sign, 0.0, [t], cfg.k_schedule)
-    return extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)[0]
+
+    def build():
+        n, log_c, sign_c = F._log_form
+        # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero
+        # c_n stays in as a -inf exponent, as the row takes the whole run of orders 0..size-1
+        size = len(F.coeffs)
+        log_w, sign = np.full(size, -math.inf), np.zeros(size)
+        log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
+        sign[n] = sign_c
+        if cfg.fixed_m:
+            log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
+        return _widder_row(log_w, sign, 0.0, cfg.k_schedule)
+
+    values = _log_term_sum(*F._row((q.q, cfg.k_schedule, cfg.fixed_m), build), t, "estimate")
+    return extrapolate_schedule(cfg.k_schedule, values.reshape(-1, len(cfg.k_schedule)), cfg.extrapolate)[0]
 
 
 def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
@@ -211,19 +234,11 @@ def roundtrip(q: QParam, f: CatalogFunction, n_terms: int = 20) -> RoundtripRepo
     F = catalog_transform(q, f, n_terms)
     rec = series_invert(q, F)
     ref = f.taylor_coefficients(len(rec.coeffs) - 1)
-    errors = [_rel_err(a_rec, a_ref) for a_rec, a_ref in zip(rec.coeffs, ref)]
+    errors = tuple(map(_rel_err, rec.coeffs, ref))
     t_grid = np.linspace(0.0, rec.t_max, 33)
-    series_vals = rec(t_grid)
     true_vals = f(t_grid)
-    pw = np.abs(series_vals - true_vals) / np.maximum(np.abs(true_vals), 1.0)
-    return RoundtripReport(
-        max(errors),
-        tuple(errors),
-        rec.coeffs,
-        tuple(ref),
-        tuple(float(t) for t in t_grid),
-        tuple(float(e) for e in pw),
-    )
+    pw = np.abs(rec(t_grid) - true_vals) / np.maximum(np.abs(true_vals), 1.0)
+    return RoundtripReport(max(errors), errors, rec.coeffs, tuple(ref), tuple(t_grid.tolist()), tuple(pw.tolist()))
 
 
 def widder_weight(q: QParam, k: int, y):

@@ -21,13 +21,15 @@ The power-series helpers live here too: the power map, the one series type,
 views, and the one validity rule, `_radius`, behind `s_min` and `t_max`.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently.
+concurrently; series instances also carry a bounded cache of prepared rows
+(`PowerSeries._row`), which concurrent callers share safely.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -252,13 +254,19 @@ def _radius(n: np.ndarray, log_x: np.ndarray, length: int) -> float:
 def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, what: str) -> np.ndarray:
     """The package's one series evaluator: sum_n sign_n * exp(log_w[..., n] +
     powers_n * log x), one row per x > 0 (checked by the caller), each term in
-    log magnitude (-inf is a zero term); QLaplaceError naming ``what`` on overflow."""
-    log_x = np.log(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * np.ndim(log_w))
-    exponent = log_w + log_x * powers
+    log magnitude (-inf is a zero term); QLaplaceError naming ``what`` on overflow.
+    A float x takes the scalar path, one sum per row of log_w with no array work on x."""
+    if isinstance(x, float):
+        exponent = log_w + np.log(x) * powers
+    else:
+        log_x = np.log(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * np.ndim(log_w))
+        exponent = log_w + log_x * powers
     # with every exponent below 709 - log(n), each of the n terms is below e**709 / n and
     # their sum below e**709 < DBL_MAX: only past that (or at a nan) can a sum leave double range
-    if exponent.max(initial=-math.inf) < 709.0 - math.log(max(exponent.shape[-1], 1)):
-        return (np.exp(exponent) * sign).sum(axis=-1)
+    if not exponent.size or exponent.item(exponent.argmax()) < 709.0 - math.log(exponent.shape[-1]):
+        np.exp(exponent, out=exponent)
+        exponent *= sign
+        return np.add.reduce(exponent, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = (np.exp(exponent) * sign).sum(axis=-1)
     if not np.all(np.isfinite(sums)):
@@ -266,11 +274,18 @@ def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, wh
     return sums
 
 
+_ROWS = 16  # prepared rows a series keeps; past that the newest is dropped
+_ROWS_LOCK = threading.Lock()  # makes each cache's evict-then-insert one step
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Coefficients x_n, checked once for the two views, `transform.PowerSeriesTransform` and
     `inverse.TaylorSeries`, each naming itself by ``_kind``; ``_log_form`` is what `_log_term_sum`
-    sums (nonzero n, log|x_n|, signs) and ``radius`` the `_radius` of it, cached on first read."""
+    sums (nonzero n, log|x_n|, signs) and ``radius`` the `_radius` of it, cached on first read.
+    ``_row`` keeps up to _ROWS prepared rows (log_w, sign, powers), read-only and built once per
+    key, so that an evaluation is one `_log_term_sum`; the cache is no field (equality, hashing
+    and pickles ignore it) and lives and dies with the instance."""
 
     coeffs: tuple[float, ...]
 
@@ -283,7 +298,27 @@ class PowerSeries:
             raise QLaplaceError(f"{self._kind} coefficient c_{n} = {c[n]} is not finite")
         object.__setattr__(self, "coeffs", tuple(c.tolist()))
         n = c.nonzero()[0]
-        object.__setattr__(self, "_log_form", (n, np.log(np.abs(c[n])), np.sign(c[n])))
+        cn = c[n]
+        object.__setattr__(self, "_log_form", (n, np.log(np.abs(cn)), np.sign(cn)))
+        object.__setattr__(self, "_rows", {})
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_rows": {}}
+
+    def _row(self, key, build) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The prepared row under ``key``, from ``build()`` on its first use (two threads may
+        both build it; they get equal rows)."""
+        rows = self._rows
+        row = rows.get(key)
+        if row is None:
+            row = build()
+            for part in row:
+                part.flags.writeable = False
+            with _ROWS_LOCK:
+                if len(rows) >= _ROWS:
+                    rows.popitem()
+                rows[key] = row
+        return row
 
     @functools.cached_property
     def radius(self) -> float:

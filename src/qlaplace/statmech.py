@@ -33,8 +33,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, QLaplaceError
-from .inverse import WidderConfig, WidderEstimate, _widder_sums, extrapolate_schedule
-from .qmath import QParam, _integer_arg, _log_q_poly, _q_exp_pow, _real_arg, _xi_factor_real
+from .inverse import WidderConfig, WidderEstimate, _widder_row, extrapolate_schedule
+from .qmath import QParam, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, _xi_factor_real
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import q_post_widder  # noqa: F401
 from .qmath import q_poly as _q_poly_real  # noqa: F401
@@ -231,7 +231,8 @@ def density_of_states(
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
-    energies = _real_arg("E", E_grid).tolist()
+    E_arr = np.atleast_1d(_real_arg("E", E_grid))
+    energies = E_arr.tolist()
     if not energies:
         raise DomainError("energy grid must be nonempty")
     log_w = (
@@ -240,7 +241,7 @@ def density_of_states(
         - math.lgamma(m)
         - (m - 1.0) * math.log(_xi_factor_real(q, cfg.fixed_m or m))
     )
-    values = _widder_sums(np.array([log_w]), np.ones(1), m - 1.0, energies, cfg.k_schedule)
+    values = _log_term_sum(*_widder_row(np.array([log_w]), np.ones(1), m - 1.0, cfg.k_schedule), E_arr, "estimate")
     per_e, samples = [], []
     for e, ests in zip(energies, extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)):
         last = ests[-1]

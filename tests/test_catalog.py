@@ -13,6 +13,7 @@ from qlaplace import (
     Exponential,
     Gaussian,
     Monomial,
+    QLaplaceError,
     QCosh,
     QCosine,
     QExponential,
@@ -214,6 +215,35 @@ class TestContract:
     def test_value_at_zero(self, key):
         f = make_entry(key)
         assert f.value_at_zero == f.taylor_coefficients(0)[0] == f(0.0)
+
+class TestScalarGuard:
+    """A scalar t is checked: nan and inf are a DomainError naming t, and a huge finite t gives
+    the value, or a QLaplaceError where it leaves double range, never a RuntimeWarning."""
+
+    @pytest.mark.parametrize("f", (Cosine(1.0), QCosine(QParam(0.7), 1.0)), ids=lambda f: f.label)
+    @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+    def test_non_finite_t_rejected(self, f, bad):
+        with pytest.raises(DomainError, match="t must be finite"):
+            f(bad)
+        with pytest.raises(DomainError, match="t must be finite"):
+            f.derivative(2)(bad)
+
+    @pytest.mark.parametrize("f", (QGaussian(QParam(0.7), 1.0), Gaussian(1.0)), ids=lambda f: f.label)
+    def test_huge_t_underflows_quietly(self, f):
+        assert f(1e160) == 0.0
+
+    @pytest.mark.parametrize("f", (QCosine(QParam(0.7), 1.0), Monomial(200)), ids=lambda f: f.label)
+    def test_huge_value_is_typed(self, f):
+        with pytest.raises(QLaplaceError, match=r"at t = 1e\+160 is not finite"):
+            f(1e160)
+
+    @pytest.mark.parametrize("key", sorted(CATALOG))
+    def test_scalar_matches_array(self, key):
+        f = make_entry(key)
+        t = np.linspace(0.0, 3.0, 13)
+        for g in (f, f.derivative(1), f.derivative(3)):
+            assert [g(x) for x in t.tolist()] == g(t).tolist()
+
 
 @pytest.mark.parametrize("key", [k for k in sorted(CATALOG) if k.removeprefix("q") in PAIRED])
 def test_paired_parity_and_termination(key):
