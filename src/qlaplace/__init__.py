@@ -1,13 +1,13 @@
 """Deformed Laplace transform toolkit.
 
 Forward transforms with the q-exponential kernel, closed-form transform
-catalog as the term-wise image of Taylor series, real-variable Post-Widder
-inversion, and partition-function / density-of-states applications.
+catalog as the term-wise image of Taylor series (no pFq series is summed),
+real-variable Post-Widder inversion, and partition-function /
+density-of-states applications.
 """
 
-from .errors import ConvergenceError, DomainError, QLaplaceError, QuadratureError
+from .errors import DomainError, QLaplaceError, QuadratureError
 from .qmath import QParam, q_exp, q_log, q_poly, q_product_arg, xi_factor
-from .hypergeom import PFQParams, SeriesControl, pfq, pfq_term_coefficients
 from .quadrature import integrate, integrate_half_line
 from .catalog import (
     CATALOG,

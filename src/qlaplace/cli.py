@@ -232,11 +232,10 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
 @click.option("--t-grid", "t_grid", required=True, help="start:stop:count[:log]")
 @click.option("--k-schedule", "k_schedule", default="4,8,16,32,64", show_default=True)
 @click.option("--n-terms", type=int, default=40, show_default=True)
-@click.option("--fixed-m", type=int, default=None, help="fixed-power scaling index (default per-term)")
 @_function_options
 @_output_options
 @_numeric_guard
-def invert(q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
+def invert(q, t_grid, k_schedule, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_meta):
     """Finite-k inversion estimates against the original function."""
     qp = QParam(q)
     f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
@@ -247,7 +246,7 @@ def invert(q, t_grid, k_schedule, n_terms, fixed_m, fn_name, m, alpha, qprime, s
     high = [t for t in grid if t > t_max]
     if high:
         raise DomainError(f"t values {high} lie above the series validity bound t_max = {t_max}")
-    cfg = WidderConfig(ks, fixed_m, extrapolate=False)
+    cfg = WidderConfig(ks, extrapolate=False)
     rows = []
     for t in grid:
         ests = q_post_widder(qp, series, t, cfg)

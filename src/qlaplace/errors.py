@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all qlaplace modules."""
+"""Exception hierarchy shared by all qlaplace modules: QLaplaceError, DomainError, QuadratureError."""
+
+__all__ = ["QLaplaceError", "DomainError", "QuadratureError"]
 
 
 class QLaplaceError(Exception):
@@ -7,10 +9,6 @@ class QLaplaceError(Exception):
 
 class DomainError(QLaplaceError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class ConvergenceError(QLaplaceError):
-    """A series failed to converge (divergent parameters or term budget hit)."""
 
 
 class QuadratureError(QLaplaceError):

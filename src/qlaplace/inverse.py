@@ -176,13 +176,15 @@ def q_post_widder(
     t: float,
     cfg: WidderConfig = WidderConfig(),
 ) -> list[WidderEstimate]:
-    """Finite-k inversion estimates of a power-series transform at t > 0.
+    """Finite-k inversion estimates of a power-series transform at one scalar t > 0.
 
     Returns one estimate per k in the schedule, with optional running
     Richardson extrapolation in 1/k.  At q = 1 the formula degenerates to
     the classical Post-Widder estimator (scale factor 1, prefactor 1).
     """
     t = _real_arg("t", t)
+    if not isinstance(t, float) and t.ndim:
+        raise DomainError(f"t must be a scalar, got an array of shape {t.shape}")
 
     def build():
         n, log_c, sign_c = F._log_form

@@ -217,7 +217,7 @@ def density_of_states(
     E_grid,
     cfg: WidderConfig = WidderConfig(),
 ) -> DensityOfStates:
-    """Recover g(E) from Z_q by treating beta as the transform variable.
+    """Recover g(E) on a scalar or 1-D grid E, treating beta as the transform variable.
 
     Z_q(beta) = C * beta**-m is a single power, so at every real m >= 2 the
     finite-k estimator is one term of the Post-Widder weighted sum, weight
@@ -232,9 +232,9 @@ def density_of_states(
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
     E_arr = np.atleast_1d(_real_arg("E", E_grid))
+    if E_arr.ndim > 1 or not E_arr.size:
+        raise DomainError(f"E must be a scalar or a nonempty 1-D grid, got an array of shape {E_arr.shape}")
     energies = E_arr.tolist()
-    if not energies:
-        raise DomainError("energy grid must be nonempty")
     log_w = (
         math.log(2.0 - q.q)
         + _log_power_coefficient(q, model)

@@ -27,7 +27,7 @@ from qlaplace import (
     Sinh,
 )
 from qlaplace.errors import DomainError
-from qlaplace.hypergeom import PFQParams, pfq_term_coefficients
+from qlaplace.hypergeom import pfq_term_coefficients
 from qlaplace.qmath import QParam, q_poly
 
 
@@ -92,9 +92,8 @@ def pfq_series(q: QParam, f, n_terms: int = 40) -> PowerSeriesTransform:
         return PowerSeriesTransform(tuple(coeffs), q)
 
     upper, lower, zfac, stride, offset, prefac = _pfq_recipe(q, f)
-    params = PFQParams(tuple(upper), tuple(lower), zfac)
     n_pfq = max(0, (n_terms - 1 - offset) // stride)
-    base = pfq_term_coefficients(params, n_pfq)
+    base = pfq_term_coefficients(tuple(upper), tuple(lower), n_pfq)
     coeffs = [0.0] * n_terms
     zpow = 1.0
     for n, cn in enumerate(base):

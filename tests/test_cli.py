@@ -260,9 +260,7 @@ class TestInvertCommand:
 
     def test_classical_q_fixed_power_law(self, runner):
         # single power t^2 (s^-3): estimate = t^2 * Gamma(3+k)/(k^2 Gamma(k+1)) at q = 1 too
-        res = runner.invoke(
-            main, ["invert", "--q", "1", "--fn", "monomial", "--m", "3", "--t-grid", "0.5:2:3", "--fixed-m", "3"]
-        )
+        res = runner.invoke(main, ["invert", "--q", "1", "--fn", "monomial", "--m", "3", "--t-grid", "0.5:2:3"])
         assert res.exit_code == 0, res.output
         _, rows = data_rows(res.output)
         assert len(rows) == 15
@@ -270,16 +268,14 @@ class TestInvertCommand:
             t, k = float(t), int(k)
             assert float(est) == pytest.approx(t**2 * (k + 1) * (k + 2) / k**2, rel=1e-12)
 
-    def test_fixed_m_past_q_poly_overflow(self, runner):
-        # q_poly(1.9, 200) overflows a double: xi used to come out 0.0 and the run died
+    def test_fixed_m_is_not_an_option(self, runner):
+        # --fixed-m 200 printed estimates 226 to 904 against 0.25 and 1 with exit 0
         res = runner.invoke(
             main,
             ["invert", "--q", "0.1", "--fn", "monomial", "--m", "3", "--t-grid", "0.5:1:2", "--fixed-m", "200"],
         )
-        assert res.exit_code == 0, res.output
-        _, rows = data_rows(res.output)
-        assert len(rows) == 10
-        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert res.exit_code == 2, res.output
+        assert "No such option" in res.output and "--fixed-m" in res.output
 
 
 class TestRoundtripCommand:

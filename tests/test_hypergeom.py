@@ -1,4 +1,5 @@
-"""pFq series evaluation: frozen sums, termination, symmetry, error paths."""
+"""pFq Taylor coefficients: frozen values, termination, symmetry, the sum against an
+independent oracle, and error paths."""
 
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlaplace import ConvergenceError, DomainError, PFQParams, SeriesControl, pfq, pfq_term_coefficients
+from qlaplace import DomainError
+from qlaplace.hypergeom import pfq_term_coefficients
 
 
 def direct_sum(upper, lower, z, n_terms=60):
@@ -25,39 +27,30 @@ def direct_sum(upper, lower, z, n_terms=60):
     return total
 
 
-class TestPfq:
-    def test_exp_series(self):
-        assert pfq(PFQParams((), (), 1.0)) == pytest.approx(math.e, rel=1e-13)
+def coefficient_sum(upper, lower, z, n_max):
+    return sum(c * z**n for n, c in enumerate(pfq_term_coefficients(upper, lower, n_max)))
 
-    def test_1f1_oracle(self):
-        # 1F1(1; 2; 1) = sum 1/(n+1)! = e - 1
-        oracle = sum(1.0 / math.factorial(n + 1) for n in range(40))
-        assert oracle == pytest.approx(math.e - 1.0, rel=1e-15)
-        assert pfq(PFQParams((1.0,), (2.0,), 1.0)) == pytest.approx(oracle, rel=1e-13)
 
-    def test_terminating_polynomial(self):
-        # 2F1(1, -2; 3; 1/2) = 1 - 1/3 + 1/24 = 17/24
-        assert pfq(PFQParams((1.0, -2.0), (3.0,), 0.5)) == pytest.approx(17.0 / 24.0, rel=1e-14)
+class TestTermCoefficients:
+    def test_exp_coefficients(self):
+        coeffs = pfq_term_coefficients((), (), 3)
+        assert coeffs == pytest.approx([1.0, 1.0, 0.5, 1.0 / 6.0], rel=1e-15)
 
-    def test_binomial_termination_outside_disk(self):
-        # 1F0(-3;;z) = (1-z)^3 terminates, so |z| >= 1 is fine
-        for z in (0.5, 2.0, -1.5):
-            assert pfq(PFQParams((-3.0,), (), z)) == pytest.approx((1.0 - z) ** 3, rel=1e-13)
+    def test_binomial_coefficients(self):
+        coeffs = pfq_term_coefficients((-2.0,), (), 3)
+        assert coeffs == pytest.approx([1.0, -2.0, 1.0, 0.0], abs=1e-15)
 
-    def test_zero_argument(self):
-        assert pfq(PFQParams((0.7, 1.3), (2.2,), 0.0)) == 1.0
+    def test_0f1_coefficients(self):
+        coeffs = pfq_term_coefficients((), (1.0,), 2)
+        assert coeffs == pytest.approx([1.0, 1.0, 0.25], rel=1e-15)
 
-    @given(
-        a=st.floats(min_value=0.1, max_value=4.0),
-        b=st.floats(min_value=0.1, max_value=4.0),
-        c=st.floats(min_value=0.5, max_value=5.0),
-        z=st.floats(min_value=-0.6, max_value=0.6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_upper_permutation_symmetry(self, a, b, c, z):
-        v1 = pfq(PFQParams((a, b), (c,), z))
-        v2 = pfq(PFQParams((b, a), (c,), z))
-        assert v1 == pytest.approx(v2, rel=1e-11, abs=1e-300)
+    def test_negative_order(self):
+        with pytest.raises(DomainError):
+            pfq_term_coefficients((), (), -1)
+
+    def test_consistency_with_sum(self):
+        upper, lower, z = (0.5, 1.0), (2.5,), 0.4
+        assert coefficient_sum(upper, lower, z, 200) == pytest.approx(direct_sum(upper, lower, z), rel=1e-11)
 
     def test_agrees_with_direct_sum(self):
         cases = [
@@ -66,58 +59,43 @@ class TestPfq:
             ((1.0, 0.5, -2.5), (4.0, 4.5), 0.3),
         ]
         for upper, lower, z in cases:
-            assert pfq(PFQParams(upper, lower, z)) == pytest.approx(
-                direct_sum(upper, lower, z), rel=1e-11
-            )
+            assert coefficient_sum(upper, lower, z, 59) == pytest.approx(direct_sum(upper, lower, z), rel=1e-11)
 
+    def test_exp_series(self):
+        assert coefficient_sum((), (), 1.0, 40) == pytest.approx(math.e, rel=1e-13)
 
-class TestPfqErrors:
+    def test_1f1_oracle(self):
+        # 1F1(1; 2; 1) = sum 1/(n+1)! = e - 1
+        assert coefficient_sum((1.0,), (2.0,), 1.0, 40) == pytest.approx(math.e - 1.0, rel=1e-13)
+
+    def test_terminating_polynomial(self):
+        # 2F1(1, -2; 3; z) = 1 - 2z/3 + z^2/6, 17/24 at z = 1/2: every later coefficient is exactly 0
+        coeffs = pfq_term_coefficients((1.0, -2.0), (3.0,), 6)
+        assert coeffs[3:] == [0.0] * 4
+        assert coefficient_sum((1.0, -2.0), (3.0,), 0.5, 6) == pytest.approx(17.0 / 24.0, rel=1e-14)
+
+    def test_binomial_termination_outside_disk(self):
+        # 1F0(-3;;z) = (1-z)^3 terminates, so |z| >= 1 is fine
+        for z in (0.5, 2.0, -1.5):
+            assert coefficient_sum((-3.0,), (), z, 10) == pytest.approx((1.0 - z) ** 3, rel=1e-13)
+
+    def test_near_negative_integer_upper_terminates(self):
+        # a parameter a few ulps from -3 snaps to exact termination
+        assert pfq_term_coefficients((-3.0 + 4e-15,), (), 6)[4:] == [0.0, 0.0, 0.0]
+
+    @given(
+        a=st.floats(min_value=0.1, max_value=4.0),
+        b=st.floats(min_value=0.1, max_value=4.0),
+        c=st.floats(min_value=0.5, max_value=5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_upper_permutation_symmetry(self, a, b, c):
+        v1 = pfq_term_coefficients((a, b), (c,), 40)
+        v2 = pfq_term_coefficients((b, a), (c,), 40)
+        assert v1 == pytest.approx(v2, rel=1e-13, abs=1e-300)
+
     def test_bad_lower(self):
-        with pytest.raises(DomainError):
-            PFQParams((1.0,), (0.0,), 0.5)
-        with pytest.raises(DomainError):
-            PFQParams((1.0,), (-3.0,), 0.5)
-
-    def test_too_many_upper(self):
-        with pytest.raises(DomainError):
-            PFQParams((1.0, 2.0), (), 0.5)
-
-    def test_divergent_argument(self):
-        with pytest.raises(ConvergenceError):
-            pfq(PFQParams((1.0, 0.5), (2.5,), 1.2))
-        with pytest.raises(ConvergenceError):
-            pfq(PFQParams((1.0, 0.5), (2.5,), -1.0))
-
-    def test_term_budget(self):
-        with pytest.raises(ConvergenceError):
-            pfq(PFQParams((), (), 30.0), SeriesControl(rel_tol=1e-12, max_terms=5))
-
-    def test_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
-
-
-class TestTermCoefficients:
-    def test_exp_coefficients(self):
-        coeffs = pfq_term_coefficients(PFQParams((), (), 0.0), 3)
-        assert coeffs == pytest.approx([1.0, 1.0, 0.5, 1.0 / 6.0], rel=1e-15)
-
-    def test_binomial_coefficients(self):
-        coeffs = pfq_term_coefficients(PFQParams((-2.0,), (), 0.0), 3)
-        assert coeffs == pytest.approx([1.0, -2.0, 1.0, 0.0], abs=1e-15)
-
-    def test_0f1_coefficients(self):
-        coeffs = pfq_term_coefficients(PFQParams((), (1.0,), 0.0), 2)
-        assert coeffs == pytest.approx([1.0, 1.0, 0.25], rel=1e-15)
-
-    def test_negative_order(self):
-        with pytest.raises(DomainError):
-            pfq_term_coefficients(PFQParams((), (), 0.0), -1)
-
-    def test_consistency_with_sum(self):
-        params = PFQParams((0.5, 1.0), (2.5,), 0.4)
-        coeffs = pfq_term_coefficients(params, 200)
-        dot = sum(c * params.argument**n for n, c in enumerate(coeffs))
-        assert pfq(params) == pytest.approx(dot, rel=1e-11)
+        with pytest.raises(DomainError, match="lower parameter 0.0"):
+            pfq_term_coefficients((1.0,), (0.0,), 3)
+        with pytest.raises(DomainError, match="lower parameter -3.0"):
+            pfq_term_coefficients((1.0,), (-3.0,), 3)

@@ -1,8 +1,10 @@
 """Every name a package module imports is used there, exported, or marked as kept,
-and a statement marked as kept binds only names that nothing in the module uses; and
+and a statement marked as kept binds only names that nothing in the module uses; every
+name a module exports exists and the package imports only exported names; and
 importing the CLI loads no numpy submodule the package does not need."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -53,6 +55,42 @@ def test_the_check_sees_a_used_name_marked_as_kept():
     assert unused_imports(source) == ["line 2: pi is used but marked as kept"]
     assert unused_imports("from math import pi  # noqa: F401\n__all__ = ['pi']\n") == [
         "line 1: pi is used but marked as kept"]
+
+
+def dangling_exports(module) -> list[str]:
+    """Entries of the module's ``__all__`` that it does not bind."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def unexported_package_imports(source: str) -> list[str]:
+    """``module.name`` for each name a package ``__init__`` imports from a module that
+    leaves it out of its ``__all__``."""
+    stray = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"qlaplace.{node.module}").__all__
+            stray += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    return stray
+
+
+# the CLI module is an entry point, not a library module: it has no __all__
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    assert dangling_exports(importlib.import_module(f"qlaplace.{path.stem}")) == []
+
+
+def test_package_imports_only_exported_names():
+    assert unexported_package_imports((SRC / "__init__.py").read_text()) == []
+
+
+def test_the_surface_checks_see_a_stray_name():
+    class Module:
+        __all__ = ["kept", "gone"]
+        kept = 1
+
+    assert dangling_exports(Module) == ["gone"]
+    assert unexported_package_imports("from .errors import DomainError, ConvergenceError\n") == [
+        "errors.ConvergenceError"]
 
 
 def test_cli_import_leaves_out_numpy_polynomial():

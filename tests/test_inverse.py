@@ -275,6 +275,13 @@ class TestQPostWidderPerTerm:
         with pytest.raises(DomainError):
             q_post_widder(Q5, F, t, WidderConfig((4, 8), fixed_m))
 
+    @pytest.mark.parametrize("t", (np.array([1.0, 2.0]), [[1.0]]), ids=("1-D", "2-D"))
+    def test_array_t(self, t):
+        # the estimates for t = 1 alone came back, for both shapes
+        F = catalog_transform(Q5, Sine(1.0))
+        with pytest.raises(DomainError, match=r"t must be a scalar, got an array of shape \("):
+            q_post_widder(Q5, F, t)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             WidderConfig((4, 4, 8))

@@ -210,6 +210,10 @@ class TestDensityOfStates:
             density_of_states(Q5, IdealGasModel(3, 2), [])
         with pytest.raises(DomainError):
             density_of_states(Q5, IdealGasModel(3, 2), [1.0, -2.0])
+        # [[1.0, 2.0]] gave one sample, the estimate at E = 1.0 keyed by the whole row
+        for grid in ([[1.0, 2.0]], [[1, 2], [3, 4]]):
+            with pytest.raises(DomainError, match=r"E must be a scalar or a nonempty 1-D grid"):
+                density_of_states(QParam(0.6), IdealGasModel(3, 2), grid)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_non_finite_energy(self, bad):

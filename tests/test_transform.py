@@ -16,7 +16,6 @@ from qlaplace import (
     IdealGasModel,
     Monomial,
     OscillatorModel,
-    PFQParams,
     PowerSeriesTransform,
     QCosh,
     QCosine,
@@ -26,7 +25,6 @@ from qlaplace import (
     QParam,
     QSine,
     QSinh,
-    SeriesControl,
     Sine,
     WidderConfig,
     catalog_transform,
@@ -37,7 +35,6 @@ from qlaplace import (
     kernel_pair_integral,
     limit_identity_check,
     linearity_check,
-    pfq_term_coefficients,
     q_poly,
     qderivative_of_transform_check,
     qintegral_of_transform_check,
@@ -47,6 +44,7 @@ from qlaplace import (
     translation_check,
     widder_weight,
 )
+from qlaplace.hypergeom import pfq_term_coefficients
 from qlaplace.qmath import _power_map
 from pfq_oracle import CATALOG_SPECS, pfq_series
 from post_widder_oracle import classical_post_widder
@@ -637,8 +635,7 @@ class TestConvolution:
         (lambda: classical_post_widder(lambda k, s: 1.0, 1.0, 2.5), "k = 2.5"),
         (lambda: IdealGasModel(1.5, 2), "D = 1.5"),
         (lambda: OscillatorModel(1, 2.5), "N = 2.5"),
-        (lambda: SeriesControl(max_terms=2.5), "max_terms = 2.5"),
-        (lambda: pfq_term_coefficients(PFQParams((), (), 0.0), 2.5), "n_max = 2.5"),
+        (lambda: pfq_term_coefficients((), (), 2.5), "n_max = 2.5"),
         (lambda: scaling_check(Q5, Monomial(2), math.nan, 1.0), "a = nan"),
         (lambda: scaling_check(Q5, Monomial(2), math.inf, 1.0), "a = inf"),
         (lambda: linearity_check(Q5, Monomial(2), math.nan, Exponential(1.0, -1), -0.5, 1.0), "a1 = nan"),
@@ -647,7 +644,7 @@ class TestConvolution:
     ids=("derivative-rule", "qderivative", "q_poly", "catalog", "roundtrip", "monomial", "catalog-order",
          "catalog-negative-order", "shift", "translation",
          "derivative-order", "k-schedule", "fixed-m", "widder-weight", "classical-post-widder", "gas-D",
-         "oscillator-N", "max-terms", "n-max", "scaling-nan", "scaling-inf", "linearity-a1", "linearity-a2"),
+         "oscillator-N", "n-max", "scaling-nan", "scaling-inf", "linearity-a1", "linearity-a2"),
 )
 def test_fractional_count_or_nan_argument_is_a_domain_error(call, named):
     # each used to raise a bare TypeError or an error naming no argument, to report a
