@@ -64,9 +64,8 @@ from .statmech import (
     IdealGasModel,
     OscillatorModel,
     density_of_states,
-    ideal_gas_partition,
     ideal_gas_partition_quadrature,
-    oscillator_partition,
+    partition_function,
 )
 
 __version__ = "0.1.0"

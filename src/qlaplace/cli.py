@@ -23,6 +23,7 @@ Exit codes: 0 all good, 1 hard assertion failed, 2 invalid configuration,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -302,33 +303,41 @@ def identities(q, s, fmt, output, no_meta):
 # statmech
 
 
+# each model constant option: its parameter name -> (its flag, the model field it sets); a constant
+# left out takes the model's own default
+_MODEL_CONSTANTS = {
+    "volume": ("--v", "V"), "mass": ("--mass", "mass"), "h_const": ("--h-const", "h"),
+    "omega": ("--omega", "omega"), "hbar": ("--hbar", "hbar"),
+}
+
+
 @main.command()
 @click.option("--q", type=float, required=True)
 @click.option("--model", type=click.Choice(["ideal-gas", "oscillator"]), required=True)
 @click.option("--d", "--D", "dim", type=int, required=True, help="spatial dimension D")
 @click.option("--n", "--N", "count", type=int, required=True, help="particle count N")
-@click.option("--v", "--V", "volume", type=float, default=1.0, show_default=True)
-@click.option("--mass", type=float, default=1.0, show_default=True)
-@click.option("--h-const", type=float, default=1.0, show_default=True)
-@click.option("--omega", type=float, default=1.0, show_default=True)
-@click.option("--hbar", type=float, default=1.0, show_default=True)
+@click.option("--v", "--V", "volume", type=float, help="ideal gas: volume V")
+@click.option("--mass", type=float, help="ideal gas: particle mass")
+@click.option("--h-const", type=float, help="ideal gas: Planck constant h")
+@click.option("--omega", type=float, help="oscillator: angular frequency")
+@click.option("--hbar", type=float, help="oscillator: reduced Planck constant")
 @click.option("--e-grid", "--E-grid", "e_grid", required=True, help="start:stop:count[:log]")
 @click.option("--k-schedule", "k_schedule", default="4,8,16,32,64", show_default=True)
 @click.option("--no-extrapolate", is_flag=True, help="report the raw final-k estimate")
 @_output_options
 @_numeric_guard
-def statmech(
-    q, model, dim, count, volume, mass, h_const, omega, hbar, e_grid, k_schedule,
-    no_extrapolate, fmt, output, no_meta,
-):
+def statmech(q, model, dim, count, e_grid, k_schedule, no_extrapolate, fmt, output, no_meta, **constants):
     """Density of states from the partition function, numeric vs analytic."""
     qp = QParam(q)
     grid = _parse_grid(e_grid, "--e-grid")
     ks = _parse_schedule(k_schedule)
-    if model == "ideal-gas":
-        mdl = IdealGasModel(dim, count, volume, mass, h_const)
-    else:
-        mdl = OscillatorModel(dim, count, omega, hbar)
+    cls = IdealGasModel if model == "ideal-gas" else OscillatorModel
+    own = {field.name for field in dataclasses.fields(cls)}
+    given = {_MODEL_CONSTANTS[name]: value for name, value in constants.items() if value is not None}
+    foreign = [flag for flag, field in given if field not in own]
+    if foreign:
+        raise DomainError(f"--model {model} takes no {' or '.join(foreign)}")
+    mdl = cls(dim, count, **{field: value for (_, field), value in given.items()})
     dos = density_of_states(qp, mdl, grid, WidderConfig(ks, None, extrapolate=not no_extrapolate))
     rows = []
     for e, g_num in dos.samples:

@@ -170,6 +170,13 @@ def _widder_row(log_w: np.ndarray, sign: np.ndarray, p0: float, ks: tuple[int, .
     return log_w + _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w)), sign, p0 + np.arange(len(log_w))
 
 
+def _same_q(q: QParam, F: PowerSeriesTransform) -> None:
+    """DomainError unless q is the deformation F was built at: the inversion would silently
+    apply one q's power map to another q's coefficients."""
+    if q.q != F.q.q:
+        raise DomainError(f"q = {q.q} does not match the transform's q = {F.q.q}")
+
+
 def q_post_widder(
     q: QParam,
     F: PowerSeriesTransform,
@@ -182,6 +189,7 @@ def q_post_widder(
     Richardson extrapolation in 1/k.  At q = 1 the formula degenerates to
     the classical Post-Widder estimator (scale factor 1, prefactor 1).
     """
+    _same_q(q, F)
     t = _real_arg("t", t)
     if not isinstance(t, float) and t.ndim:
         raise DomainError(f"t must be a scalar, got an array of shape {t.shape}")
@@ -210,6 +218,7 @@ def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
     t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude.  Also valid
     at q = 1, where it reduces to the classical rule a_n = c_n/n!.
     """
+    _same_q(q, F)
     return TaylorSeries(_power_map(q, F.coeffs, inverse=True))
 
 

@@ -207,9 +207,6 @@ def xi_factor(q: QParam, m: float) -> float:
     return math.exp((math.log(2.0 - q.q) - _log_q_poly((q.eps,), m, 1)[0, 0]) / (m - 1.0))
 
 
-_xi_factor_real = xi_factor  # statmech and tests/test_qmath.py import this name
-
-
 @functools.lru_cache(maxsize=1024)
 def _log_power_map(eps: float, bits: int) -> np.ndarray:
     """Read-only table of log(n!/q_poly(2-q, n+1)) for n < 2**bits, eps = 1-q:

@@ -1,7 +1,8 @@
 """Deformed canonical partition functions and density-of-states recovery.
 
-Two models, both with pure power-law partition functions under the
-second-constraint (linear-average) formulation:
+Two models, both with pure power-law partition functions Z_q(beta) =
+C * beta**-m under the second-constraint (linear-average) formulation, so
+that one function, `partition_function`, serves both:
 
 * classical ideal gas in D dimensions, N particles:
 
@@ -27,14 +28,13 @@ ratio, xi and R(k, p) (q_poly at 1-q = 1/k) all come from qmath._log_q_poly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, WidderEstimate, _widder_row, extrapolate_schedule
-from .qmath import QParam, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, _xi_factor_real
+from .qmath import QParam, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, xi_factor as _xi_factor_real
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import q_post_widder  # noqa: F401
 from .qmath import q_poly as _q_poly_real  # noqa: F401
@@ -44,8 +44,7 @@ __all__ = [
     "IdealGasModel",
     "OscillatorModel",
     "DensityOfStates",
-    "ideal_gas_partition",
-    "oscillator_partition",
+    "partition_function",
     "ideal_gas_partition_quadrature",
     "density_of_states",
 ]
@@ -54,24 +53,30 @@ _MAX_DOF = 200
 
 
 @dataclass(frozen=True)
-class IdealGasModel:
-    """D-dimensional classical ideal gas of N particles (arbitrary units)."""
+class _Model:
+    """D and N, whole and >= 1, and every constant field a subclass adds, finite and positive."""
 
     D: int
     N: int
-    V: float = 1.0
-    mass: float = 1.0
-    h: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
         object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
-        for name in ("V", "mass", "h"):
-            _real_arg(name, getattr(self, name))
-        if self.D * self.N < 2:
+        for field in fields(self)[2:]:
+            _real_arg(field.name, getattr(self, field.name))
+        if self.transform_power < 1.0:  # only the gas, at m = D*N/2, can fall below
             raise DomainError("need D*N/2 >= 1 for a valid transform power")
         if self.D * self.N > _MAX_DOF:
             raise DomainError(f"D*N > {_MAX_DOF} rejected (overflow guard)")
+
+
+@dataclass(frozen=True)
+class IdealGasModel(_Model):
+    """D-dimensional classical ideal gas of N particles (arbitrary units)."""
+
+    V: float = 1.0
+    mass: float = 1.0
+    h: float = 1.0
 
     @property
     def transform_power(self) -> float:
@@ -89,21 +94,11 @@ class IdealGasModel:
 
 
 @dataclass(frozen=True)
-class OscillatorModel:
+class OscillatorModel(_Model):
     """N noninteracting D-dimensional harmonic oscillators."""
 
-    D: int
-    N: int
     omega: float = 1.0
     hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
-        object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
-        for name in ("omega", "hbar"):
-            _real_arg(name, getattr(self, name))
-        if self.D * self.N > _MAX_DOF:
-            raise DomainError(f"D*N > {_MAX_DOF} rejected (overflow guard)")
 
     @property
     def transform_power(self) -> float:
@@ -114,10 +109,7 @@ class OscillatorModel:
         return -self.D * self.N * math.log(self.hbar * self.omega)
 
 
-ThermoModel = Union[IdealGasModel, OscillatorModel]
-
-
-def _log_power_coefficient(q: QParam, model: ThermoModel) -> float:
+def _log_power_coefficient(q: QParam, model: _Model) -> float:
     """log C where Z_q(beta) = C * beta**-m; the Gamma-ratio part equals
     1/q_poly(2-q, m) at real order m, from qmath._log_q_poly at 1-q itself."""
     return model.log_prefactor - _log_q_poly((q.eps,), model.transform_power, 1)[0, 0]
@@ -130,20 +122,11 @@ def _exp(log_x: float, what: str) -> float:
         raise QLaplaceError(f"{what} overflows double precision") from None
 
 
-def _partition(q: QParam, model: ThermoModel, beta: float) -> float:
-    """C * beta**-m; at q = 1 the q_poly factor is 1, so this is the classical Z."""
+def partition_function(q: QParam, model: _Model, beta: float) -> float:
+    """Closed-form Z_q(beta) = C * beta**-m of either model, in log domain; at q = 1 the
+    q_poly factor is 1, so this is the classical Z."""
     beta = _real_arg("beta", beta)
     return _exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta), "Z_q")
-
-
-def ideal_gas_partition(q: QParam, model: IdealGasModel, beta: float) -> float:
-    """Closed-form Z_q(beta) for the ideal gas, evaluated in log domain."""
-    return _partition(q, model, beta)
-
-
-def oscillator_partition(q: QParam, model: OscillatorModel, beta: float) -> float:
-    """Closed-form Z_q(beta) for the oscillator bath, log domain."""
-    return _partition(q, model, beta)
 
 
 def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float) -> float:
@@ -213,7 +196,7 @@ class DensityOfStates:
 
 def density_of_states(
     q: QParam,
-    model: ThermoModel,
+    model: _Model,
     E_grid,
     cfg: WidderConfig = WidderConfig(),
 ) -> DensityOfStates:
@@ -221,13 +204,17 @@ def density_of_states(
 
     Z_q(beta) = C * beta**-m is a single power, so at every real m >= 2 the
     finite-k estimator is one term of the Post-Widder weighted sum, weight
-    (2-q) * C / (Gamma(m) * xi**(m-1)) at offset m - 1, with xi at order
-    ``cfg.fixed_m`` when that is set, else m; all energies and k at once, in
-    log magnitude (QLaplaceError, never inf, on overflow).  The analytic
-    limit g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is carried
-    alongside and is independent of q; at q = 1 the estimator is the
+    (2-q) * C / (Gamma(m) * xi**(m-1)) at offset m - 1, with xi at the
+    model's own order m (the per-term estimator of `q_post_widder` on the
+    one-term series C * s**-m); all energies and k at once, in log magnitude
+    (QLaplaceError, never inf, on overflow).  A ``cfg.fixed_m`` that is set
+    raises DomainError: an xi at another order only mis-scales the estimate.
+    The analytic limit g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is
+    carried alongside and is independent of q; at q = 1 the estimator is the
     classical Post-Widder one (xi = 1).
     """
+    if cfg.fixed_m is not None:
+        raise DomainError(f"density_of_states takes xi at the model's own m: fixed_m = {cfg.fixed_m} is not allowed")
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
@@ -239,7 +226,7 @@ def density_of_states(
         math.log(2.0 - q.q)
         + _log_power_coefficient(q, model)
         - math.lgamma(m)
-        - (m - 1.0) * math.log(_xi_factor_real(q, cfg.fixed_m or m))
+        - (m - 1.0) * math.log(_xi_factor_real(q, m))
     )
     values = _log_term_sum(*_widder_row(np.array([log_w]), np.ones(1), m - 1.0, cfg.k_schedule), E_arr, "estimate")
     per_e, samples = [], []

@@ -157,15 +157,20 @@ _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
 _KERNEL_EDGES = (0.0, *_KERNEL_BREAKS, 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _kernel_table(qv: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x = u/(1-q*u), the kernel q_exp(-x)**p and (1-q*u)**2 at the 45 `_measure` nodes u of each
-    initial panel, a row a panel: all of the initial sweep but 1/s, read-only (69 KB)."""
-    edges = np.array(_KERNEL_EDGES)[:, None]
-    u = edges[:-1] + (edges[1:] - edges[:-1]) * _FRACTIONS
+def _kernel_parts(qv: float, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = u/(1-q*u), the kernel q_exp(-x)**p and (1-q*u)**2 at the nodes u: all of the
+    integrand of `_kernel_quadrature` but g and 1/s."""
     om = 1.0 - qv * u
     x = u / om
-    table = x, _q_exp_pow(1.0 - qv, -x, p), om * om
+    return x, _q_exp_pow(1.0 - qv, -x, p), om * om
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_table(qv: float, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_kernel_parts` at the 45 `_measure` nodes u of each initial panel, a row a panel: all of
+    the initial sweep but 1/s, read-only (69 KB)."""
+    edges = np.array(_KERNEL_EDGES)[:, None]
+    table = _kernel_parts(qv, p, edges[:-1] + (edges[1:] - edges[:-1]) * _FRACTIONS)
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -206,9 +211,8 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
         return y
 
     def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
-        om = 1.0 - q.q * u
-        x = u / om
-        return weighted(_q_exp_pow(q.eps, -x, p) * (scale / (om * om)), scale * x)
+        x, ker, om2 = _kernel_parts(q.q, p, u)
+        return weighted(ker * (scale / om2), scale * x)
 
     x, ker, om2 = _kernel_table(q.q, p)
     with np.errstate(all="ignore"):  # weighted and _panel_value raise on what these warnings flag

@@ -33,10 +33,10 @@ from qlaplace import (
     density_of_states,
     forward_numeric,
     identity_rows,
-    ideal_gas_partition,
     ideal_gas_partition_quadrature,
     kernel_pair_integral,
     limit_identity_check,
+    partition_function,
     q_poly,
     q_post_widder,
     qderivative_of_transform_check,
@@ -249,6 +249,6 @@ def test_criterion_9_partition_cross_check():
     for qv, beta in ((0.5, 1.0), (0.8, 1.7)):
         q = QParam(qv)
         brute = ideal_gas_partition_quadrature(q, model, beta)
-        closed = ideal_gas_partition(q, model, beta)
+        closed = partition_function(q, model, beta)
         worst = max(worst, abs(brute - closed) / closed)
     announce("criterion 9: brute-force partition cross-check", worst <= 1e-6, f"worst rel err {worst:.2e}")

@@ -453,6 +453,41 @@ class TestStatmechCommand:
         assert res.exit_code == 2, res.output
         assert "finite and positive" in res.output
 
+    @pytest.mark.parametrize(
+        "model, extra, named",
+        (("ideal-gas", ["--hbar", "nan", "--omega", "-5"], ("--hbar", "--omega")),
+         ("ideal-gas", ["--omega", "2"], ("--omega",)),
+         ("oscillator", ["--mass", "7", "--V", "3"], ("--mass", "--v")),
+         ("oscillator", ["--h-const", "2"], ("--h-const",))),
+        ids=("gas-hbar-omega", "gas-omega", "oscillator-mass-V", "oscillator-h"),
+    )
+    def test_foreign_constant_exits_2(self, runner, model, extra, named):
+        # these were dropped: exit 0, and the table printed without them
+        res = runner.invoke(main, ["statmech", "--model", model, *extra, "--D", "3", "--N", "2", "--q", "0.6",
+                                   "--E-grid", "1:2:2"])
+        assert res.exit_code == 2, res.output
+        assert f"--model {model} takes no" in res.output
+        assert all(flag in res.output for flag in named), res.output
+
+    @pytest.mark.parametrize("model, key", (("ideal-gas", "hbar"), ("oscillator", "V")))
+    def test_foreign_config_key_exits_2(self, runner, tmp_path, model, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=2\n")
+        res = runner.invoke(main, ["statmech", "--config", str(cfg), "--model", model, "--D", "3", "--N", "2",
+                                   "--q", "0.6", "--E-grid", "1:2:2"])
+        assert res.exit_code == 2, res.output
+        assert f"--model {model} takes no --{key.lower()}" in res.output
+
+    @pytest.mark.parametrize(
+        "model, given",
+        (("ideal-gas", ["--V", "1", "--mass", "1", "--h-const", "1"]), ("oscillator", ["--omega", "1", "--hbar", "1"])),
+    )
+    def test_unit_constants_are_the_defaults(self, runner, model, given):
+        args = ["statmech", "--model", model, "--D", "3", "--N", "2", "--q", "0.6", "--E-grid", "1:2:2"]
+        plain, explicit = runner.invoke(main, args), runner.invoke(main, [*args, *given])
+        assert plain.exit_code == explicit.exit_code == 0, explicit.output
+        assert plain.output == explicit.output
+
     def test_power_too_small_exits_2(self, runner):
         res = runner.invoke(
             main,

@@ -364,6 +364,28 @@ class TestSeriesInvert:
                 ts(arg)
 
 
+class TestOneQ:
+    """A transform carries the q it was built at; inverting it at another q is refused."""
+
+    F = catalog_transform(QParam(0.5), Sine(1.0))
+
+    @pytest.mark.parametrize(
+        "invert",
+        (lambda q, F: series_invert(q, F)(1.0), lambda q, F: q_post_widder(q, F, 1.0),
+         lambda q, F: q_post_widder(q, F, 1.0, WidderConfig((16, 32, 64), fixed_m=2))),
+        ids=("series-invert", "post-widder", "post-widder-fixed"),
+    )
+    @pytest.mark.parametrize("qv", (0.9, 1.0, 0.5 + 1e-12))
+    def test_mismatch_names_both(self, invert, qv):
+        # series_invert at q = 0.9 gave 0.4224 here against sin 1 = 0.8415, silently
+        with pytest.raises(DomainError, match=rf"q = {qv} does not match the transform's q = 0\.5"):
+            invert(QParam(qv), self.F)
+
+    def test_same_q_by_value(self):
+        assert series_invert(QParam(0.5), self.F)(1.0) == pytest.approx(math.sin(1.0), rel=1e-12)
+        assert q_post_widder(QParam(0.5), self.F, 1.0) == q_post_widder(self.F.q, self.F, 1.0)
+
+
 class TestTaylorValues:
     """Taylor values are the one log-magnitude term sum at |t|, with the parity sign
     (-1)**n where t < 0 and the constant term at t = 0."""

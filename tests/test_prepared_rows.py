@@ -92,7 +92,7 @@ def old_density_of_states(q, model, E_grid, cfg):
         math.log(2.0 - q.q)
         + _log_power_coefficient(q, model)
         - math.lgamma(m)
-        - (m - 1.0) * math.log(xi_factor(q, cfg.fixed_m or m))
+        - (m - 1.0) * math.log(xi_factor(q, m))
     )
     values = old_widder_sums(np.array([log_w]), np.ones(1), m - 1.0, energies, cfg.k_schedule)
     per_e, samples = [], []
@@ -193,7 +193,7 @@ def test_post_widder_matches_unprepared(f, qv):
 def test_density_of_states_matches_unprepared(model, qv, extrapolate):
     q, m = QParam(qv), model.transform_power
     energies = [e * m for e in (0.1, 0.35, 0.8, 1.2, 2.0)]
-    for cfg in (WidderConfig(extrapolate=extrapolate), WidderConfig((4, 8, 16), fixed_m=3, extrapolate=extrapolate)):
+    for cfg in (WidderConfig(extrapolate=extrapolate), WidderConfig((4, 8, 16), extrapolate=extrapolate)):
         want = outcome(old_density_of_states, q, model, energies, cfg)
         got = outcome(density_of_states, q, model, energies, cfg)
         assert got == want, cfg

@@ -20,13 +20,12 @@ from qlaplace import (
     catalog_transform,
     density_of_states,
     forward_numeric,
-    ideal_gas_partition,
     ideal_gas_partition_quadrature,
     integral_rule_diagnostic,
     integrate_half_line,
     kernel_pair_integral,
     linearity_check,
-    oscillator_partition,
+    partition_function,
     q_log,
     q_post_widder,
     qderivative_of_transform_check,
@@ -75,8 +74,8 @@ ENTRY_POINTS = (
     ("gas-h", lambda x: IdealGasModel(1, 2, h=x), "h", 0.0),
     ("oscillator-omega", lambda x: OscillatorModel(1, 3, omega=x), "omega", 0.0),
     ("oscillator-hbar", lambda x: OscillatorModel(1, 3, hbar=x), "hbar", -1.0),
-    ("gas-beta", lambda x: ideal_gas_partition(Q6, IdealGasModel(1, 2), x), "beta", 0.0),
-    ("oscillator-beta", lambda x: oscillator_partition(Q6, OscillatorModel(1, 3), x), "beta", -1.0),
+    ("gas-beta", lambda x: partition_function(Q6, IdealGasModel(1, 2), x), "beta", 0.0),
+    ("oscillator-beta", lambda x: partition_function(Q6, OscillatorModel(1, 3), x), "beta", -1.0),
     ("gas-quadrature-beta", lambda x: ideal_gas_partition_quadrature(Q6, IdealGasModel(1, 2), x), "beta", 0.0),
     ("density-of-states-E", lambda x: density_of_states(Q6, IdealGasModel(3, 2), [1.0, x]), "E", 0.0),
     ("dos-analytic-E", lambda x: DOS.analytic(x), "E", None),

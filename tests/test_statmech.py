@@ -1,5 +1,6 @@
 """Partition functions and density-of-states recovery."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,13 +9,14 @@ from qlaplace import (
     DomainError,
     IdealGasModel,
     OscillatorModel,
+    PowerSeriesTransform,
     QLaplaceError,
     QParam,
     WidderConfig,
     density_of_states,
-    ideal_gas_partition,
     ideal_gas_partition_quadrature,
-    oscillator_partition,
+    partition_function,
+    q_post_widder,
     widder_weight,
     xi_factor,
 )
@@ -27,13 +29,13 @@ Q1 = QParam(1.0)
 class TestIdealGasPartition:
     def test_frozen_value(self):
         # D=1, N=2, unit constants, q=1/2, beta=1 -> 2*pi/3
-        z = ideal_gas_partition(Q5, IdealGasModel(1, 2), 1.0)
+        z = partition_function(Q5, IdealGasModel(1, 2), 1.0)
         assert z == pytest.approx(2.0 * math.pi / 3.0, rel=1e-13)
 
     def test_beta_scaling(self):
         model = IdealGasModel(2, 3, V=0.7, mass=1.3, h=0.9)
         q = QParam(0.8)
-        ratio = ideal_gas_partition(q, model, 2.0) / ideal_gas_partition(q, model, 1.0)
+        ratio = partition_function(q, model, 2.0) / partition_function(q, model, 1.0)
         assert ratio == pytest.approx(2.0 ** (-model.D * model.N / 2.0), rel=1e-13)
 
     def test_classical_limit_ladder(self):
@@ -47,7 +49,7 @@ class TestIdealGasPartition:
         )
         prev = None
         for qv in (0.99, 0.999, 0.9999):
-            ratio = ideal_gas_partition(QParam(qv), model, beta) / classical
+            ratio = partition_function(QParam(qv), model, beta) / classical
             err = abs(ratio - 1.0)
             if prev is not None:
                 assert err < prev
@@ -56,7 +58,7 @@ class TestIdealGasPartition:
 
     def test_rejects_bad_beta(self):
         with pytest.raises(DomainError):
-            ideal_gas_partition(Q5, IdealGasModel(1, 2), 0.0)
+            partition_function(Q5, IdealGasModel(1, 2), 0.0)
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
@@ -71,20 +73,20 @@ class TestIdealGasPartition:
 
 class TestOscillatorPartition:
     def test_frozen_value(self):
-        z = oscillator_partition(Q5, OscillatorModel(1, 1), 1.0)
+        z = partition_function(Q5, OscillatorModel(1, 1), 1.0)
         assert z == pytest.approx(2.0 / 3.0, rel=1e-13)
 
     def test_beta_scaling(self):
         model = OscillatorModel(2, 2, omega=1.7, hbar=0.8)
         q = QParam(0.7)
-        ratio = oscillator_partition(q, model, 2.0) / oscillator_partition(q, model, 1.0)
+        ratio = partition_function(q, model, 2.0) / partition_function(q, model, 1.0)
         assert ratio == pytest.approx(2.0 ** (-4.0), rel=1e-13)
 
     def test_classical_limit(self):
         model = OscillatorModel(1, 1, omega=2.0)
         beta = 0.9
         classical = 1.0 / (beta * model.hbar * model.omega)
-        err = abs(oscillator_partition(QParam(0.9999), model, beta) / classical - 1.0)
+        err = abs(partition_function(QParam(0.9999), model, beta) / classical - 1.0)
         assert err < 1e-3
 
 
@@ -94,13 +96,13 @@ class TestLargeOrder:
     def test_partition_stays_in_log_domain(self):
         model = OscillatorModel(2, 100)
         log_qpoly = sum(math.log1p(0.5 * j) for j in range(1, 201))
-        z = oscillator_partition(Q5, model, 1e-3)
+        z = partition_function(Q5, model, 1e-3)
         assert z == pytest.approx(math.exp(-log_qpoly - 200 * math.log(1e-3)), rel=1e-11)
-        assert math.isfinite(oscillator_partition(Q5, model, 1e3))
+        assert math.isfinite(partition_function(Q5, model, 1e3))
 
     def test_overflow_is_typed(self):
         with pytest.raises(QLaplaceError):
-            oscillator_partition(Q5, OscillatorModel(2, 100, hbar=1e-5), 1.0)
+            partition_function(Q5, OscillatorModel(2, 100, hbar=1e-5), 1.0)
         with pytest.raises(QLaplaceError):
             density_of_states(Q5, OscillatorModel(2, 100, hbar=1e-5), [1.0, 2.0])
 
@@ -122,7 +124,7 @@ class TestBruteForceCrossCheck:
         for qv, beta in ((0.5, 1.0), (0.8, 1.7)):
             q = QParam(qv)
             brute = ideal_gas_partition_quadrature(q, model, beta)
-            closed = ideal_gas_partition(q, model, beta)
+            closed = partition_function(q, model, beta)
             assert brute == pytest.approx(closed, rel=1e-6)
 
     def test_requires_two_degrees(self):
@@ -221,6 +223,67 @@ class TestDensityOfStates:
             density_of_states(Q5, IdealGasModel(3, 2), [1.0, bad])
 
 
+class TestXiAtOwnOrder:
+    """density_of_states takes xi at the model's own m: it is the per-term q_post_widder
+    estimate of the one-term series C * s**-m, and a fixed_m is refused."""
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        (
+            (IdealGasModel(1, 4), 4e-15),  # m = 2
+            (IdealGasModel(3, 2), 4e-15),  # m = 3
+            (IdealGasModel(2, 5, V=0.7, mass=1.3, h=0.9), 4e-15),  # m = 5
+            (OscillatorModel(1, 2), 4e-15),  # m = 2
+            (OscillatorModel(1, 7, omega=1.7, hbar=0.8), 4e-15),  # m = 7
+            # past m of about 10 the log-magnitude exponents carry a few 1e-14
+            (OscillatorModel(2, 20), 6e-14),  # m = 40
+            (IdealGasModel(3, 40), 6e-14),  # m = 60
+        ),
+        ids=repr,
+    )
+    def test_matches_per_term_post_widder(self, model, bound):
+        cfg, m = WidderConfig(extrapolate=False), int(model.transform_power)
+        for qv in (0.1, 0.3, 0.5, 0.9, 0.999, 1.0):
+            q = QParam(qv)
+            # Z_q(beta) = C * beta**-m with C = Z_q(1)
+            F = PowerSeriesTransform((0.0,) * (m - 1) + (partition_function(q, model, 1.0),), q)
+            dos = density_of_states(q, model, [0.3 * m, m, 2.0 * m], cfg)
+            for E, ests in dos.k_estimates:
+                for got, want in zip(ests, q_post_widder(q, F, E, cfg), strict=True):
+                    assert got.k == want.k
+                    assert abs(got.value - want.value) <= bound * want.value, (qv, E, got.k)
+
+    @pytest.mark.parametrize("fixed_m", (2, 3, 5))
+    def test_fixed_m_is_refused(self, fixed_m):
+        # fixed_m = 3 is the model's own m, and still refused: there is no second order to choose
+        with pytest.raises(DomainError, match=f"fixed_m = {fixed_m}"):
+            density_of_states(Q5, IdealGasModel(3, 2), [1.0], WidderConfig(fixed_m=fixed_m))
+
+
+class TestModelChecks:
+    """Both models run the one set of checks, in one order, with one set of messages."""
+
+    @pytest.mark.parametrize("cls", (IdealGasModel, OscillatorModel))
+    @pytest.mark.parametrize(
+        "D, N, match",
+        (
+            (0, 3, "D must be an integer >= 1, got D = 0"),
+            (3, 0, "N must be an integer >= 1, got N = 0"),
+            (20, 11, r"D\*N > 200 rejected \(overflow guard\)"),
+            (0, 1000, "D must be"),  # D is checked before the overflow guard
+        ),
+    )
+    def test_shared_checks(self, cls, D, N, match):
+        with pytest.raises(DomainError, match=match):
+            cls(D, N)
+
+    @pytest.mark.parametrize("cls", (IdealGasModel, OscillatorModel))
+    def test_constant_checked_before_the_guard(self, cls):
+        field = dataclasses.fields(cls)[-1].name
+        with pytest.raises(DomainError, match=f"{field} must be finite and positive"):
+            cls(20, 11, **{field: -1.0})
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     @pytest.mark.parametrize("field", ("V", "mass", "h"))
@@ -238,8 +301,8 @@ class TestNonFiniteParameters:
     @pytest.mark.parametrize(
         "call, named",
         (
-            (lambda x: ideal_gas_partition(Q5, IdealGasModel(1, 2), x), "beta"),
-            (lambda x: oscillator_partition(Q5, OscillatorModel(1, 1), x), "beta"),
+            (lambda x: partition_function(Q5, IdealGasModel(1, 2), x), "beta"),
+            (lambda x: partition_function(Q5, OscillatorModel(1, 1), x), "beta"),
             (lambda x: ideal_gas_partition_quadrature(Q5, IdealGasModel(1, 2), x), "beta"),
             (lambda x: widder_weight(Q5, 3, x), "y"),
             (lambda x: xi_factor(Q5, x), "m"),
@@ -275,21 +338,21 @@ class TestClassicalContinuity:
     @pytest.mark.parametrize("j", range(4, 13))
     def test_partitions_against_mpmath(self, j):
         q = QParam(1.0 - 10.0**-j)
-        cases = (
-            (ideal_gas_partition, IdealGasModel(1, 3, V=0.7, mass=1.3, h=0.9)),  # m = 1.5
-            (ideal_gas_partition, IdealGasModel(3, 2)),  # m = 3
-            (oscillator_partition, OscillatorModel(1, 3, omega=1.7, hbar=0.8)),
-            (oscillator_partition, OscillatorModel(2, 5)),
+        models = (
+            IdealGasModel(1, 3, V=0.7, mass=1.3, h=0.9),  # m = 1.5
+            IdealGasModel(3, 2),  # m = 3
+            OscillatorModel(1, 3, omega=1.7, hbar=0.8),
+            OscillatorModel(2, 5),
         )
-        for partition, model in cases:
+        for model in models:
             want = mp_partition(q, model, 1.3)
-            assert abs(partition(q, model, 1.3) - want) <= 1e-14 * want, model
+            assert abs(partition_function(q, model, 1.3) - want) <= 1e-14 * want, model
 
     def test_oscillator_at_one_minus_1e8(self):
         # the Gamma ratio at 1/(2-q-1) was 1.8e-7 off here
         q, model = QParam(1.0 - 1e-8), OscillatorModel(1, 3)
         want = mp_partition(q, model, 1.0)
-        assert abs(oscillator_partition(q, model, 1.0) - want) <= 1e-14 * want
+        assert abs(partition_function(q, model, 1.0) - want) <= 1e-14 * want
 
 
 class TestClassicalQ:
@@ -302,12 +365,12 @@ class TestClassicalQ:
         classical = model.V**model.N * (2.0 * math.pi * model.mass / beta) ** (dn / 2.0) / (
             model.h**dn * math.factorial(model.N)
         )
-        assert ideal_gas_partition(Q1, model, beta) == pytest.approx(classical, rel=1e-14)
+        assert partition_function(Q1, model, beta) == pytest.approx(classical, rel=1e-14)
 
     def test_oscillator_partition(self):
         model = OscillatorModel(2, 2, omega=1.7, hbar=0.8)
         beta = 0.9
-        assert oscillator_partition(Q1, model, beta) == pytest.approx((beta * 0.8 * 1.7) ** -4.0, rel=1e-14)
+        assert partition_function(Q1, model, beta) == pytest.approx((beta * 0.8 * 1.7) ** -4.0, rel=1e-14)
 
     @pytest.mark.parametrize("model", (IdealGasModel(3, 2, V=0.7), OscillatorModel(1, 3, omega=2.0)),
                              ids=("gas", "oscillator"))
