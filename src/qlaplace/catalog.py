@@ -108,7 +108,9 @@ def _gaussian_factor(eps: float, alpha: float, order: int) -> np.ndarray:
 
 class _Entry:
     """What every catalog entry shares.  An entry defines ``_eval(arr, order)``,
-    its order-th derivative on a float array, and ``taylor_coefficients``;
+    its order-th derivative on a float array, and ``_taylor(n_max)``, its Taylor
+    coefficients up to t**n_max, behind ``taylor_coefficients`` (DomainError
+    naming n_max unless it is a whole number >= 0);
     ``f(t)`` is order 0 and ``f.derivative(order)`` any order, both converting
     t once: a scalar t gives a float and an array t a float array of its
     shape.  A scalar t must be finite (DomainError naming it), and a value
@@ -136,9 +138,12 @@ class _Entry:
             raise QLaplaceError(f"{self.label} at t = {t} is not finite in double precision")
         return out
 
+    def taylor_coefficients(self, n_max: int) -> list[float]:
+        return self._taylor(_integer_arg("n_max", n_max, 0))
+
     @property
     def value_at_zero(self) -> float:
-        return self.taylor_coefficients(0)[0]
+        return self._taylor(0)[0]
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ class Monomial(_Entry):
         out = arr ** (deg - order)
         return float(math.perm(deg, order)) * out if order else out
 
-    def taylor_coefficients(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
         if self.power - 1 <= n_max:
             coeffs[self.power - 1] = 1.0
@@ -223,7 +228,7 @@ class QExponential(_Family):
     def _eval(self, arr, order: int):
         return _qexp_deriv(self.qprime.eps, self.sign * self.alpha, arr, order)
 
-    def taylor_coefficients(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> list[float]:
         return _qexp_taylor(self.qprime.eps, self.sign * self.alpha, n_max)
 
     def _params(self) -> str:
@@ -250,7 +255,7 @@ class QGaussian(_Family):
         out = _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e)
         return np.polyval(_gaussian_factor(e, self.alpha, order)[::-1], arr) * out if order else out
 
-    def taylor_coefficients(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> list[float]:
         coeffs = [0.0] * (n_max + 1)
         coeffs[::2] = _qexp_taylor(self.qprime.eps, -self.alpha, n_max // 2)
         return coeffs
@@ -266,7 +271,7 @@ class _Paired(_Family):
     delta = 0
     _square_sign = 1.0
 
-    def taylor_coefficients(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> list[float]:
         a, d = _qexp_taylor(self.qprime.eps, self.alpha, n_max), self.delta
         coeffs = [0.0] * (n_max + 1)
         coeffs[d::2] = a[d::2]

@@ -35,7 +35,7 @@ from . import __version__
 from .catalog import make_catalog_function
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
-from .qmath import QParam
+from .qmath import QParam, _real_arg
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
 from .transform import _rel_err, catalog_transform, forward_numeric, identity_rows
 
@@ -337,6 +337,8 @@ def statmech(q, model, dim, count, e_grid, k_schedule, no_extrapolate, fmt, outp
     foreign = [flag for flag, field in given if field not in own]
     if foreign:
         raise DomainError(f"--model {model} takes no {' or '.join(foreign)}")
+    for (flag, _), value in given.items():  # refused here, by its flag, not later by its field
+        _real_arg(flag, value)
     mdl = cls(dim, count, **{field: value for (_, field), value in given.items()})
     dos = density_of_states(qp, mdl, grid, WidderConfig(ks, None, extrapolate=not no_extrapolate))
     rows = []

@@ -151,7 +151,8 @@ def _refine(f, panels: list[tuple[float, float, float, float]], rel_tol: float, 
     heap, total, err_total = [], 0.0, 0.0  # heap entries: (-err, seq, lo, hi, value, depth)
     for seq, (lo, hi, value, err) in enumerate(panels, 1):
         total, err_total = total + value, err_total + err
-        heapq.heappush(heap, (-err, seq, lo, hi, value, 0))
+        heap.append((-err, seq, lo, hi, value, 0))
+    heapq.heapify(heap)  # seq is unique, so the pops come in one order however the heap is laid out
     seq = len(heap)
 
     def push(lo: float, hi: float, depth: int) -> None:

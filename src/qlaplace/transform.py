@@ -192,33 +192,38 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
     carries its own kernel (`kernel_pair_integral`).  The 64 initial panels
     scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
-    are its own to the bit, and g is still called once a panel.
+    are its own to the bit, and g is still called once a panel.  Which of
+    them need the kernel masked is decided once, over the whole table, and
+    their non-finite samples are found by `_panel_value`, whose nodes are
+    t; only ``integrand``, measured by `_measure` at nodes u, searches its
+    own samples.
     """
     scale = 1.0 / s
 
-    def weighted(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        if w.item(w.argmin()) > 0.0:
-            y = w * g(t)
-        else:
-            y = np.zeros_like(w)
-            live = w > 0.0
-            if live.any():
-                y[live] = w[live] * g(t[live])
+    def weighted(w: np.ndarray, t: np.ndarray, live_all: bool) -> np.ndarray:
+        if live_all:  # every weight positive: no kernel zero, and no nan
+            return w * g(t)
+        y = np.zeros_like(w)
+        live = w > 0.0
+        if live.any():
+            y[live] = w[live] * g(t[live])
+        return y
+
+    def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
+        x, ker, om2 = _kernel_parts(q.q, p, u)
+        w, t = ker * (scale / om2), scale * x
+        y = weighted(w, t, (w > 0.0).all())
         if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
             bad = t[~np.isfinite(y)]
             if len(bad):
                 raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
         return y
 
-    def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
-        x, ker, om2 = _kernel_parts(q.q, p, u)
-        return weighted(ker * (scale / om2), scale * x)
-
     x, ker, om2 = _kernel_table(q.q, p)
-    with np.errstate(all="ignore"):  # weighted and _panel_value raise on what these warnings flag
+    with np.errstate(all="ignore"):  # _panel_value raises on what these warnings flag
         w, t = ker * (scale / om2), scale * x
-        panels = [(lo, hi, *_panel_value(weighted(wi, ti), ti, lo, hi))
-                  for lo, hi, wi, ti in zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], w, t)]
+        panels = [(lo, hi, *_panel_value(weighted(wi, ti, li), ti, lo, hi)) for lo, hi, wi, ti, li
+                  in zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], w, t, (w > 0.0).all(axis=1).tolist())]
         return _refine(integrand, panels, _REL_TOL, _ABS_TOL)
 
 

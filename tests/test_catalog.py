@@ -216,6 +216,16 @@ class TestContract:
         f = make_entry(key)
         assert f.value_at_zero == f.taylor_coefficients(0)[0] == f(0.0)
 
+    @pytest.mark.parametrize("n_max", (2.5, -1, math.nan, math.inf))
+    def test_taylor_order_is_checked(self, key, n_max):
+        # 2.5 raised numpy's TypeError and -1 returned [] on every family
+        with pytest.raises(DomainError, match=rf"n_max must be an integer >= 0, got n_max = {n_max}"):
+            make_entry(key).taylor_coefficients(n_max)
+
+    def test_whole_float_taylor_order(self, key):
+        f = make_entry(key)
+        assert f.taylor_coefficients(4.0) == f.taylor_coefficients(4) and len(f.taylor_coefficients(0)) == 1
+
 class TestScalarGuard:
     """A scalar t is checked: nan and inf are a DomainError naming t, and a huge finite t gives
     the value, or a QLaplaceError where it leaves double range, never a RuntimeWarning."""

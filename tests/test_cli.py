@@ -453,6 +453,20 @@ class TestStatmechCommand:
         assert res.exit_code == 2, res.output
         assert "finite and positive" in res.output
 
+    @pytest.mark.parametrize("value", ("nan", "0", "-1"))
+    @pytest.mark.parametrize(
+        "model, given, flag",
+        (("ideal-gas", "--v", "--v"), ("ideal-gas", "--V", "--v"), ("ideal-gas", "--mass", "--mass"),
+         ("ideal-gas", "--h-const", "--h-const"), ("oscillator", "--omega", "--omega"),
+         ("oscillator", "--hbar", "--hbar")),
+    )
+    def test_refused_constant_names_its_flag(self, runner, model, given, flag, value):
+        # the model's own check named its field: "h must be ..." for --h-const
+        res = runner.invoke(main, ["statmech", "--model", model, given, value, "--D", "3", "--N", "2",
+                                   "--q", "0.6", "--E-grid", "1:2:2"])
+        assert res.exit_code == 2, res.output
+        assert f"{flag} must be finite and positive, got {flag} = {float(value)}" in res.output
+
     @pytest.mark.parametrize(
         "model, extra, named",
         (("ideal-gas", ["--hbar", "nan", "--omega", "-5"], ("--hbar", "--omega")),

@@ -317,6 +317,88 @@ def test_kernel_pair_is_the_per_panel_route_to_the_bit(qv):
         assert kernel_pair_integral(q, s, s_prime) == want
 
 
+def _outcome(fn, *args):
+    """fn(*args) as its float's hex, or the type and message of the QuadratureError it raised."""
+    try:
+        return float.hex(fn(*args))
+    except QuadratureError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("qv", (0.6, 0.9, 1.0))
+@pytest.mark.parametrize("s", (1e300, 1e-300, 5e-324), ids=("s=1e300", "s=1e-300", "s=5e-324"))
+def test_masking_decision_is_the_per_panel_rule_at_the_extremes(qv, s):
+    # the sweep decides over the whole table which panels need the kernel masked; the reference
+    # decides panel by panel (argmin), on rows with exact zeros (the kernel or w underflowing at
+    # q = 1 or huge s), on rows with nan (0 * inf once 1/(s(1-u)**2) overflows) and at
+    # s = 5e-324, where 1/s itself overflows and every t is inf
+    q = QParam(qv)
+    for p in (1.0, qv, 0.0):
+        for f in (np.ones_like, Gaussian(0.9), QExponential(QP, 0.8, -1)):
+            assert (_outcome(transform._kernel_quadrature, q, quadrature._vectorized(f), s, p)
+                    == _outcome(_per_panel_route, q, f, s, p))
+
+
+def test_extreme_s_reach_rows_with_zeros_and_nans():
+    # the rows the test above needs do occur: a row mixing zeros with live weights, and nan rows
+    def rows(qv, s):
+        _, ker, om2 = transform._kernel_table(qv, 1.0)
+        with np.errstate(all="ignore"):
+            w = ker * ((1.0 / s) / om2)
+        mixed = ((w == 0.0).any(axis=1) & (w > 0.0).any(axis=1)).any()
+        return bool(mixed), bool(np.isnan(w).any())
+
+    assert rows(0.9, 1e300) == (True, False)
+    assert rows(1.0, 1e-300) == (True, True)
+    assert rows(1.0, 5e-324)[1]
+    assert _outcome(forward_numeric, QParam(0.6), np.cos, 5e-324) == (
+        "QuadratureError", "non-finite integrand sample at t = inf")
+
+
+@pytest.mark.parametrize("qv", (0.6, 1.0))
+def test_non_finite_sample_on_a_bisected_panel_is_named_by_its_t(qv):
+    # the kink at t = 0.3 forces bisection; every sample of the initial panels is finite, and the
+    # first bisected panel's call has one nan, which must be named by its t, not its u (g is not
+    # called on an initial panel whose kernel is 0 throughout, as near u = 1 at q = 1)
+    _, ker, om2 = transform._kernel_table(qv, 1.0)
+    sweep = int((ker / om2 > 0.0).any(axis=1).sum())
+    calls, bad = [], []
+
+    def f(t):
+        calls.append(t)
+        y = np.abs(t - 0.3)
+        if len(calls) == sweep + 1:
+            bad.append(float(t[7]))
+            y[7] = np.nan
+        return y
+
+    with pytest.raises(QuadratureError) as info:
+        forward_numeric(QParam(qv), f, 1.0)
+    assert len(calls) == sweep + 1 and all(np.isfinite(t).all() for t in calls[:sweep])
+    assert str(info.value) == f"non-finite integrand sample at t = {bad[0]}"  # u = t/(1 + q t) here
+
+
+def test_huge_finite_samples_raise_on_neither_path():
+    # y @ y overflows at 1e200 samples although every sample and every panel value is finite:
+    # neither the table sweep nor a bisected panel may call that non-finite
+    q, calls = QParam(0.6), []
+
+    def huge_kink(t):
+        calls.append(1)
+        return 1e200 * np.abs(t - 0.3)
+
+    x, ker, om2 = transform._kernel_table(0.6, 1.0)  # at s = 1, t = x
+    y = ker[-2] / om2[-2] * huge_kink(x[-2])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(y).all() and not math.isfinite(y @ y)
+    calls.clear()
+    got = forward_numeric(q, huge_kink, 1.0)
+    assert len(calls) > 64 and math.isfinite(got)
+    assert got == pytest.approx(1e200 * forward_numeric(q, lambda t: np.abs(t - 0.3), 1.0), rel=1e-12)
+    flat = forward_numeric(q, lambda t: np.full_like(t, 1e200), 1.0)
+    assert flat == pytest.approx(1e200 * forward_numeric(q, np.ones_like, 1.0), rel=1e-12)
+
+
 def test_kernel_table_cache_is_bounded_and_read_only():
     for qv in np.linspace(0.01, 1.0, 100):
         forward_numeric(QParam(float(qv)), np.cos, 2.0)
