@@ -79,7 +79,7 @@ class TaylorSeries(PowerSeries):
         return min(self.radius, 1e3 if log_cap > math.log(1e3) else math.exp(log_cap))
 
     def __call__(self, t):
-        arr = _real_arg("t", t, -math.inf)
+        arr = _real_arg("t", t, -math.inf, arrays=True)
         if isinstance(arr, float):  # t = 0 is a_0
             return float(_log_term_sum(*self._taylor_row(arr < 0.0), abs(arr), "f(t)")) if arr else self.coeffs[0]
         y, neg = np.abs(arr).reshape(-1), arr.reshape(-1) < 0.0
@@ -191,8 +191,6 @@ def q_post_widder(
     """
     _same_q(q, F)
     t = _real_arg("t", t)
-    if not isinstance(t, float) and t.ndim:
-        raise DomainError(f"t must be a scalar, got an array of shape {t.shape}")
 
     def build():
         n, log_c, sign_c = F._log_form
@@ -265,7 +263,7 @@ def widder_weight(q: QParam, k: int, y):
     overflow and underflow apart.
     """
     k = _integer_arg("k", k, 1)
-    arr = np.asarray(_real_arg("y", y, closed=True))
+    arr = np.asarray(_real_arg("y", y, closed=True, arrays=True))
     with np.errstate(over="ignore"):
         out = (arr * _q_exp_pow(q.eps, -k * arr, 1.0 / k - q.eps)) ** k
     return out if arr.ndim else float(out)

@@ -99,7 +99,7 @@ def q_exp(q: QParam, x):
 
 def q_log(q: QParam, x):
     """Deformed logarithm ``(x**(1-q) - 1)/(1-q)``, inverse of q_exp for finite x > 0."""
-    arr = _real_arg("x", x)
+    arr = _real_arg("x", x, arrays=True)
     if q.classical:
         out = np.log(arr)
     else:
@@ -124,18 +124,22 @@ def _integer_arg(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _real_arg(name: str, value, low: float = 0.0, closed: bool = False):
-    """value as a float, or a float array for an array; DomainError naming the argument and its
-    first bad entry unless every entry is finite and > low (>= low when ``closed``)."""
+def _real_arg(name: str, value, low: float = 0.0, closed: bool = False, arrays: bool = False):
+    """value as a float, or with ``arrays`` a float array for an array; DomainError naming the
+    argument and its first bad entry unless every entry is finite and > low (>= low when
+    ``closed``), and naming its shape for an array of ndim >= 1 without ``arrays`` (a 0-d array
+    is a scalar)."""
     if isinstance(value, (float, int)):  # a plain number is checked without array work
         bad = float(value)
         if (low <= bad if closed else low < bad) and bad < math.inf:
             return bad
     else:
         arr = np.asarray(value, dtype=float)
+        if arr.ndim and not arrays:
+            raise DomainError(f"{name} must be a scalar, got an array of shape {arr.shape}")
         inside = ((arr >= low) if closed else (arr > low)) & (arr < math.inf)
         if inside.all():
-            return arr
+            return arr if arrays else float(arr)
         bad = float(arr[~inside].flat[0])
     if low == -math.inf:
         rule = "finite"
@@ -144,6 +148,15 @@ def _real_arg(name: str, value, low: float = 0.0, closed: bool = False):
     else:
         rule = f"finite and {'>=' if closed else '>'} {low:g}"
     raise DomainError(f"{name} must be {rule}, got {name} = {bad}")
+
+
+def _grid_arg(name: str, value) -> np.ndarray:
+    """value as a nonempty 1-D float array, a scalar as a one-point grid, each entry finite and
+    positive (`_real_arg`); DomainError naming the argument and its shape otherwise."""
+    arr = np.atleast_1d(_real_arg(name, value, arrays=True))
+    if arr.ndim > 1 or not arr.size:
+        raise DomainError(f"{name} must be a scalar or a nonempty 1-D grid, got an array of shape {arr.shape}")
+    return arr
 
 
 def q_poly(q_arg: float, m: int) -> float:

@@ -17,9 +17,8 @@ adaptive loop, `_refine`, which the transform layer's table sweep (by
 `_panel_value`) feeds too: the loop, its limits and its errors are written once.
 
 The tolerances are constants: every integral in the package meets
-max(_ABS_TOL, _REL_TOL*|result|) unless its caller passes ``rel_tol`` and
-``abs_tol`` to `integrate`, and no panel is bisected more than _MAX_DEPTH
-times.
+max(_ABS_TOL, _REL_TOL*|result|), and no panel is bisected more than
+_MAX_DEPTH times.
 
 Integrands must be vectorized over numpy arrays; a fallback wrapper maps
 scalar-only callables elementwise, lets their QLaplaceErrors through and
@@ -57,6 +56,7 @@ _PANEL_WEIGHTS[1, 15:] = 0.25 * np.tile(_WEIGHTS, 2)
 _REL_TOL, _ABS_TOL = 1e-10, 1e-14
 _MAX_DEPTH = 60
 _MAX_PANELS = 40000
+_DYADIC_LEVELS = 32
 
 
 def _vectorized(f):
@@ -100,13 +100,11 @@ def _panel_value(y: np.ndarray, x: np.ndarray, a: float, b: float) -> tuple[floa
     return value, abs(whole - value)
 
 
-def dyadic_breakpoints(
-    a: float, b: float, *, toward_a: bool = True, toward_b: bool = False, levels: int = 32
-) -> list[float]:
-    """Interior breakpoints accumulating geometrically toward an endpoint."""
+def dyadic_breakpoints(a: float, b: float, *, toward_a: bool = True, toward_b: bool = False) -> list[float]:
+    """Interior breakpoints accumulating geometrically toward an endpoint, _DYADIC_LEVELS deep."""
     width = b - a
     pts: set[float] = set()
-    for j in range(1, levels + 1):
+    for j in range(1, _DYADIC_LEVELS + 1):
         frac = 2.0 ** (-j)
         if toward_a:
             pts.add(a + width * frac)
@@ -115,36 +113,27 @@ def dyadic_breakpoints(
     return sorted(p for p in pts if a < p < b)
 
 
-def integrate(
-    f,
-    a: float,
-    b: float,
-    *,
-    breakpoints: list[float] | None = None,
-    rel_tol: float = _REL_TOL,
-    abs_tol: float = _ABS_TOL,
-) -> float:
-    """Integrate f over [a, b] to within max(abs_tol, rel_tol*|result|).
+def integrate(f, a: float, b: float, *, breakpoints: list[float] | None = None) -> float:
+    """Integrate f over [a, b] to within max(_ABS_TOL, _REL_TOL*|result|).
 
-    Raises DomainError unless both tolerances are finite and positive, and
+    Raises DomainError unless a and b are finite scalars with a <= b, and
     QuadratureError when a panel would need more than _MAX_DEPTH bisections,
     when the panel budget is exhausted, or on a non-finite integrand sample
     or panel value.
     """
-    if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
-        raise DomainError(f"quadrature tolerances must be finite and positive, got {rel_tol=}, {abs_tol=}")
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise DomainError(f"integration limits must be finite and ordered, got [{a}, {b}]")
+    a, b = _real_arg("a", a, -math.inf), _real_arg("b", b, -math.inf)
+    if not a <= b:
+        raise DomainError(f"integration limits must be ordered, got [{a}, {b}]")
     if b == a:
         return 0.0
     fv = _vectorized(f)
     edges = [a, *(p for p in sorted(breakpoints or ()) if a < p < b), b]
     with np.errstate(all="ignore"):  # _measure raises on the non-finite values these warnings flag
         panels = [(lo, hi, *_measure(fv, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        return _refine(fv, panels, rel_tol, abs_tol)
+        return _refine(fv, panels)
 
 
-def _refine(f, panels: list[tuple[float, float, float, float]], rel_tol: float, abs_tol: float) -> float:
+def _refine(f, panels: list[tuple[float, float, float, float]]) -> float:
     """The adaptive loop of `integrate` from its initial panels (lo, hi, value, err) in order:
     bisect the worst panel, measuring the halves by `_measure` of the vectorised f, until the
     tolerance is met; QuadratureError as `integrate` says (the caller silences numpy)."""
@@ -163,7 +152,7 @@ def _refine(f, panels: list[tuple[float, float, float, float]], rel_tol: float, 
 
     noise_floor = 64.0 * np.finfo(float).eps
     while heap:
-        tol = max(abs_tol, rel_tol * abs(total))
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
         if err_total <= tol:
             break
         neg_err, _, lo, hi, value, depth = heapq.heappop(heap)
@@ -201,5 +190,5 @@ def integrate_half_line(f, *, scale: float = 1.0) -> float:
         om = 1.0 - u
         return f(scale * u / om) * (scale / om**2)
 
-    pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True, levels=32)
+    pts = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
     return integrate(g, 0.0, 1.0, breakpoints=pts)

@@ -34,7 +34,9 @@ import numpy as np
 
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, WidderEstimate, _widder_row, extrapolate_schedule
-from .qmath import QParam, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, xi_factor as _xi_factor_real
+from .qmath import (
+    QParam, _grid_arg, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, xi_factor as _xi_factor_real,
+)
 # perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
 from .inverse import q_post_widder  # noqa: F401
 from .qmath import q_poly as _q_poly_real  # noqa: F401
@@ -134,10 +136,11 @@ def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float)
 
     Integrates the deformed Boltzmann weight over the full momentum plane
     (which is what the closed form counts; a first-quadrant-only domain
-    would come out 4x smaller) and multiplies by the configurational
-    volume V**N / (h**DN N!).  Restricted to D*N = 2 where the 2D nested
-    quadrature, at rel_tol 1e-8 and abs_tol 1e-12, is cheap.  The momentum
-    disc has radius 1/sqrt((1-q) beta/(2 mass)), so q < 1 only.
+    would come out 4x smaller) in polar form, 2 pi * integral_0^R
+    r q_exp(-beta r**2/(2 mass)) dr, by one `integrate` call with dyadic
+    breakpoints toward the cutoff at R = sqrt(2 mass/((1-q) beta)), and
+    multiplies by the configurational volume V**N / (h**DN N!).  Restricted
+    to D*N = 2, and to q < 1, where the momentum disc is bounded.
     """
     if q.classical:
         raise DomainError("the brute-force momentum disc is bounded for q < 1 only")
@@ -145,23 +148,13 @@ def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float)
     if model.D * model.N != 2:
         raise DomainError("brute-force cross-check is implemented for D*N = 2 only")
     half = beta / (2.0 * model.mass)
-    r2 = 1.0 / (q.eps * half)
-    radius = math.sqrt(r2)
+    radius = math.sqrt(1.0 / (q.eps * half))
 
-    def inner(p1: float) -> float:
-        p2_max = math.sqrt(max(r2 - p1 * p1, 0.0))
-        if p2_max == 0.0:
-            return 0.0
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return r * _q_exp_pow(q.eps, -half * r * r)
 
-        def integrand(p2: np.ndarray) -> np.ndarray:
-            return _q_exp_pow(q.eps, -half * (p1 * p1 + p2 * p2))
-
-        pts = dyadic_breakpoints(0.0, p2_max, toward_a=False, toward_b=True, levels=20)
-        return integrate(integrand, 0.0, p2_max, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
-
-    # inner takes one p1 at a time: integrate maps it over the nodes
-    pts = dyadic_breakpoints(0.0, radius, toward_a=False, toward_b=True, levels=20)
-    momentum_plane = 4.0 * integrate(inner, 0.0, radius, breakpoints=pts, rel_tol=1e-8, abs_tol=1e-12)
+    pts = dyadic_breakpoints(0.0, radius, toward_a=False, toward_b=True)
+    momentum_plane = 2.0 * math.pi * integrate(integrand, 0.0, radius, breakpoints=pts)
     log_config = (
         model.N * math.log(model.V)
         - model.D * model.N * math.log(model.h)
@@ -186,7 +179,7 @@ class DensityOfStates:
     def analytic(self, E):
         """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow);
         a float for a scalar E, an array for an array; DomainError naming E if it is not finite."""
-        arr = np.asarray(_real_arg("E", E, -math.inf))
+        arr = np.asarray(_real_arg("E", E, -math.inf, arrays=True))
         with np.errstate(over="ignore", divide="ignore"):
             g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(arr, 0.0)))
         if np.isinf(g).any():
@@ -218,9 +211,7 @@ def density_of_states(
     m = model.transform_power
     if m < 2:
         raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
-    E_arr = np.atleast_1d(_real_arg("E", E_grid))
-    if E_arr.ndim > 1 or not E_arr.size:
-        raise DomainError(f"E must be a scalar or a nonempty 1-D grid, got an array of shape {E_arr.shape}")
+    E_arr = _grid_arg("E", E_grid)
     energies = E_arr.tolist()
     log_w = (
         math.log(2.0 - q.q)

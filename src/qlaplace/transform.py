@@ -7,10 +7,11 @@ The transform of f with deformation q in (0, 1] is
 The kernel is supported on [0, 1/((1-q)*s)] for q < 1 and on the half line
 at q = 1; the numeric route maps either onto [0, 1) by one substitution,
 t = u/(s*(1-q*u)), and integrates there by adaptive quadrature at the
-package's one tolerance (`quadrature._REL_TOL`, `_ABS_TOL`); no function
-here takes a quadrature setting, and only the convolution's inner integral
-runs looser, by 10x.  The route takes the kernel at a power p: 1 for the
-transform, q for its exact s-derivative, 0 for the kernel-pair integrand.
+package's one tolerance (`quadrature._REL_TOL`, `_ABS_TOL`), as does every
+other integral here, the convolution's inner one included; no function
+here takes a quadrature setting.  The route takes the kernel at a power p:
+1 for the transform, q for its exact s-derivative, 0 for the kernel-pair
+integrand.
 Its 64 initial panels read all that depends on (q, p) alone from one cached
 table, scaled by 1/s; the rare bisected panels (`quadrature._refine`) get
 the per-panel integrand, which gives the same samples to the bit.
@@ -38,10 +39,10 @@ import numpy as np
 from .catalog import CatalogFunction, Cosine, Exponential, Monomial
 from .errors import DomainError, QLaplaceError, QuadratureError
 from .qmath import (
-    PowerSeries, QParam, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius, _real_arg, _TAIL,
-    q_exp,
+    PowerSeries, QParam, _grid_arg, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius,
+    _real_arg, _TAIL, q_exp,
 )
-from .quadrature import _ABS_TOL, _FRACTIONS, _REL_TOL, _panel_value, _refine, _vectorized, dyadic_breakpoints, integrate
+from .quadrature import _FRACTIONS, _panel_value, _refine, _vectorized, dyadic_breakpoints, integrate
 # perfbench/spans.py wraps these three here (nothing in the package calls the last): keep them importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
 from .qmath import q_poly  # noqa: F401
@@ -119,7 +120,7 @@ class PowerSeriesTransform(PowerSeries):
         return self._term_sum(_integer_arg("k", k, 0), s)
 
     def _term_sum(self, k: int, s):
-        arr = _real_arg("s", s)
+        arr = _real_arg("s", s, arrays=True)
         out = _log_term_sum(*self._row(k, lambda: self._derivative_row(k)), arr, f"F^({k})(s)")
         if isinstance(arr, float):
             return float(out)
@@ -224,7 +225,7 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
         w, t = ker * (scale / om2), scale * x
         panels = [(lo, hi, *_panel_value(weighted(wi, ti, li), ti, lo, hi)) for lo, hi, wi, ti, li
                   in zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], w, t, (w > 0.0).all(axis=1).tolist())]
-        return _refine(integrand, panels, _REL_TOL, _ABS_TOL)
+        return _refine(integrand, panels)
 
 
 # --------------------------------------------------------------------------
@@ -237,12 +238,15 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     Each Taylor term a_n t**n of f maps to c_n = a_n * n!/q_poly(2-q, n+1)
     s**-(n+1), the power map `series_invert` undoes; summed, the terms are
     the paper's pFq closed forms.  A power t**(m-1) gives an m-term series
-    whatever ``n_terms``.  The series' ``s_min`` is read off these
+    whatever ``n_terms``; any other entry needs ``n_terms`` >= 4 (DomainError
+    otherwise): a series of at most one nonzero term reads as exact at every
+    s, and 4 slots give every family two nonzero terms unless its series
+    ends there.  The series' ``s_min`` is read off these
     coefficients, the paper's |z| <= 1/2 rule for any series, and keeps the
     kernel support short of ``f.cut``.  At q = 1 the map is the classical
     t**n -> n! s**-(n+1).
     """
-    n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 1) - 1
+    n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 4) - 1
     return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
 
 
@@ -526,9 +530,7 @@ def integral_rule_diagnostic(q: QParam, f: CatalogFunction, s_grid) -> RatioScan
     if not isinstance(f, Monomial):
         raise DomainError("integral-rule diagnostic needs a catalog-expressible antiderivative (powers only)")
     m = f.power
-    s_values = tuple(_real_arg("s", s_grid).tolist())
-    if not s_values:
-        raise DomainError("s grid must be nonempty")
+    s_values = tuple(_grid_arg("s", s_grid).tolist())
 
     def antiderivative(t):
         return np.asarray(t, dtype=float) ** m / m
@@ -549,15 +551,15 @@ def integral_rule_diagnostic(q: QParam, f: CatalogFunction, s_grid) -> RatioScan
 def convolution_check_classical(f: CatalogFunction, g: CatalogFunction, s: float) -> CheckReport:
     """Classical (q = 1) convolution theorem: L[f * g] = F(s) G(s).
 
-    The convolution is evaluated by nested quadrature with the inner
-    tolerance loosened tenfold for cost control.
+    The convolution is evaluated by nested quadrature, the inner integral
+    at the package tolerance like the outer one.
     """
     one = QParam(1.0)
 
     def conv(t: float) -> float:
         if t <= 0.0:
             return 0.0
-        return integrate(lambda tau: f(tau) * g(t - tau), 0.0, t, rel_tol=10.0 * _REL_TOL, abs_tol=10.0 * _ABS_TOL)
+        return integrate(lambda tau: f(tau) * g(t - tau), 0.0, t)
 
     lhs = forward_numeric(one, conv, s)
     rhs = forward_numeric(one, f, s) * forward_numeric(one, g, s)

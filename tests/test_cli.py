@@ -278,6 +278,24 @@ class TestInvertCommand:
         assert "No such option" in res.output and "--fixed-m" in res.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["transform", "--q", "0.5", "--fn", "exponential", "--sign", "-1", "--alpha", "1", "--s-grid", "2:4:3",
+         "--n-terms", "1"],
+        ["transform", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--s-grid", "2:4:2", "--n-terms", "3"],
+        ["invert", "--q", "0.5", "--fn", "cosine", "--alpha", "1", "--t-grid", "1:3:2", "--n-terms", "2",
+         "--k-schedule", "64"],
+    ),
+    ids=("transform-1", "transform-3", "invert-2"),
+)
+def test_short_series_exits_2(runner, args):
+    # a series of one nonzero term read as exact at every s and t: rel_err 0.03 to 2 with exit 0
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "n_terms must be an integer >= 4" in res.output
+
+
 class TestRoundtripCommand:
     def test_rows(self, runner):
         res = runner.invoke(

@@ -48,7 +48,7 @@ def old_log_term_sum(log_w, sign, powers, x, what):
 
 
 def old_term_sum(F, k, s):
-    arr = _real_arg("s", s)
+    arr = _real_arg("s", s, arrays=True)
     n, log_w, sign = F._log_form
     if k:
         log_fact = _log_power_map(0.0, (len(F.coeffs) + k).bit_length())
@@ -87,7 +87,7 @@ def old_post_widder(q, F, t, cfg):
 
 def old_density_of_states(q, model, E_grid, cfg):
     m = model.transform_power
-    energies = _real_arg("E", E_grid).tolist()
+    energies = _real_arg("E", E_grid, arrays=True).tolist()
     log_w = (
         math.log(2.0 - q.q)
         + _log_power_coefficient(q, model)
@@ -104,7 +104,7 @@ def old_density_of_states(q, model, E_grid, cfg):
 
 
 def old_taylor(T, t):
-    arr = np.asarray(_real_arg("t", t, -math.inf))
+    arr = np.asarray(_real_arg("t", t, -math.inf, arrays=True))
     n, log_a, sign = T._log_form
     y, signs = np.abs(arr).reshape(-1), np.where(arr.reshape(-1, 1) < 0.0, sign * (1 - 2 * (n % 2)), sign)
     out = np.where(y > 0.0, old_log_term_sum(log_a, signs, n, y.clip(sys.float_info.min), "f(t)"), T.coeffs[0])

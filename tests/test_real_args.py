@@ -1,6 +1,6 @@
 """The one real-argument rule: every real input of the library is checked by `qmath._real_arg`,
 so nan, inf, -inf and an out-of-range value each raise a DomainError naming the argument and
-the value it got ("{name} = {value}")."""
+the value it got ("{name} = {value}"), and an array given for a scalar one naming its shape."""
 
 import math
 
@@ -18,10 +18,13 @@ from qlaplace import (
     Sine,
     TaylorSeries,
     catalog_transform,
+    convolution_check_classical,
     density_of_states,
+    derivative_rule_check,
     forward_numeric,
     ideal_gas_partition_quadrature,
     integral_rule_diagnostic,
+    integrate,
     integrate_half_line,
     kernel_pair_integral,
     linearity_check,
@@ -84,7 +87,17 @@ ENTRY_POINTS = (
     ("q-log-x-q1", lambda x: q_log(Q1, np.array([1.0, x])), "x", -1.0),
     ("xi-factor-m", lambda x: xi_factor(Q6, x), "m", 1.5),
     ("half-line-scale", lambda x: integrate_half_line(np.exp, scale=x), "scale", 0.0),
+    ("integrate-a", lambda x: integrate(np.exp, x, 3.0), "a", None),
+    ("integrate-b", lambda x: integrate(np.exp, 0.0, x), "b", None),
+    ("derivative-rule-s", lambda x: derivative_rule_check(Q6, MONO2, 1, x), "s", 0.0),
+    ("convolution-s", lambda x: convolution_check_classical(DECAY, DECAY, x), "s", 0.0),
 )
+# the entries whose argument takes an array; every other one is a scalar
+ARRAY_ENTRIES = {
+    "series-value", "series-value-array", "series-derivative", "taylor-t", "taylor-t-array", "widder-weight-y",
+    "density-of-states-E", "dos-analytic-E", "dos-analytic-E-array", "q-log-x", "q-log-x-q1", "integral-rule-s",
+}
+SCALAR_ENTRIES = [e for e in ENTRY_POINTS if e[0] not in ARRAY_ENTRIES]
 
 CASES = [
     pytest.param(call, name, bad, id=f"{entry}-{bad}")
@@ -107,3 +120,18 @@ def test_message_form(call, name, out_of_range):
     rule = "finite" if out_of_range is None else "finite and (positive|nonnegative|>= 2)"
     with pytest.raises(DomainError, match=f"^{name} must be {rule}, got {name} = nan$"):
         call(math.nan)
+
+
+@pytest.mark.parametrize("call, name", [e[1:3] for e in SCALAR_ENTRIES], ids=[e[0] for e in SCALAR_ENTRIES])
+def test_array_for_a_scalar_is_a_named_domain_error(call, name):
+    # numpy's broadcast ValueError, "truth value of an array is ambiguous", a TypeError or a
+    # QuadratureError naming nothing, each from deeper in the call, before the shape rule
+    with pytest.raises(DomainError, match=rf"^{name} must be a scalar, got an array of shape \(2,\)$"):
+        call(np.array([1.5, 2.5]))
+
+
+def test_zero_dimensional_array_is_a_scalar():
+    assert forward_numeric(Q6, DECAY, np.array(2.0)) == forward_numeric(Q6, DECAY, 2.0)
+    gas = IdealGasModel(1, 2)
+    assert partition_function(Q6, gas, np.array(1.5)) == partition_function(Q6, gas, 1.5)
+    assert integrate(np.exp, np.array(0.0), np.array(1.0)) == integrate(np.exp, 0.0, 1.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qlaplace import (
@@ -126,6 +127,16 @@ class TestBruteForceCrossCheck:
             brute = ideal_gas_partition_quadrature(q, model, beta)
             closed = partition_function(q, model, beta)
             assert brute == pytest.approx(closed, rel=1e-6)
+
+    @pytest.mark.parametrize("model", (IdealGasModel(1, 2), IdealGasModel(2, 1, V=2.0, mass=0.7, h=1.3)),
+                             ids=("D1-N2", "D2-N1"))
+    def test_radial_integral_matches_closed_form_across_q_and_beta(self, model):
+        # the radial quadrature against the Gamma-ratio closed form, far inside criterion 9's 1e-6
+        for qv in np.linspace(0.01, 0.999, 40).tolist():
+            q = QParam(qv)
+            for beta in (1e-3, 0.3, 1.0, 4.0, 1e3):
+                closed = partition_function(q, model, beta)
+                assert abs(ideal_gas_partition_quadrature(q, model, beta) - closed) <= 1e-12 * closed, (qv, beta)
 
     def test_requires_two_degrees(self):
         with pytest.raises(DomainError):

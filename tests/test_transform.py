@@ -187,6 +187,18 @@ class TestCatalogTransform:
         for k in (0, 1):
             assert np.array_equal(F.derivative_value(k, sigma), G.derivative_value(k, sigma)), k
 
+    @pytest.mark.parametrize("f", CATALOG_SPECS, ids=lambda f: f.label)
+    def test_short_series_refused(self, f):
+        # a series of at most one nonzero term reads as exact at every s (s_min 0), so only a
+        # power, whose series has its own length, takes fewer than 4 slots
+        for n_terms in (1, 2, 3):
+            if isinstance(f, Monomial):
+                assert catalog_transform(Q5, f, n_terms) == catalog_transform(Q5, f)
+                continue
+            with pytest.raises(DomainError, match=f"^n_terms must be an integer >= 4, got n_terms = {n_terms}$"):
+                catalog_transform(Q5, f, n_terms)
+        assert isinstance(f, Monomial) or np.count_nonzero(catalog_transform(Q5, f, 4).coeffs) >= 2
+
     @pytest.mark.parametrize("qv", (0.3, 0.6, 0.9))
     def test_matches_pfq_closed_forms(self, qv):
         # the term-wise route against the paper's pFq series, for n < 150: further
@@ -590,6 +602,14 @@ class TestIntegralRuleDiagnostic:
     def test_non_power_rejected(self):
         with pytest.raises(DomainError):
             integral_rule_diagnostic(Q5, Gaussian(1.0), [1.0])
+
+    def test_scalar_grid_is_one_point(self):
+        assert integral_rule_diagnostic(Q5, Monomial(2), 1.5) == integral_rule_diagnostic(Q5, Monomial(2), [1.5])
+
+    @pytest.mark.parametrize("grid", ([[1.0, 2.0]], []), ids=("2-D", "empty"))
+    def test_grid_shape_is_named(self, grid):
+        with pytest.raises(DomainError, match="^s must be a scalar or a nonempty 1-D grid"):
+            integral_rule_diagnostic(Q5, Monomial(2), grid)
 
     @pytest.mark.parametrize("q, s", ((QParam(0.6), 1e200), (Q1, 1e300)), ids=("q=0.6", "q=1"))
     def test_underflow_is_typed(self, q, s):
