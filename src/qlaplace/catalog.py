@@ -193,7 +193,7 @@ class _Family(_Entry):
     _cut_power = 0  # p of the branch q_exp(-alpha t**p) that f cuts, 0 if none
 
     def __post_init__(self) -> None:
-        _real_arg("alpha", self.alpha)
+        object.__setattr__(self, "alpha", _real_arg("alpha", self.alpha))
 
     @property
     def cut(self) -> float:

@@ -32,10 +32,10 @@ import sys
 import click
 
 from . import __version__
-from .catalog import make_catalog_function
+from .catalog import Monomial, make_catalog_function
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, q_post_widder, roundtrip, series_invert
-from .qmath import QParam, _real_arg
+from .qmath import QParam, _integer_arg, _real_arg
 from .statmech import IdealGasModel, OscillatorModel, density_of_states
 from .transform import _rel_err, catalog_transform, forward_numeric, identity_rows
 
@@ -188,6 +188,14 @@ def _numeric_guard(command):
     return guarded
 
 
+def _catalog_series(qp: QParam, f, n_terms: int):
+    """`catalog_transform`, with --n-terms refused by its flag first (a monomial's series has its
+    own length)."""
+    if not isinstance(f, Monomial):
+        _integer_arg("--n-terms", n_terms, 4)
+    return catalog_transform(qp, f, n_terms)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="qlaplace")
 def main() -> None:
@@ -211,7 +219,7 @@ def transform(q, s_grid, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, 
     qp = QParam(q)
     f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
     grid = _parse_grid(s_grid, "--s-grid")
-    series = catalog_transform(qp, f, n_terms)
+    series = _catalog_series(qp, f, n_terms)
     low = [s for s in grid if s < series.s_min]
     if low:
         raise DomainError(f"s values {low} lie below the series validity bound s_min = {series.s_min}")
@@ -242,7 +250,7 @@ def invert(q, t_grid, k_schedule, n_terms, fn_name, m, alpha, qprime, sign, fmt,
     f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
     grid = _parse_grid(t_grid, "--t-grid")
     ks = _parse_schedule(k_schedule)
-    series = catalog_transform(qp, f, n_terms)
+    series = _catalog_series(qp, f, n_terms)
     t_max = series_invert(qp, series).t_max
     high = [t for t in grid if t > t_max]
     if high:
@@ -272,7 +280,7 @@ def roundtrip_cmd(q, n_terms, fn_name, m, alpha, qprime, sign, fmt, output, no_m
     """Coefficient table for closed form -> term-wise inversion -> original."""
     qp = QParam(q)
     f = make_catalog_function(fn_name, m=m, alpha=alpha, qprime=qprime, sign=int(sign))
-    rep = roundtrip(qp, f, n_terms)
+    rep = roundtrip(qp, f, _integer_arg("--n-terms", n_terms, 4))
     rows = [(n, *row) for n, row in enumerate(zip(rep.recovered, rep.reference, rep.coeff_errors))]
     meta = {"command": f"roundtrip q={q} fn={f.label} n-terms={n_terms}"}
     _emit(("n", "coeff_recovered", "coeff_reference", "rel_err"), rows, meta, fmt, output, no_meta)

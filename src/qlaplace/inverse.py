@@ -20,16 +20,15 @@ Only the weights and the offset p0 differ between callers:
   `series_invert`, the exact inverse of the power-function forward map;
 * fixed power m: the literal estimator with xi = xi_factor(q, m),
   w_n = (2-q) * c_n / (n! * xi**n), exact up to R when F is one power s**-m;
-* statmech.density_of_states: one power C * s**-m at real m, a single term
-  at p0 = m - 1.
+* statmech.density_of_states: one power C * s**-m at real m >= 1, a single
+  term at p0 = m - 1, whose weight is the q-free prefactor / Gamma(m).
 
 Every term, of these and of a TaylorSeries value (the t view of the one series
 type, qmath.PowerSeries), is formed in log magnitude by qmath._log_term_sum, so the
 schedule runs to large k and a sum past double range raises QLaplaceError.  On a
-series an evaluation is one term sum on a prepared row: the weights with log R
-folded in, kept by the series per (q, k_schedule, fixed_m), and for a TaylorSeries
-per sign of t.  Richardson extrapolation in 1/k is one cached weight matrix per
-schedule.
+series an evaluation is one term sum on a row it builds: the weights with log R
+folded in, for a TaylorSeries the signs of t's side.  Richardson extrapolation in
+1/k is one cached weight matrix per schedule.
 """
 
 from __future__ import annotations
@@ -90,10 +89,10 @@ class TaylorSeries(PowerSeries):
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def _taylor_row(self, flip: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The prepared row at |t|: log|a_n|, the sign of a_n, times (-1)**n for t < 0 (``flip``),
-        and the powers n."""
+        """The row at |t|: log|a_n|, the sign of a_n, times (-1)**n for t < 0 (``flip``), and the
+        powers n."""
         n, log_a, sign = self._log_form
-        return self._row(flip, lambda: (log_a, sign * (1 - 2 * (n % 2)) if flip else sign, n))
+        return log_a, sign * (1 - 2 * (n % 2)) if flip else sign, n
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEs
 
 
 def _widder_row(log_w: np.ndarray, sign: np.ndarray, p0: float, ks: tuple[int, ...]):
-    """The prepared row of the finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n) for weights
+    """The row of the finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n) for weights
     w_n = sign_n * exp(log_w_n) (-inf for a zero weight): log w_n + log R(k, p0+n), one row per
     k (qmath._log_q_poly at 1-q = 1/k), the signs and the powers p0+n."""
     return log_w + _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w)), sign, p0 + np.arange(len(log_w))
@@ -192,19 +191,16 @@ def q_post_widder(
     _same_q(q, F)
     t = _real_arg("t", t)
 
-    def build():
-        n, log_c, sign_c = F._log_form
-        # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero
-        # c_n stays in as a -inf exponent, as the row takes the whole run of orders 0..size-1
-        size = len(F.coeffs)
-        log_w, sign = np.full(size, -math.inf), np.zeros(size)
-        log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
-        sign[n] = sign_c
-        if cfg.fixed_m:
-            log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
-        return _widder_row(log_w, sign, 0.0, cfg.k_schedule)
-
-    values = _log_term_sum(*F._row((q.q, cfg.k_schedule, cfg.fixed_m), build), t, "estimate")
+    n, log_c, sign_c = F._log_form
+    # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero
+    # c_n stays in as a -inf exponent, as the row takes the whole run of orders 0..size-1
+    size = len(F.coeffs)
+    log_w, sign = np.full(size, -math.inf), np.zeros(size)
+    log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
+    sign[n] = sign_c
+    if cfg.fixed_m:
+        log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
+    values = _log_term_sum(*_widder_row(log_w, sign, 0.0, cfg.k_schedule), t, "estimate")
     return extrapolate_schedule(cfg.k_schedule, values.reshape(-1, len(cfg.k_schedule)), cfg.extrapolate)[0]
 
 

@@ -21,15 +21,15 @@ The power-series helpers live here too: the power map, the one series type,
 views, and the one validity rule, `_radius`, behind `s_min` and `t_max`.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently; series instances also carry a bounded cache of prepared rows
-(`PowerSeries._row`), which concurrent callers share safely.
+concurrently; a series holds its coefficients and nothing that an evaluation
+changes, and each evaluation builds its row from the cached tables
+(`_log_power_map`, `_log_q_poly`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -284,18 +284,13 @@ def _log_term_sum(log_w: np.ndarray, sign: np.ndarray, powers: np.ndarray, x, wh
     return sums
 
 
-_ROWS = 16  # prepared rows a series keeps; past that the newest is dropped
-_ROWS_LOCK = threading.Lock()  # makes each cache's evict-then-insert one step
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     """Coefficients x_n, checked once for the two views, `transform.PowerSeriesTransform` and
     `inverse.TaylorSeries`, each naming itself by ``_kind``; ``_log_form`` is what `_log_term_sum`
     sums (nonzero n, log|x_n|, signs) and ``radius`` the `_radius` of it, cached on first read.
-    ``_row`` keeps up to _ROWS prepared rows (log_w, sign, powers), read-only and built once per
-    key, so that an evaluation is one `_log_term_sum`; the cache is no field (equality, hashing
-    and pickles ignore it) and lives and dies with the instance."""
+    An evaluation builds its row (log_w, sign, powers) from ``_log_form`` and sums it: the
+    instance holds nothing that an evaluation changes."""
 
     coeffs: tuple[float, ...]
 
@@ -310,25 +305,6 @@ class PowerSeries:
         n = c.nonzero()[0]
         cn = c[n]
         object.__setattr__(self, "_log_form", (n, np.log(np.abs(cn)), np.sign(cn)))
-        object.__setattr__(self, "_rows", {})
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_rows": {}}
-
-    def _row(self, key, build) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The prepared row under ``key``, from ``build()`` on its first use (two threads may
-        both build it; they get equal rows)."""
-        rows = self._rows
-        row = rows.get(key)
-        if row is None:
-            row = build()
-            for part in row:
-                part.flags.writeable = False
-            with _ROWS_LOCK:
-                if len(rows) >= _ROWS:
-                    rows.popitem()
-                rows[key] = row
-        return row
 
     @functools.cached_property
     def radius(self) -> float:

@@ -21,8 +21,9 @@ Z_q is exactly the deformed transform of a q-independent power law: the
 density of states g(E) = prefactor * E**(m-1) / Gamma(m) recovered by the
 Post-Widder inversion carries no q dependence.  For a single power the
 finite-k estimate is one term of the weighted sum that inverse.q_post_widder
-uses, at offset m - 1, so one log-domain path serves integer and real m; the Gamma
-ratio, xi and R(k, p) (q_poly at 1-q = 1/k) all come from qmath._log_q_poly.
+uses, at offset m - 1, so one log-domain path serves integer and real m >= 1: its
+weight is the q-free prefactor / Gamma(m), and the estimate g(E) * R(k, m-1);
+the Gamma ratio and R(k, p) (q_poly at 1-q = 1/k) come from qmath._log_q_poly.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ import numpy as np
 
 from .errors import DomainError, QLaplaceError
 from .inverse import WidderConfig, WidderEstimate, _widder_row, extrapolate_schedule
-from .qmath import (
-    QParam, _grid_arg, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg, xi_factor as _xi_factor_real,
-)
-# perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (a bare alias nothing calls).
+from .qmath import QParam, _grid_arg, _integer_arg, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg
+# perfbench/spans.py wraps q_post_widder, _xi_factor_real and _q_poly_real here (bare aliases nothing calls).
 from .inverse import q_post_widder  # noqa: F401
 from .qmath import q_poly as _q_poly_real  # noqa: F401
+from .qmath import xi_factor as _xi_factor_real  # noqa: F401
 from .quadrature import dyadic_breakpoints, integrate
 
 __all__ = [
@@ -65,7 +65,7 @@ class _Model:
         object.__setattr__(self, "D", _integer_arg("D", self.D, 1))
         object.__setattr__(self, "N", _integer_arg("N", self.N, 1))
         for field in fields(self)[2:]:
-            _real_arg(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, _real_arg(field.name, getattr(self, field.name)))
         if self.transform_power < 1.0:  # only the gas, at m = D*N/2, can fall below
             raise DomainError("need D*N/2 >= 1 for a valid transform power")
         if self.D * self.N > _MAX_DOF:
@@ -111,12 +111,6 @@ class OscillatorModel(_Model):
         return -self.D * self.N * math.log(self.hbar * self.omega)
 
 
-def _log_power_coefficient(q: QParam, model: _Model) -> float:
-    """log C where Z_q(beta) = C * beta**-m; the Gamma-ratio part equals
-    1/q_poly(2-q, m) at real order m, from qmath._log_q_poly at 1-q itself."""
-    return model.log_prefactor - _log_q_poly((q.eps,), model.transform_power, 1)[0, 0]
-
-
 def _exp(log_x: float, what: str) -> float:
     try:
         return math.exp(log_x)
@@ -125,10 +119,12 @@ def _exp(log_x: float, what: str) -> float:
 
 
 def partition_function(q: QParam, model: _Model, beta: float) -> float:
-    """Closed-form Z_q(beta) = C * beta**-m of either model, in log domain; at q = 1 the
-    q_poly factor is 1, so this is the classical Z."""
+    """Closed-form Z_q(beta) = C * beta**-m of either model, in log domain: C is the prefactor
+    over q_poly(2-q, m), the Gamma ratio at real order m (qmath._log_q_poly at 1-q itself);
+    at q = 1 the q_poly factor is 1, so this is the classical Z."""
     beta = _real_arg("beta", beta)
-    return _exp(_log_power_coefficient(q, model) - model.transform_power * math.log(beta), "Z_q")
+    m = model.transform_power
+    return _exp(model.log_prefactor - _log_q_poly((q.eps,), m, 1)[0, 0] - m * math.log(beta), "Z_q")
 
 
 def ideal_gas_partition_quadrature(q: QParam, model: IdealGasModel, beta: float) -> float:
@@ -180,8 +176,9 @@ class DensityOfStates:
         """g(E), zero at E <= 0, in log magnitude (prefactor and power may under/overflow);
         a float for a scalar E, an array for an array; DomainError naming E if it is not finite."""
         arr = np.asarray(_real_arg("E", E, -math.inf, arrays=True))
-        with np.errstate(over="ignore", divide="ignore"):
-            g = np.exp(self.log_prefactor + self.exponent * np.log(np.maximum(arr, 0.0)))
+        g, above = np.zeros(arr.shape), arr > 0.0
+        with np.errstate(over="ignore"):
+            g[above] = np.exp(self.log_prefactor + self.exponent * np.log(arr[above]))
         if np.isinf(g).any():
             raise QLaplaceError("g(E) overflows double precision")
         return g if arr.ndim else float(g)
@@ -195,34 +192,27 @@ def density_of_states(
 ) -> DensityOfStates:
     """Recover g(E) on a scalar or 1-D grid E, treating beta as the transform variable.
 
-    Z_q(beta) = C * beta**-m is a single power, so at every real m >= 2 the
-    finite-k estimator is one term of the Post-Widder weighted sum, weight
-    (2-q) * C / (Gamma(m) * xi**(m-1)) at offset m - 1, with xi at the
-    model's own order m (the per-term estimator of `q_post_widder` on the
-    one-term series C * s**-m); all energies and k at once, in log magnitude
-    (QLaplaceError, never inf, on overflow).  A ``cfg.fixed_m`` that is set
-    raises DomainError: an xi at another order only mis-scales the estimate.
-    The analytic limit g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is
-    carried alongside and is independent of q; at q = 1 the estimator is the
-    classical Post-Widder one (xi = 1).
+    Z_q(beta) = C * beta**-m is a single power, so at every real m >= 1 the
+    finite-k estimator is one term of the Post-Widder weighted sum at offset
+    m - 1 (the per-term estimator of `q_post_widder` on the one-term series
+    C * s**-m).  Its weight (2-q) * C / (Gamma(m) * xi**(m-1)), with xi at the
+    model's own m, is the q-free prefactor / Gamma(m): every q_poly(2-q, m) in
+    it cancels, so the estimate, g(E) * R(k, m-1), does not depend on q.  It is
+    formed for all energies and k at once, in log magnitude (QLaplaceError,
+    never inf, on overflow).  A ``cfg.fixed_m`` that is set raises DomainError:
+    an xi at another order only mis-scales the estimate.  The analytic limit
+    g(E) = exp(log_prefactor) * E**(m-1) / Gamma(m) is carried alongside.
     """
     if cfg.fixed_m is not None:
         raise DomainError(f"density_of_states takes xi at the model's own m: fixed_m = {cfg.fixed_m} is not allowed")
     m = model.transform_power
-    if m < 2:
-        raise DomainError("transform power m must be >= 2: the scale factor xi is undefined below")
     E_arr = _grid_arg("E", E_grid)
     energies = E_arr.tolist()
-    log_w = (
-        math.log(2.0 - q.q)
-        + _log_power_coefficient(q, model)
-        - math.lgamma(m)
-        - (m - 1.0) * math.log(_xi_factor_real(q, m))
-    )
+    log_w = model.log_prefactor - math.lgamma(m)
     values = _log_term_sum(*_widder_row(np.array([log_w]), np.ones(1), m - 1.0, cfg.k_schedule), E_arr, "estimate")
     per_e, samples = [], []
     for e, ests in zip(energies, extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)):
         last = ests[-1]
         per_e.append((e, tuple(ests)))
         samples.append((e, last.value if last.extrapolated is None else last.extrapolated))
-    return DensityOfStates(model.log_prefactor - math.lgamma(m), m - 1.0, tuple(samples), tuple(per_e))
+    return DensityOfStates(log_w, m - 1.0, tuple(samples), tuple(per_e))

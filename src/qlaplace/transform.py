@@ -24,8 +24,8 @@ q = 1 included, transforming the Taylor series of f term by term: t^n maps
 to n!/q_poly(2-q, n+1) s^-(n+1) (n! s^-(n+1) at q = 1), the rule the paper
 sums into pFq closed forms, held as a PowerSeriesTransform (the 1/s view of
 `qmath.PowerSeries`; a value or s-derivative is one `qmath._log_term_sum` on a
-row the series prepares once per derivative order and keeps).  The
-numeric route shares none of this, so each can serve as the other's oracle.
+row built for its derivative order).  The numeric route shares none of this, so
+each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class PowerSeriesTransform(PowerSeries):
     which the input function leaves its Taylor series (inf if it never
     does; at q = 1 the kernel reaches t = -log(1e-13)/s).  Values and
     derivatives, exact term by term, are one log-magnitude term sum over the
-    nonzero terms, at s in (0, inf), on a row prepared once per order k:
+    nonzero terms, at s in (0, inf), on a row built for the order k:
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
     """
@@ -121,13 +121,13 @@ class PowerSeriesTransform(PowerSeries):
 
     def _term_sum(self, k: int, s):
         arr = _real_arg("s", s, arrays=True)
-        out = _log_term_sum(*self._row(k, lambda: self._derivative_row(k)), arr, f"F^({k})(s)")
+        out = _log_term_sum(*self._derivative_row(k), arr, f"F^({k})(s)")
         if isinstance(arr, float):
             return float(out)
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def _derivative_row(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The prepared row of F^(k): log|c_n| + log((n+k)!/n!), the sign of (-1)**k c_n and
+        """The row of F^(k): log|c_n| + log((n+k)!/n!), the sign of (-1)**k c_n and
         the powers -(n+k+1)."""
         n, log_w, sign = self._log_form
         if k:

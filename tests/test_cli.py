@@ -286,14 +286,26 @@ class TestInvertCommand:
         ["transform", "--q", "0.5", "--fn", "sine", "--alpha", "1", "--s-grid", "2:4:2", "--n-terms", "3"],
         ["invert", "--q", "0.5", "--fn", "cosine", "--alpha", "1", "--t-grid", "1:3:2", "--n-terms", "2",
          "--k-schedule", "64"],
+        ["roundtrip", "--q", "0.6", "--fn", "qgaussian", "--alpha", "1", "--qprime", "0.7", "--n-terms", "3"],
     ),
-    ids=("transform-1", "transform-3", "invert-2"),
+    ids=("transform-1", "transform-3", "invert-2", "roundtrip-3"),
 )
 def test_short_series_exits_2(runner, args):
-    # a series of one nonzero term read as exact at every s and t: rel_err 0.03 to 2 with exit 0
+    # a series of one nonzero term read as exact at every s and t: rel_err 0.03 to 2 with exit 0;
+    # the refusal names the flag, not the library's n_terms
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
-    assert "n_terms must be an integer >= 4" in res.output
+    n = args[args.index("--n-terms") + 1]
+    assert f"--n-terms must be an integer >= 4, got --n-terms = {n}" in res.output
+    assert "n_terms" not in res.output and "Traceback" not in res.output
+
+
+def test_monomial_ignores_n_terms(runner):
+    # a power t**(m-1) is an m-term series whatever --n-terms
+    args = ["transform", "--q", "0.5", "--fn", "monomial", "--m", "3", "--s-grid", "1:2:2"]
+    short, default = runner.invoke(main, [*args, "--n-terms", "1"]), runner.invoke(main, args)
+    assert short.exit_code == default.exit_code == 0, short.output
+    assert short.output.replace("n-terms=1", "n-terms=40") == default.output
 
 
 class TestRoundtripCommand:
@@ -520,9 +532,16 @@ class TestStatmechCommand:
         assert plain.exit_code == explicit.exit_code == 0, explicit.output
         assert plain.output == explicit.output
 
-    def test_power_too_small_exits_2(self, runner):
+    def test_power_one(self, runner):
+        # m = D*N/2 = 1, once refused: g(E) is the prefactor 2 pi / 2!, and so is every raw estimate
         res = runner.invoke(
             main,
-            ["statmech", "--model", "ideal-gas", "--d", "1", "--n", "2", "--q", "0.6", "--e-grid", "1:2:2"],
+            ["statmech", "--model", "ideal-gas", "--d", "1", "--n", "2", "--q", "0.6", "--e-grid", "1:2:2",
+             "--no-extrapolate"],
         )
-        assert res.exit_code == 2
+        assert res.exit_code == 0, res.output
+        _, rows = data_rows(res.output)
+        assert len(rows) == 2
+        for _, g_num, g_ana, rel_err in rows:
+            assert g_num == g_ana and float(rel_err) == 0.0
+            assert float(g_num) == pytest.approx(math.pi, rel=1e-15)

@@ -1,6 +1,6 @@
-"""Prepared series rows: every evaluation on a prepared row gives, to the bit, what the
-unprepared arithmetic (copied below from the evaluator it replaced) gives, and the per-series
-row cache keeps its contract (bounded, read-only, invisible to equality, pickles, threads)."""
+"""Series rows: every evaluation, which builds its row and sums it, gives to the bit what the
+unprepared arithmetic (copied below from the evaluator it replaced) gives, and a series keeps
+nothing an evaluation changes (equality, hashing, pickles and threads see the same series)."""
 
 import copy
 import math
@@ -28,8 +28,8 @@ from qlaplace import (
     series_invert,
 )
 from qlaplace.inverse import _richardson_weights
-from qlaplace.qmath import _ROWS, _log_power_map, _log_q_poly, _log_term_sum, _real_arg, xi_factor
-from qlaplace.statmech import DensityOfStates, _log_power_coefficient
+from qlaplace.qmath import _log_power_map, _log_q_poly, _log_term_sum, _real_arg, xi_factor
+from qlaplace.statmech import DensityOfStates
 
 # --------------------------------------------------------------------------
 # the unprepared arithmetic: each call rebuilds its weights and sums them as one array
@@ -88,12 +88,7 @@ def old_post_widder(q, F, t, cfg):
 def old_density_of_states(q, model, E_grid, cfg):
     m = model.transform_power
     energies = _real_arg("E", E_grid, arrays=True).tolist()
-    log_w = (
-        math.log(2.0 - q.q)
-        + _log_power_coefficient(q, model)
-        - math.lgamma(m)
-        - (m - 1.0) * math.log(xi_factor(q, m))
-    )
+    log_w = model.log_prefactor - math.lgamma(m)  # the weight (2-q) C/(Gamma(m) xi**(m-1)), q_poly cancelled
     values = old_widder_sums(np.array([log_w]), np.ones(1), m - 1.0, energies, cfg.k_schedule)
     per_e, samples = [], []
     for e, ests in zip(energies, old_extrapolate(cfg.k_schedule, values, cfg.extrapolate)):
@@ -245,39 +240,22 @@ class TestOverflowThroughScalarPath:
         assert outcome(_log_term_sum, *args, 1.0, "probe")[0] is QLaplaceError
 
 
-# --------------------------------------------------------------------------
-# the row cache
-
-
 def test_density_of_states_scalar_energy():
     q, model = QParam(0.6), IdealGasModel(3, 2)
     assert density_of_states(q, model, 5.0) == density_of_states(q, model, [5.0])
 
 
-def test_cache_is_bounded():
+def test_high_orders_match_unprepared():
     F = catalog_transform(QParam(0.6), Sine(1.0), 40)
-    for k in range(1000):
-        F.derivative_value(k, 1e4)
-        assert len(F._rows) <= _ROWS
-    for k in (0, 7, 500, 999):  # still right after evictions
+    for k in (0, 7, 500, 999):
         assert F.derivative_value(k, 1e4) == old_term_sum(F, k, 1e4)
 
 
-def test_rows_are_read_only():
-    q = QParam(0.6)
-    F = catalog_transform(q, Sine(1.0), 40)
-    F.value(2.0), F.derivative_value(3, 2.0), q_post_widder(q, F, 0.5)
-    T = series_invert(q, F)
-    T(0.5), T(-0.5)
-    rows = [part for series in (F, T) for row in series._rows.values() for part in row]
-    assert len(rows) == 15
-    for part in rows:
-        assert not part.flags.writeable
-        with pytest.raises(ValueError):
-            part[0] = 1.0
+# --------------------------------------------------------------------------
+# a series keeps nothing an evaluation changes
 
 
-def test_cache_is_not_part_of_equality():
+def test_evaluated_series_equal_fresh_ones():
     q = QParam(0.6)
     pairs = [(catalog_transform(q, Sine(1.0), 40), catalog_transform(q, Sine(1.0), 40))]
     pairs.append(tuple(series_invert(q, F) for F in pairs[0]))
@@ -286,7 +264,6 @@ def test_cache_is_not_part_of_equality():
     S, T = pairs[1]
     S(0.4), S(np.array([-0.3, 0.2]))
     for a, b in pairs:
-        assert a._rows and not b._rows
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b)
 
@@ -298,7 +275,7 @@ def test_pickle_and_copy_round_trip():
     T = series_invert(q, F)
     T_want = T(np.array([-0.5, 0.0, 0.5]))
     for clone in (pickle.loads(pickle.dumps(F)), copy.copy(F), copy.deepcopy(F)):
-        assert clone == F and not clone._rows
+        assert clone == F
         assert (clone.value(2.0), clone.derivative_value(4, 2.0), q_post_widder(q, clone, 0.5)) == want
         assert clone.s_min == F.s_min
     for clone in (pickle.loads(pickle.dumps(T)), copy.deepcopy(T)):
@@ -307,7 +284,7 @@ def test_pickle_and_copy_round_trip():
 
 
 def test_threads_share_one_instance():
-    # 4 threads on 2 cores, switching every microsecond, over more row keys than the cache keeps
+    # 4 threads on 2 cores, switching every microsecond, over many derivative orders and schedules
     q = QParam(0.6)
     cfgs = (WidderConfig(), WidderConfig((16, 32, 64), fixed_m=2, extrapolate=False))
     calls = [("d", k, s) for k in range(0, 60, 3) for s in (2.0, 3.5)]
@@ -319,14 +296,13 @@ def test_threads_share_one_instance():
 
     serial = run(catalog_transform(q, Sine(1.0), 200), range(len(calls)))
     shared = catalog_transform(q, Sine(1.0), 200)
-    barrier, results, sizes = threading.Barrier(4, timeout=60), {}, []
+    barrier, results = threading.Barrier(4, timeout=60), {}
 
     def worker(i):
         order = list(range(len(calls)))[::(1 if i % 2 else -1)]
         barrier.wait()
         for _ in range(5):
             results[i] = dict(zip(order, run(shared, order)))
-            sizes.append(len(shared._rows))
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -341,4 +317,3 @@ def test_threads_share_one_instance():
     assert not any(th.is_alive() for th in threads)
     for i in range(4):
         assert [results[i][j] for j in range(len(calls))] == serial
-    assert len(sizes) == 20 and max(sizes) <= _ROWS

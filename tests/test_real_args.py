@@ -135,3 +135,18 @@ def test_zero_dimensional_array_is_a_scalar():
     gas = IdealGasModel(1, 2)
     assert partition_function(Q6, gas, np.array(1.5)) == partition_function(Q6, gas, 1.5)
     assert integrate(np.exp, np.array(0.0), np.array(1.0)) == integrate(np.exp, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "from_array, from_float",
+    (
+        (lambda: QGaussian(QParam(0.6), np.array(0.9)), lambda: QGaussian(QParam(0.6), 0.9)),
+        (lambda: IdealGasModel(1, 2, V=np.array(2.0)), lambda: IdealGasModel(1, 2, V=2.0)),
+        (lambda: OscillatorModel(1, 2, omega=np.float64(1.5)), lambda: OscillatorModel(1, 2, omega=1.5)),
+    ),
+    ids=("catalog", "gas", "oscillator"),
+)
+def test_zero_dimensional_field_is_stored_as_a_float(from_array, from_float):
+    # a 0-d array field was kept as given, and hash() of the frozen instance raised TypeError
+    entry, want = from_array(), from_float()
+    assert entry == want and hash(entry) == hash(want) and repr(entry) == repr(want)

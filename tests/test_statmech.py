@@ -159,9 +159,13 @@ class TestDensityOfStates:
         assert dos.analytic(2.0) == pytest.approx(2.0, rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
-    def test_analytic_vanishes_below_zero_energy(self):
-        dos = density_of_states(QParam(0.6), OscillatorModel(1, 3), [1.0])
-        assert list(dos.analytic([-1.0, 0.0, 2.0])) == [0.0, 0.0, pytest.approx(2.0, rel=1e-13)]
+    @pytest.mark.parametrize("model, g2", ((OscillatorModel(1, 3), 2.0), (OscillatorModel(1, 1, omega=2.0), 0.5)),
+                             ids=("m=3", "m=1"))
+    def test_analytic_vanishes_below_zero_energy(self, model, g2):
+        # at m = 1 (exponent 0) the power at E = 0 was 0 * log 0: a nan and a RuntimeWarning
+        dos = density_of_states(QParam(0.6), model, [1.0])
+        assert dos.analytic(0.0) == dos.analytic(-1.0) == 0.0
+        assert list(dos.analytic([-1.0, 0.0, 2.0])) == [0.0, 0.0, pytest.approx(g2, rel=1e-13)]
 
     def test_analytic_overflow_raises(self):
         dos = density_of_states(QParam(0.5), OscillatorModel(1, 180), [170.0])
@@ -210,14 +214,6 @@ class TestDensityOfStates:
         truth = float(dos.analytic(1.0))
         assert dos.samples[0][1] == pytest.approx(truth, rel=1e-10)
 
-    def test_power_too_small(self):
-        with pytest.raises(DomainError):
-            density_of_states(Q5, IdealGasModel(1, 2), [1.0])  # m = 1
-        with pytest.raises(DomainError):
-            density_of_states(Q5, IdealGasModel(1, 3), [1.0])  # m = 1.5
-        with pytest.raises(DomainError):
-            density_of_states(Q5, OscillatorModel(1, 1), [1.0])  # m = 1
-
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             density_of_states(Q5, IdealGasModel(3, 2), [])
@@ -232,6 +228,60 @@ class TestDensityOfStates:
     def test_non_finite_energy(self, bad):
         with pytest.raises(DomainError):
             density_of_states(Q5, IdealGasModel(3, 2), [1.0, bad])
+
+
+def mp_prefactor(model):
+    """The q-free prefactor of Z_q = prefactor / q_poly(2-q, m) * beta**-m from the model's
+    constants, at the caller's mpmath precision."""
+    mpmath = pytest.importorskip("mpmath")
+    dn = model.D * model.N
+    if isinstance(model, IdealGasModel):
+        return (mpmath.mpf(model.V) ** model.N * (2 * mpmath.pi * model.mass) ** (mpmath.mpf(dn) / 2)
+                / (mpmath.mpf(model.h) ** dn * mpmath.factorial(model.N)))
+    return (mpmath.mpf(model.hbar) * model.omega) ** -dn
+
+
+def mp_finite_k(model, E, k):
+    """g(E) * R(k, m-1), R(k, p) = Gamma(k+p+1)/(Gamma(k+1) k**p), from the model's constants
+    at 40 digits: the raw finite-k density of states, whatever q."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.mpf(model.transform_power)
+        g = mp_prefactor(model) * mpmath.mpf(E) ** (m - 1) / mpmath.gamma(m)
+        return g * mpmath.gamma(k + m) / (mpmath.gamma(k + 1) * mpmath.mpf(k) ** (m - 1))
+
+
+class TestFiniteKAgainstMpmath:
+    """The raw finite-k density of states is g(E) * R(k, m-1) at every m >= 1 and q."""
+
+    @pytest.mark.parametrize(
+        "model, bound",
+        (
+            (IdealGasModel(2, 1), 1e-14),  # m = 1, one particle in 2-D
+            (OscillatorModel(1, 1), 1e-14),  # m = 1, the 1-D linear oscillator
+            (IdealGasModel(3, 1), 1e-14),  # m = 1.5, one particle in 3-D
+            (IdealGasModel(1, 5), 1e-14),  # m = 2.5
+            (IdealGasModel(3, 2), 1e-14),  # m = 3
+            (IdealGasModel(2, 5, V=0.7, mass=1.3, h=0.9), 1e-14),  # m = 5
+            (OscillatorModel(1, 7, omega=1.7, hbar=0.8), 1e-14),  # m = 7
+            (IdealGasModel(3, 7), 1e-14),  # m = 10.5
+            (OscillatorModel(3, 4), 1e-14),  # m = 12
+            # past m of about 12 the log-magnitude exponents carry more: these bounds are the
+            # errors of the weight (2-q) C/(Gamma(m) xi**(m-1)), which the prefactor replaced
+            (IdealGasModel(3, 40), 7.25e-14),  # m = 60
+            (OscillatorModel(2, 30), 5.88e-14),  # m = 60
+            (OscillatorModel(1, 149), 2.65e-13),  # m = 149
+        ),
+        ids=repr,
+    )
+    def test_raw_estimates(self, model, bound):
+        cfg, m = WidderConfig((4, 8, 16, 32, 64, 128), extrapolate=False), model.transform_power
+        for qv in (0.3, 0.6, 1.0):
+            dos = density_of_states(QParam(qv), model, [0.3 * m, m, 2.0 * m], cfg)
+            for E, ests in dos.k_estimates:
+                for est in ests:
+                    want = mp_finite_k(model, E, est.k)
+                    assert abs(est.value - want) <= bound * want, (qv, E, est.k)
 
 
 class TestXiAtOwnOrder:
@@ -333,14 +383,8 @@ def mp_partition(q, model, beta):
     with mpmath.workdps(50):
         e = 1 - mpmath.mpf(q.q)
         m = mpmath.mpf(model.transform_power)
-        if isinstance(model, IdealGasModel):
-            dn = model.D * model.N
-            pref = (mpmath.mpf(model.V) ** model.N * (2 * mpmath.pi * model.mass) ** (mpmath.mpf(dn) / 2)
-                    / (mpmath.mpf(model.h) ** dn * mpmath.factorial(model.N)))
-        else:
-            pref = (mpmath.mpf(model.hbar) * model.omega) ** -m
         q_poly = e**m * mpmath.gamma(1 / e + m + 1) / mpmath.gamma(1 / e + 1)
-        return pref / q_poly * mpmath.mpf(beta) ** -m
+        return mp_prefactor(model) / q_poly * mpmath.mpf(beta) ** -m
 
 
 class TestClassicalContinuity:
