@@ -13,8 +13,11 @@ interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
 `integrate` is a sweep of `_measure` over the initial panels, then one
-adaptive loop, `_refine`, which the transform layer's table sweep (by
-`_panel_value`) feeds too: the loop, its limits and its errors are written once.
+adaptive loop, `_refine`, which the transform layer's table sweep (one
+stacked product with `_PANEL_WEIGHTS`) feeds too: the loop, its limits and
+its errors are written once.  The loop sums the initial panels in order
+first and returns that total at once when it meets the tolerance; only
+otherwise does it build its heap of panels to bisect.
 
 The tolerances are constants: every integral in the package meets
 max(_ABS_TOL, _REL_TOL*|result|), and no panel is bisected more than
@@ -136,11 +139,16 @@ def integrate(f, a: float, b: float, *, breakpoints: list[float] | None = None) 
 def _refine(f, panels: list[tuple[float, float, float, float]]) -> float:
     """The adaptive loop of `integrate` from its initial panels (lo, hi, value, err) in order:
     bisect the worst panel, measuring the halves by `_measure` of the vectorised f, until the
-    tolerance is met; QuadratureError as `integrate` says (the caller silences numpy)."""
-    heap, total, err_total = [], 0.0, 0.0  # heap entries: (-err, seq, lo, hi, value, depth)
-    for seq, (lo, hi, value, err) in enumerate(panels, 1):
+    tolerance is met; QuadratureError as `integrate` says (the caller silences numpy).
+    Values and errors are summed in panel order first, and when those sums already meet the
+    tolerance their total is returned with no heap built and f never called."""
+    total, err_total = 0.0, 0.0
+    for _, _, value, err in panels:
         total, err_total = total + value, err_total + err
-        heap.append((-err, seq, lo, hi, value, 0))
+    if err_total <= max(_ABS_TOL, _REL_TOL * abs(total)) and math.isfinite(total):
+        return total
+    # heap entries: (-err, seq, lo, hi, value, depth)
+    heap = [(-err, seq, lo, hi, value, 0) for seq, (lo, hi, value, err) in enumerate(panels, 1)]
     heapq.heapify(heap)  # seq is unique, so the pops come in one order however the heap is laid out
     seq = len(heap)
 

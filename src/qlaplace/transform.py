@@ -13,8 +13,10 @@ here takes a quadrature setting.  The route takes the kernel at a power p:
 1 for the transform, q for its exact s-derivative, 0 for the kernel-pair
 integrand.
 Its 64 initial panels read all that depends on (q, p) alone from one cached
-table, scaled by 1/s; the rare bisected panels (`quadrature._refine`) get
-the per-panel integrand, which gives the same samples to the bit.
+table, scaled by 1/s, and are measured together: one stacked product of the
+samples with the panel weights, one finiteness check.  The rare bisected
+panels (`quadrature._refine`) get the per-panel integrand, which gives the
+same samples to the bit.
 The paper's identities run from one table, `IDENTITIES`, whose rows
 `identity_rows(q, s)` returns for the CLI `identities` command to print.
 
@@ -42,7 +44,7 @@ from .qmath import (
     PowerSeries, QParam, _grid_arg, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius,
     _real_arg, _TAIL, q_exp,
 )
-from .quadrature import _FRACTIONS, _panel_value, _refine, _vectorized, dyadic_breakpoints, integrate
+from .quadrature import _FRACTIONS, _PANEL_WEIGHTS, _panel_value, _refine, _vectorized, dyadic_breakpoints, integrate
 # perfbench/spans.py wraps these three here (nothing in the package calls the last): keep them importable.
 from .hypergeom import pfq_term_coefficients  # noqa: F401
 from .qmath import q_poly  # noqa: F401
@@ -156,6 +158,7 @@ def forward_numeric(q: QParam, f, s: float) -> float:
 # u in [0, 1) spans the kernel support for every q, with panels accumulating toward both ends
 _KERNEL_BREAKS = dyadic_breakpoints(0.0, 1.0, toward_a=True, toward_b=True)
 _KERNEL_EDGES = (0.0, *_KERNEL_BREAKS, 1.0)
+_KERNEL_WIDTHS = np.diff(_KERNEL_EDGES)[:, None]
 
 
 def _kernel_parts(qv: float, p: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,18 +196,22 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
     carries its own kernel (`kernel_pair_integral`).  The 64 initial panels
     scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
-    are its own to the bit, and g is still called once a panel.  Which of
-    them need the kernel masked is decided once, over the whole table, and
-    their non-finite samples are found by `_panel_value`, whose nodes are
-    t; only ``integrand``, measured by `_measure` at nodes u, searches its
-    own samples.
+    are its own to the bit.  g is still called once a panel, on every live
+    panel before any value is checked, and which panels need the kernel
+    masked is decided once, over the whole table.  The weighted samples
+    fill one (64, 45) array, and one stacked product with `_PANEL_WEIGHTS`
+    gives every panel's (whole, value) as `_panel_value` would, to the bit.
+    One finiteness check covers them; only when it fails is the first
+    failing panel in edge order passed to `_panel_value`, whose nodes are t,
+    for its error.  Only ``integrand``, measured by `_measure` at nodes u,
+    searches its own samples.
     """
     scale = 1.0 / s
 
-    def weighted(w: np.ndarray, t: np.ndarray, live_all: bool) -> np.ndarray:
+    def weighted(w: np.ndarray, t: np.ndarray, live_all: bool, y: np.ndarray) -> np.ndarray:
+        """y, zeros on entry, set to w * g(t) where the kernel is live."""
         if live_all:  # every weight positive: no kernel zero, and no nan
-            return w * g(t)
-        y = np.zeros_like(w)
+            return np.multiply(w, g(t), out=y)
         live = w > 0.0
         if live.any():
             y[live] = w[live] * g(t[live])
@@ -213,7 +220,7 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
         x, ker, om2 = _kernel_parts(q.q, p, u)
         w, t = ker * (scale / om2), scale * x
-        y = weighted(w, t, (w > 0.0).all())
+        y = weighted(w, t, (w > 0.0).all(), np.zeros_like(w))
         if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
             bad = t[~np.isfinite(y)]
             if len(bad):
@@ -223,8 +230,17 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     x, ker, om2 = _kernel_table(q.q, p)
     with np.errstate(all="ignore"):  # _panel_value raises on what these warnings flag
         w, t = ker * (scale / om2), scale * x
-        panels = [(lo, hi, *_panel_value(weighted(wi, ti, li), ti, lo, hi)) for lo, hi, wi, ti, li
-                  in zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], w, t, (w > 0.0).all(axis=1).tolist())]
+        y = np.zeros_like(w)
+        for wi, ti, yi, live_all in zip(w, t, y, (w > 0.0).all(axis=1).tolist()):
+            weighted(wi, ti, live_all, yi)
+        # row i is _panel_value's (whole, value) of panel i: the stacked product is its own to the bit
+        sums = _KERNEL_WIDTHS * np.matmul(_PANEL_WEIGHTS, y[:, :, None])[:, :, 0]
+        finite = np.isfinite(sums).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())  # the first panel in edge order with a non-finite value
+            _panel_value(y[i], t[i], _KERNEL_EDGES[i], _KERNEL_EDGES[i + 1])  # raises
+        whole, value = sums.T
+        panels = list(zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], value.tolist(), abs(whole - value).tolist()))
         return _refine(integrand, panels)
 
 

@@ -133,6 +133,61 @@ def test_package_tolerance_is_met():
     assert abs(integrate(np.sqrt, 0.0, 1.0) - 2.0 / 3.0) <= tol
 
 
+# --------------------------------------------------------------------------
+# the adaptive loop returns at once when its initial panels meet the tolerance
+
+
+def _never(x):
+    raise AssertionError("the integrand was called")
+
+
+def _in_order(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_refine_returns_the_in_order_sum_when_the_panels_meet_the_tolerance():
+    # 1 + 1e16 rounds to 1e16, so the in-order sum is 0 where an exact sum gives 1
+    values = [1.0, 1e16, -1e16]
+    panels = [(float(i), i + 1.0, v, 0.0) for i, v in enumerate(values)]
+    assert quadrature._refine(_never, panels) == _in_order(values) == 0.0 != math.fsum(values)
+    # err_total equal to the tolerance, max(_ABS_TOL, _REL_TOL*|total|), still meets it
+    values, errs = [0.5, 0.25, 0.25], [0.0, _REL_TOL, 0.0]
+    assert sum(errs) == max(_ABS_TOL, _REL_TOL * abs(_in_order(values)))
+    panels = [(float(i), i + 1.0, v, e) for i, (v, e) in enumerate(zip(values, errs))]
+    assert quadrature._refine(_never, panels) == 1.0
+
+
+def test_refine_bisects_panels_just_above_the_tolerance():
+    # every panel exact but the middle one, whose err is one ulp above the tolerance: the heap
+    # route bisects it once, measuring both halves, and its total is the running sum it keeps
+    f, calls = np.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    panels = [(lo, lo + 1.0, quadrature._measure(f, lo, lo + 1.0)[0], 0.0) for lo in (0.0, 1.0, 2.0)]
+    total = _in_order(v for _, _, v, _ in panels)
+    tol = max(_ABS_TOL, _REL_TOL * abs(total))
+    lo, hi, value, _ = panels[1]
+    panels[1] = (lo, hi, value, tol)
+    assert quadrature._refine(_never, panels) == total
+    panels[1] = (lo, hi, value, math.nextafter(tol, math.inf))
+    left, right = quadrature._measure(f, lo, 1.5)[0], quadrature._measure(f, 1.5, hi)[0]
+    assert quadrature._refine(counted, panels) == total - value + left + right
+    assert len(calls) == 2
+
+
+def test_refine_raises_on_a_non_finite_total():
+    # each panel is finite, the sum is not; tol is inf, so the sums meet it
+    panels = [(0.0, 1.0, 1e308, 0.0), (1.0, 2.0, 1e308, 0.0)]
+    with pytest.raises(QuadratureError, match="integral overflows double precision"):
+        quadrature._refine(_never, panels)
+
+
 def test_library_error_from_the_integrand_propagates():
     def strict(t):
         raise DomainError("t out of range")
@@ -345,6 +400,38 @@ def test_non_finite_sample_on_a_bisected_panel_is_named_by_its_t(qv):
         forward_numeric(QParam(qv), f, 1.0)
     assert len(calls) == sweep + 1 and all(np.isfinite(t).all() for t in calls[:sweep])
     assert str(info.value) == f"non-finite integrand sample at t = {bad[0]}"  # u = t/(1 + q t) here
+
+
+def _nan_at(bad):
+    return lambda t: np.where(np.isin(t, bad), np.nan, 1.0)
+
+
+@pytest.mark.parametrize("qv", (0.6, 1.0))
+def test_first_non_finite_panel_in_edge_order_is_named(qv):
+    # nan samples on two initial panels, the later one listed first: the error names the earlier
+    # panel's t, as the per-panel route does (at s = 1 the table's x is t)
+    x, _, _ = transform._kernel_table(qv, 1.0)
+    early, late = float(x[10, 20]), float(x[40, 3])
+    want = ("QuadratureError", f"non-finite integrand sample at t = {early}")
+    assert _outcome(forward_numeric, QParam(qv), _nan_at([late, early]), 1.0) == want
+    assert _outcome(_per_panel_route, QParam(qv), _nan_at([late, early]), 1.0, 1.0) == want
+
+
+def test_g_is_called_on_every_live_initial_panel_before_any_is_checked():
+    # a nan on panel 10 and a raise on panel 40: the sweep calls g on all live panels first, so
+    # g's own error surfaces (panel by panel, the nan on panel 10 stopped the sweep before it)
+    x, _, _ = transform._kernel_table(0.6, 1.0)
+    early, late = float(x[10, 20]), float(x[40, 3])
+
+    def g(t):
+        if late in t:
+            raise DomainError("boom")
+        return _nan_at([early])(t)
+
+    with pytest.raises(DomainError, match="boom"):
+        forward_numeric(QParam(0.6), g, 1.0)
+    assert _outcome(_per_panel_route, QParam(0.6), g, 1.0, 1.0) == (
+        "QuadratureError", f"non-finite integrand sample at t = {early}")
 
 
 def test_huge_finite_samples_raise_on_neither_path():
