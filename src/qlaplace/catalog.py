@@ -318,9 +318,12 @@ class _QHyper(_Paired):
     Within the series' radius 1/((1-q')*alpha) this matches the
     hypergeometric definition; past it, at ``cut``, the negative branch is
     cut, so for s >= s_min the kernel support stays short of it even where
-    the series terminates (sinh at q' = 1/2 is the one-term alpha*t).  At
-    q' = 1 they are cosh/sinh themselves: sinh as a difference of
-    exponentials would lose relative accuracy near t = 0.
+    the series terminates (sinh at q' = 1/2 is the one-term alpha*t).  The
+    two branches are one `_q_exp_pow` call on the stacked arguments c*t,
+    c = +-alpha, so one cutoff test covers both; each is
+    `_qexp_deriv(eps, c, t, order)` to the bit.  At q' = 1 they are
+    cosh/sinh themselves: sinh as a difference of exponentials would lose
+    relative accuracy near t = 0.
     """
 
     _cut_power = 1
@@ -330,7 +333,8 @@ class _QHyper(_Paired):
         if e == 0.0:
             odd = (order + self.delta) % 2 == 1
             return _scaled(e, self.alpha, order, (np.sinh if odd else np.cosh)(self.alpha * arr))
-        plus, minus = (_qexp_deriv(e, c, arr, order) for c in (self.alpha, -self.alpha))
+        plus, minus = _q_exp_pow(e, np.multiply.outer((self.alpha, -self.alpha), arr), 1.0 - order * e)
+        plus, minus = _scaled(e, self.alpha, order, plus), _scaled(e, -self.alpha, order, minus)
         return 0.5 * (plus - minus if self.delta else plus + minus)
 
 

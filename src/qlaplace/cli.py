@@ -320,7 +320,7 @@ _MODEL_CONSTANTS = {
 
 
 @main.command()
-@click.option("--q", type=float, required=True)
+@click.option("--q", type=float, required=True, help="not used by the estimate")
 @click.option("--model", type=click.Choice(["ideal-gas", "oscillator"]), required=True)
 @click.option("--d", "--D", "dim", type=int, required=True, help="spatial dimension D")
 @click.option("--n", "--N", "count", type=int, required=True, help="particle count N")
@@ -335,7 +335,11 @@ _MODEL_CONSTANTS = {
 @_output_options
 @_numeric_guard
 def statmech(q, model, dim, count, e_grid, k_schedule, no_extrapolate, fmt, output, no_meta, **constants):
-    """Density of states from the partition function, numeric vs analytic."""
+    """Density of states from the partition function, numeric vs analytic.
+
+    The density-of-states estimate does not depend on q: --q is only recorded
+    in the metadata line.
+    """
     qp = QParam(q)
     grid = _parse_grid(e_grid, "--e-grid")
     ks = _parse_schedule(k_schedule)

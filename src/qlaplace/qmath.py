@@ -74,7 +74,7 @@ def _q_exp_pow(eps: float, x, p: float = 1.0):
     p, and exp(p*x) at eps = 0.  A scalar x gives a float, an array an array."""
     arr = np.asarray(x, dtype=float)
     if eps == 0.0:
-        out = np.exp(p * arr)
+        out = np.exp(arr if p == 1.0 else p * arr)  # 1.0 * x is x, bit for bit
     else:
         u = eps * arr
         # only a sample at or past the cutoff (or a nan) pays for an errstate block, which costs

@@ -13,11 +13,12 @@ interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
 `integrate` is a sweep of `_measure` over the initial panels, then one
-adaptive loop, `_refine`, which the transform layer's table sweep (one
-stacked product with `_PANEL_WEIGHTS`) feeds too: the loop, its limits and
-its errors are written once.  The loop sums the initial panels in order
-first and returns that total at once when it meets the tolerance; only
-otherwise does it build its heap of panels to bisect.
+adaptive loop, `_refine`, which the transform layer's table sweep feeds too
+(one 45-node integrand call a panel, the rows gathered into one array and
+weighted at once, then one stacked product with `_PANEL_WEIGHTS`): the
+loop, its limits and its errors are written once.  The loop sums the
+initial panels in order first and returns that total at once when it meets
+the tolerance; only otherwise does it build its heap of panels to bisect.
 
 The tolerances are constants: every integral in the package meets
 max(_ABS_TOL, _REL_TOL*|result|), and no panel is bisected more than

@@ -13,10 +13,11 @@ here takes a quadrature setting.  The route takes the kernel at a power p:
 1 for the transform, q for its exact s-derivative, 0 for the kernel-pair
 integrand.
 Its 64 initial panels read all that depends on (q, p) alone from one cached
-table, scaled by 1/s, and are measured together: one stacked product of the
-samples with the panel weights, one finiteness check.  The rare bisected
-panels (`quadrature._refine`) get the per-panel integrand, which gives the
-same samples to the bit.
+table, scaled by 1/s, and are measured together: the g rows gathered into one
+array and weighted by one product, one stacked product of the samples with the
+panel weights, one finiteness check.  The rare bisected panels
+(`quadrature._refine`) get the per-panel integrand, which gives the same
+samples to the bit.
 The paper's identities run from one table, `IDENTITIES`, whose rows
 `identity_rows(q, s)` returns for the CLI `identities` command to print.
 
@@ -196,11 +197,15 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
     carries its own kernel (`kernel_pair_integral`).  The 64 initial panels
     scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
-    are its own to the bit.  g is still called once a panel, on every live
-    panel before any value is checked, and which panels need the kernel
-    masked is decided once, over the whole table.  The weighted samples
-    fill one (64, 45) array, and one stacked product with `_PANEL_WEIGHTS`
-    gives every panel's (whole, value) as `_panel_value` would, to the bit.
+    are its own to the bit.  g is still called once a panel, in edge order,
+    on every live panel before any value is checked, and which panels need
+    the kernel masked is decided once, over the whole table.  When no node
+    is dead (w > 0 throughout, as at q < 1 short of underflow) the g rows of
+    a list comprehension make one (64, 45) array, weighted by one product;
+    otherwise a row with a dead node gets g on its live nodes only, a row
+    with no live node no call, and the product is taken on the live nodes
+    alone, leaving zeros elsewhere.  One stacked product with `_PANEL_WEIGHTS`
+    then gives every panel's (whole, value) as `_panel_value` would, to the bit.
     One finiteness check covers them; only when it fails is the first
     failing panel in edge order passed to `_panel_value`, whose nodes are t,
     for its error.  Only ``integrand``, measured by `_measure` at nodes u,
@@ -208,19 +213,22 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     """
     scale = 1.0 / s
 
-    def weighted(w: np.ndarray, t: np.ndarray, live_all: bool, y: np.ndarray) -> np.ndarray:
-        """y, zeros on entry, set to w * g(t) where the kernel is live."""
-        if live_all:  # every weight positive: no kernel zero, and no nan
-            return np.multiply(w, g(t), out=y)
-        live = w > 0.0
+    def masked(t: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """g(t) on the live nodes and zeros elsewhere; g is not called when no node is live."""
+        y = np.zeros_like(t)
         if live.any():
-            y[live] = w[live] * g(t[live])
+            y[live] = g(t[live])
         return y
 
     def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
         x, ker, om2 = _kernel_parts(q.q, p, u)
         w, t = ker * (scale / om2), scale * x
-        y = weighted(w, t, (w > 0.0).all(), np.zeros_like(w))
+        live = w > 0.0  # False at a kernel zero and at a nan weight
+        if live.all():
+            y = w * g(t)
+        else:
+            y = masked(t, live)
+            np.multiply(w, y, out=y, where=live)
         if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
             bad = t[~np.isfinite(y)]
             if len(bad):
@@ -230,9 +238,16 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     x, ker, om2 = _kernel_table(q.q, p)
     with np.errstate(all="ignore"):  # _panel_value raises on what these warnings flag
         w, t = ker * (scale / om2), scale * x
-        y = np.zeros_like(w)
-        for wi, ti, yi, live_all in zip(w, t, y, (w > 0.0).all(axis=1).tolist()):
-            weighted(wi, ti, live_all, yi)
+        live = w > 0.0
+        full = live.all(axis=1).tolist()
+        if all(full):  # g on every row, and one product with the weights
+            y = np.array([g(ti) for ti in t])
+            y *= w
+        else:  # g on the live nodes of the rows that have one, and the product there alone
+            y = np.zeros_like(w)
+            for i in np.flatnonzero(live.any(axis=1)).tolist():
+                y[i] = g(t[i]) if full[i] else masked(t[i], live[i])
+            np.multiply(y, w, out=y, where=live)
         # row i is _panel_value's (whole, value) of panel i: the stacked product is its own to the bit
         sums = _KERNEL_WIDTHS * np.matmul(_PANEL_WEIGHTS, y[:, :, None])[:, :, 0]
         finite = np.isfinite(sums).all(axis=1)
@@ -262,8 +277,15 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     kernel support short of ``f.cut``.  At q = 1 the map is the classical
     t**n -> n! s**-(n+1).
     """
+    return _catalog_series(q, f, n_terms)[1]
+
+
+def _catalog_series(q: QParam, f: CatalogFunction, n_terms: int) -> tuple[list[float], PowerSeriesTransform]:
+    """f's Taylor coefficients and `catalog_transform` built from them: `inverse.roundtrip` takes
+    its reference from the same list."""
     n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 4) - 1
-    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
+    taylor = f.taylor_coefficients(n_max)
+    return taylor, PowerSeriesTransform(_power_map(q, taylor), q, f.cut)
 
 
 # --------------------------------------------------------------------------

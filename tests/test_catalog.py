@@ -1,6 +1,7 @@
 """Catalog functions: values, exact derivatives, defining-series expansions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from qlaplace import (
     catalog_transform,
     make_catalog_function,
 )
-from qlaplace.catalog import _SNAP, _qexp_taylor
+from qlaplace.catalog import _SNAP, _qexp_deriv, _qexp_taylor
+from qlaplace.qmath import _q_exp_pow
 
 QP = QParam(0.7)
 
@@ -84,6 +86,33 @@ class TestValues:
         minus = QExponential(QP, 0.7, -1)
         for t in (0.0, 0.5, 1.7):
             assert float(f(t)) == pytest.approx(0.5 * (float(plus(t)) + float(minus(t))), rel=1e-14)
+
+
+@pytest.mark.parametrize("cls", (QCosh, QSinh), ids=("qcosh", "qsinh"))
+@pytest.mark.parametrize("qpv", (0.5, 0.7, 0.9, 0.97))
+def test_qhyper_one_pass_is_the_two_branch_sum_to_the_bit(cls, qpv):
+    # both branches in one pass give 0.5*(q_exp(+alpha t) +- q_exp(-alpha t)) term for term, to
+    # the bit, on t < 0, inside the cut and past it (where the branch at -alpha t is cut to 0)
+    f = cls(QParam(qpv), 1.3)
+    e, sign = f.qprime.eps, -1.0 if f.delta else 1.0
+    t = np.concatenate([np.linspace(-3.0 * f.cut, 3.0 * f.cut, 241), [0.0, -0.0, f.cut, -f.cut, 1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for order in range(5):
+            want = 0.5 * (_qexp_deriv(e, f.alpha, t, order) + sign * _qexp_deriv(e, -f.alpha, t, order))
+            got = f.derivative(order)(t)
+            assert got.tobytes() == want.tobytes()
+            for ts in (-0.5 * f.cut, 0.5 * f.cut, 2.0 * f.cut, -2.0 * f.cut):
+                one = 0.5 * (_qexp_deriv(e, f.alpha, ts, order) + sign * _qexp_deriv(e, -f.alpha, ts, order))
+                assert float.hex(f.derivative(order)(ts)) == float.hex(one)
+
+
+def test_classical_exponential_skips_no_bits():
+    # at eps = 0 and p = 1 the kernel is np.exp of x itself: -0.0, infinities and nan included
+    x = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, -745.2, 709.7, 1e-310])
+    assert _q_exp_pow(0.0, x, 1.0).tobytes() == np.exp(x).tobytes()
+    for xi in x.tolist():
+        assert float.hex(_q_exp_pow(0.0, xi, 1.0)) == float.hex(float(np.exp(xi)))
 
 
 class TestDerivatives:

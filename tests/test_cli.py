@@ -426,6 +426,13 @@ class TestStatmechCommand:
         _, rows = data_rows(res.output)
         assert float(rows[0][2]) == pytest.approx(0.5, rel=1e-10)
 
+    def test_q_help_says_the_estimate_does_not_depend_on_it(self, runner):
+        res = runner.invoke(main, ["statmech", "--help"])
+        assert res.exit_code == 0, res.output
+        text = " ".join(res.output.split())
+        assert "The density-of-states estimate does not depend on q" in text
+        assert "not used by the estimate [required]" in text
+
     def test_classical_q(self, runner):
         # the finite-k estimates of a single power do not depend on q, so q = 1 prints the q = 0.6 rows
         args = ["statmech", "--model", "oscillator", "--d", "1", "--n", "3", "--e-grid", "1:2:2", "--no-meta"]

@@ -363,6 +363,26 @@ def test_masking_decision_is_the_per_panel_rule_at_the_extremes(qv, s):
                     == _outcome(_per_panel_route, q, f, s, p))
 
 
+@pytest.mark.parametrize("s", (0.5, 2.0, 7.0))
+def test_dead_partly_live_and_live_rows_are_the_per_panel_route_to_the_bit(s):
+    # at q = 1 exp(-x) underflows toward u = 1: the table has fully live rows (gathered and
+    # weighted at once), a partly live row (g on its live nodes only) and dead rows (no call)
+    q = QParam(1.0)
+    _, ker, om2 = transform._kernel_table(1.0, 1.0)
+    live = ker * ((1.0 / s) / om2) > 0.0
+    full, some = live.all(axis=1), live.any(axis=1)
+    assert full.any() and (some & ~full).any() and not some.all()
+    for f in (Exponential(0.8, -1), Cosine(1.1), Gaussian(0.9), np.ones_like):
+        sizes = []
+
+        def g(t):
+            sizes.append(len(t))
+            return f(t)
+
+        assert float.hex(forward_numeric(q, g, s)) == float.hex(_per_panel_route(q, f, s, 1.0))
+        assert sizes[:int(some.sum())] == live.sum(axis=1)[some].tolist()
+
+
 def test_extreme_s_reach_rows_with_zeros_and_nans():
     # the rows the test above needs do occur: a row mixing zeros with live weights, and nan rows
     def rows(qv, s):
