@@ -14,7 +14,7 @@ the integrand is continuous but not smooth (the kernel cutoff).
 
 `integrate` is a sweep of `_measure` over the initial panels, then one
 adaptive loop, `_refine`, which the transform layer's table sweep feeds too
-(one 45-node integrand call a panel, the rows gathered into one array and
+(one 45-node integrand call a panel, the rows written into one array and
 weighted at once, then one stacked product with `_PANEL_WEIGHTS`): the
 loop, its limits and its errors are written once.  The loop sums the
 initial panels in order first and returns that total at once when it meets

@@ -13,7 +13,7 @@ here takes a quadrature setting.  The route takes the kernel at a power p:
 1 for the transform, q for its exact s-derivative, 0 for the kernel-pair
 integrand.
 Its 64 initial panels read all that depends on (q, p) alone from one cached
-table, scaled by 1/s, and are measured together: the g rows gathered into one
+table, scaled by 1/s, and are measured together: the g rows written into one
 array and weighted by one product, one stacked product of the samples with the
 panel weights, one finiteness check.  The rare bisected panels
 (`quadrature._refine`) get the per-panel integrand, which gives the same
@@ -199,13 +199,12 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
     scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
     are its own to the bit.  g is still called once a panel, in edge order,
     on every live panel before any value is checked, and which panels need
-    the kernel masked is decided once, over the whole table.  When no node
-    is dead (w > 0 throughout, as at q < 1 short of underflow) the g rows of
-    a list comprehension make one (64, 45) array, weighted by one product;
-    otherwise a row with a dead node gets g on its live nodes only, a row
-    with no live node no call, and the product is taken on the live nodes
-    alone, leaving zeros elsewhere.  One stacked product with `_PANEL_WEIGHTS`
-    then gives every panel's (whole, value) as `_panel_value` would, to the bit.
+    the kernel masked is decided once, over the whole table.  The g rows
+    fill one (64, 45) array: a fully live row gets g on its 45 nodes, a row
+    with a dead node on its live nodes only, a row with no live node no call;
+    one product on the live nodes weights it, leaving zeros elsewhere.  One
+    stacked product with `_PANEL_WEIGHTS` then gives every panel's
+    (whole, value) as `_panel_value` would, to the bit.
     One finiteness check covers them; only when it fails is the first
     failing panel in edge order passed to `_panel_value`, whose nodes are t,
     for its error.  Only ``integrand``, measured by `_measure` at nodes u,
@@ -240,14 +239,10 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
         w, t = ker * (scale / om2), scale * x
         live = w > 0.0
         full = live.all(axis=1).tolist()
-        if all(full):  # g on every row, and one product with the weights
-            y = np.array([g(ti) for ti in t])
-            y *= w
-        else:  # g on the live nodes of the rows that have one, and the product there alone
-            y = np.zeros_like(w)
-            for i in np.flatnonzero(live.any(axis=1)).tolist():
-                y[i] = g(t[i]) if full[i] else masked(t[i], live[i])
-            np.multiply(y, w, out=y, where=live)
+        y = np.zeros_like(w)
+        for i in np.flatnonzero(live.any(axis=1)).tolist():  # edge order; no call on a row with no live node
+            y[i] = g(t[i]) if full[i] else masked(t[i], live[i])
+        np.multiply(y, w, out=y, where=live)
         # row i is _panel_value's (whole, value) of panel i: the stacked product is its own to the bit
         sums = _KERNEL_WIDTHS * np.matmul(_PANEL_WEIGHTS, y[:, :, None])[:, :, 0]
         finite = np.isfinite(sums).all(axis=1)
@@ -277,15 +272,8 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     kernel support short of ``f.cut``.  At q = 1 the map is the classical
     t**n -> n! s**-(n+1).
     """
-    return _catalog_series(q, f, n_terms)[1]
-
-
-def _catalog_series(q: QParam, f: CatalogFunction, n_terms: int) -> tuple[list[float], PowerSeriesTransform]:
-    """f's Taylor coefficients and `catalog_transform` built from them: `inverse.roundtrip` takes
-    its reference from the same list."""
     n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 4) - 1
-    taylor = f.taylor_coefficients(n_max)
-    return taylor, PowerSeriesTransform(_power_map(q, taylor), q, f.cut)
+    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
 
 
 # --------------------------------------------------------------------------

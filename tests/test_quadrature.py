@@ -365,8 +365,8 @@ def test_masking_decision_is_the_per_panel_rule_at_the_extremes(qv, s):
 
 @pytest.mark.parametrize("s", (0.5, 2.0, 7.0))
 def test_dead_partly_live_and_live_rows_are_the_per_panel_route_to_the_bit(s):
-    # at q = 1 exp(-x) underflows toward u = 1: the table has fully live rows (gathered and
-    # weighted at once), a partly live row (g on its live nodes only) and dead rows (no call)
+    # at q = 1 exp(-x) underflows toward u = 1: the table has fully live rows (g on all 45
+    # nodes), a partly live row (g on its live nodes only) and dead rows (no call)
     q = QParam(1.0)
     _, ker, om2 = transform._kernel_table(1.0, 1.0)
     live = ker * ((1.0 / s) / om2) > 0.0
