@@ -11,7 +11,9 @@ evaluator, ``_eval(arr, order)``, its exact order-th derivative on a float
 array, behind ``f(t)`` and ``f.derivative(order)``, plus its Taylor series
 straight from its defining product formulas (the independent reference when
 checking the transform/inversion round trip); every q-exponential series
-is the one recurrence `_qexp_taylor`.
+is the one recurrence `_qexp_taylor`.  The series is a float array, which
+`transform.catalog_transform` maps with no copy; ``taylor_coefficients``, the
+API edge, is the one place it becomes a list.
 
 Deformed functions of a negative argument use the cutoff convention
 (value 0 once the base hits zero); closed-form transforms are quoted for
@@ -75,20 +77,25 @@ def _qexp_deriv(eps: float, c: float, arr: np.ndarray, order: int):
 _SNAP = 32.0 * float(np.finfo(float).eps)
 
 
-def _qexp_taylor(eps: float, c: float, n_max: int) -> list[float]:
-    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max: the one recurrence
-    a_n = a_(n-1) * (d_(n-1)*c/n), one running product over its step factors.
+def _qexp_taylor(eps: float, c: float, n_max: int) -> np.ndarray:
+    """Taylor coefficients of q_exp(c*u) in u, up to u**n_max, as a float array: the one
+    recurrence a_n = a_(n-1) * (d_(n-1)*c/n), one running product over its step factors.
     d_j = 1 - j*(1-q') is snapped to exact 0 within a few ulps so that terminating
     deformed series (integer 1/(1-q')) terminate exactly instead of trailing rounding
-    noise.  Coefficients past double range come out inf (nan once a zero factor meets
-    them), quietly: the transform refuses them."""
-    j = np.arange(n_max, dtype=float)
-    d = 1.0 - j * eps
-    d[np.abs(d) <= _SNAP * np.maximum(1.0, j * eps)] = 0.0
-    steps = np.ones(n_max + 1)
+    noise; at q' = 1 every d_j is exactly 1 and the factors are c/n.  Coefficients past
+    double range come out inf (nan once a zero factor meets them), quietly: the transform
+    refuses them."""
+    steps, n = np.empty(n_max + 1), np.arange(1.0, n_max + 1.0)
+    steps[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        steps[1:] = d * c / (j + 1.0)
-        return np.cumprod(steps).tolist()
+        if eps:
+            j_eps = (n - 1.0) * eps
+            d = 1.0 - j_eps
+            d[np.abs(d) <= _SNAP * np.maximum(1.0, j_eps)] = 0.0
+            np.divide(d * c, n, out=steps[1:])
+        else:  # 1.0 * c is c, bit for bit
+            np.divide(c, n, out=steps[1:])
+        return np.cumprod(steps, out=steps)
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,8 +116,9 @@ def _gaussian_factor(eps: float, alpha: float, order: int) -> np.ndarray:
 class _Entry:
     """What every catalog entry shares.  An entry defines ``_eval(arr, order)``,
     its order-th derivative on a float array, and ``_taylor(n_max)``, its Taylor
-    coefficients up to t**n_max, behind ``taylor_coefficients`` (DomainError
-    naming n_max unless it is a whole number >= 0);
+    coefficients up to t**n_max as a float array (what `transform.catalog_transform`
+    maps), behind ``taylor_coefficients``, their list (DomainError naming n_max unless
+    it is a whole number >= 0);
     ``f(t)`` is order 0 and ``f.derivative(order)`` any order, both converting
     t once: a scalar t gives a float and an array t a float array of its
     shape.  A scalar t must be finite (DomainError naming it), and a value
@@ -139,11 +147,11 @@ class _Entry:
         return out
 
     def taylor_coefficients(self, n_max: int) -> list[float]:
-        return self._taylor(_integer_arg("n_max", n_max, 0))
+        return self._taylor(_integer_arg("n_max", n_max, 0)).tolist()
 
     @property
     def value_at_zero(self) -> float:
-        return self._taylor(0)[0]
+        return float(self._taylor(0)[0])
 
 
 @dataclass(frozen=True)
@@ -164,8 +172,8 @@ class Monomial(_Entry):
         out = arr ** (deg - order)
         return float(math.perm(deg, order)) * out if order else out
 
-    def _taylor(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
+    def _taylor(self, n_max: int) -> np.ndarray:
+        coeffs = np.zeros(n_max + 1)
         if self.power - 1 <= n_max:
             coeffs[self.power - 1] = 1.0
         return coeffs
@@ -228,7 +236,7 @@ class QExponential(_Family):
     def _eval(self, arr, order: int):
         return _qexp_deriv(self.qprime.eps, self.sign * self.alpha, arr, order)
 
-    def _taylor(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> np.ndarray:
         return _qexp_taylor(self.qprime.eps, self.sign * self.alpha, n_max)
 
     def _params(self) -> str:
@@ -255,8 +263,8 @@ class QGaussian(_Family):
         out = _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e)
         return np.polyval(_gaussian_factor(e, self.alpha, order)[::-1], arr) * out if order else out
 
-    def _taylor(self, n_max: int) -> list[float]:
-        coeffs = [0.0] * (n_max + 1)
+    def _taylor(self, n_max: int) -> np.ndarray:
+        coeffs = np.zeros(n_max + 1)
         coeffs[::2] = _qexp_taylor(self.qprime.eps, -self.alpha, n_max // 2)
         return coeffs
 
@@ -271,12 +279,12 @@ class _Paired(_Family):
     delta = 0
     _square_sign = 1.0
 
-    def _taylor(self, n_max: int) -> list[float]:
+    def _taylor(self, n_max: int) -> np.ndarray:
         a, d = _qexp_taylor(self.qprime.eps, self.alpha, n_max), self.delta
-        coeffs = [0.0] * (n_max + 1)
+        coeffs = np.zeros(n_max + 1)
         coeffs[d::2] = a[d::2]
         if self._square_sign < 0:  # (-1)**(n//2): every other term of the parity flips sign
-            coeffs[d + 2::4] = [-c for c in a[d + 2::4]]
+            coeffs[d + 2::4] = -a[d + 2::4]
         return coeffs
 
 

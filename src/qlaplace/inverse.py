@@ -28,7 +28,10 @@ type, qmath.PowerSeries), is formed in log magnitude by qmath._log_term_sum, so 
 schedule runs to large k and a sum past double range raises QLaplaceError.  On a
 series an evaluation is one term sum on a row it builds: the weights with log R
 folded in, for a TaylorSeries the signs of t's side.  Richardson extrapolation in
-1/k is one cached weight matrix per schedule.
+1/k is one cached weight matrix per schedule, and a call's records are built by one
+map over its raveled values.  `series_invert` maps the transform's own log form
+(nonzero n, log|c_n|, signs) into an array, with no pass back through its
+coefficient tuple.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from .catalog import CatalogFunction
 from .errors import DomainError
 from .qmath import (
-    PowerSeries, QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _power_map, _q_exp_pow, _real_arg,
+    PowerSeries, QParam, _integer_arg, _log_power_map, _log_q_poly, _log_term_sum, _q_exp_pow, _real_arg,
     xi_factor,
 )
 from .transform import PowerSeriesTransform, _rel_err, catalog_transform
@@ -81,11 +84,10 @@ class TaylorSeries(PowerSeries):
         arr = _real_arg("t", t, -math.inf, arrays=True)
         if isinstance(arr, float):  # t = 0 is a_0
             return float(_log_term_sum(*self._taylor_row(arr < 0.0), abs(arr), "f(t)")) if arr else self.coeffs[0]
-        y, neg = np.abs(arr).reshape(-1), arr.reshape(-1) < 0.0
-        out = np.full(y.shape, self.coeffs[0])
-        for flip in (False, True) if neg.any() else (False,):
-            at = (y > 0.0) & (neg == flip)
-            out[at] = _log_term_sum(*self._taylor_row(flip), y[at], "f(t)")
+        t = arr.reshape(-1)
+        out, neg = np.full(t.shape, self.coeffs[0]), t < 0.0
+        for flip, at in ((False, t > 0.0), (True, neg)) if neg.any() else ((False, t > 0.0),):
+            out[at] = _log_term_sum(*self._taylor_row(flip), np.abs(t[at]), "f(t)")
         return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
     def _taylor_row(self, flip: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,30 +145,29 @@ def _richardson_weights(ks: tuple[int, ...]) -> np.ndarray:
     return weights
 
 
-# an estimate record from a (k, value, extrapolated) tuple, built in C: the named tuple's own
-# __new__ is a Python function, and a density of states builds one record per energy and k
-_estimate = functools.partial(tuple.__new__, WidderEstimate)
-
-
-def extrapolate_schedule(ks, values, enabled: bool = True) -> list[list[WidderEstimate]]:
-    """Wrap raw finite-k values, one row per point and one column per k,
-    attaching to each estimate after the first its running 1/k Richardson
-    value when ``enabled``."""
-    ks, values = [int(k) for k in ks], np.asarray(values, dtype=float)
+def extrapolate_schedule(ks, values, enabled: bool = True) -> list[tuple[WidderEstimate, ...]]:
+    """Wrap raw finite-k values, one row per point and one column per k, as one tuple of
+    estimates a row, attaching to each estimate after the first its running 1/k Richardson
+    value when ``enabled``: one map over the raveled values builds every record of the call."""
+    ks, values = tuple(map(int, ks)), np.asarray(values, dtype=float)
     if enabled:
-        extr = (values @ _richardson_weights(tuple(ks)).T).tolist()
-        for row_e in extr:  # the first k has nothing to extrapolate from
-            row_e[0] = None
+        extr = (values @ _richardson_weights(ks).T).ravel().tolist()
+        extr[:: len(ks)] = [None] * len(values)  # the first k has nothing to extrapolate from
     else:
-        extr = itertools.repeat(itertools.repeat(None))
-    return [list(map(_estimate, zip(ks, row, row_e))) for row, row_e in zip(values.tolist(), extr)]
+        extr = itertools.repeat(None)
+    # tuple.__new__ builds each record in C (the named tuple's own __new__ is a Python function),
+    # and zip over one iterator repeated len(ks) times cuts the records into rows
+    fields = zip(itertools.cycle(ks), values.ravel().tolist(), extr)
+    return list(zip(*[map(tuple.__new__, itertools.repeat(WidderEstimate), fields)] * len(ks)))
 
 
 def _widder_row(log_w: np.ndarray, sign: np.ndarray, p0: float, ks: tuple[int, ...]):
     """The row of the finite-k estimates sum_n w_n x**(p0+n) R(k, p0+n) for weights
     w_n = sign_n * exp(log_w_n) (-inf for a zero weight): log w_n + log R(k, p0+n), one row per
     k (qmath._log_q_poly at 1-q = 1/k), the signs and the powers p0+n."""
-    return log_w + _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w)), sign, p0 + np.arange(len(log_w))
+    powers = np.arange(len(log_w), dtype=float)
+    powers += p0  # p0 + an int arange would cost a type promotion and a second array
+    return log_w + _log_q_poly(tuple(1.0 / k for k in ks), p0, len(log_w)), sign, powers
 
 
 def _same_q(q: QParam, F: PowerSeriesTransform) -> None:
@@ -195,13 +196,14 @@ def q_post_widder(
     # per-term: w_n = c_n * q_poly(2-q, n+1)/n!; fixed m: (2-q) * c_n/(n! * xi_m**n); a zero
     # c_n stays in as a -inf exponent, as the row takes the whole run of orders 0..size-1
     size = len(F.coeffs)
-    log_w, sign = np.full(size, -math.inf), np.zeros(size)
+    log_w, sign = np.empty(size), np.zeros(size)
+    log_w.fill(-math.inf)  # np.full is these two steps behind a Python-level call
     log_w[n] = log_c - _log_power_map(0.0 if cfg.fixed_m else q.eps, size.bit_length())[n]
     sign[n] = sign_c
     if cfg.fixed_m:
         log_w += math.log(2.0 - q.q) - np.arange(size) * math.log(xi_factor(q, cfg.fixed_m))
     values = _log_term_sum(*_widder_row(log_w, sign, 0.0, cfg.k_schedule), t, "estimate")
-    return extrapolate_schedule(cfg.k_schedule, values.reshape(-1, len(cfg.k_schedule)), cfg.extrapolate)[0]
+    return list(extrapolate_schedule(cfg.k_schedule, values.reshape(-1, len(cfg.k_schedule)), cfg.extrapolate)[0])
 
 
 def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
@@ -209,11 +211,18 @@ def series_invert(q: QParam, F: PowerSeriesTransform) -> TaylorSeries:
 
     This is the k -> inf limit of the per-term-scaled estimator and the
     exact inverse of the forward power map
-    t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude.  Also valid
-    at q = 1, where it reduces to the classical rule a_n = c_n/n!.
+    t**n -> n!/q_poly(2-q, n+1) * s**-(n+1), in log magnitude: each nonzero
+    term of F's log form gives sign_n * exp(log|c_n| - log(n!/q_poly(2-q, n+1))),
+    and every other a_n is +0.0.  Also valid at q = 1, where it reduces to the
+    classical rule a_n = c_n/n!.
     """
     _same_q(q, F)
-    return TaylorSeries(_power_map(q, F.coeffs, inverse=True))
+    n, log_c, sign_c = F._log_form
+    size = len(F.coeffs)
+    a = np.zeros(size)
+    with np.errstate(over="ignore"):  # a coefficient past double range is refused as not finite
+        a[n] = sign_c * np.exp(log_c - _log_power_map(q.eps, size.bit_length())[n])
+    return TaylorSeries(a)
 
 
 @dataclass(frozen=True)

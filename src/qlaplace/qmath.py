@@ -18,7 +18,10 @@ logs in one exponent (`transform.kernel_pair_integral`).
 
 The power-series helpers live here too: the power map, the one series type,
 `PowerSeries`, the one series evaluator, `_log_term_sum`, that sums both of its
-views, and the one validity rule, `_radius`, behind `s_min` and `t_max`.
+views, and the one validity rule, `_radius`, behind `s_min` and `t_max`.  The
+series path hands float arrays along; ``PowerSeries.coeffs`` is the one place
+it makes a tuple, and the log form beside it is what the power map's inverse
+(`inverse.series_invert`) and every evaluation read.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently; a series holds its coefficients and nothing that an evaluation
@@ -230,15 +233,15 @@ def _log_power_map(eps: float, bits: int) -> np.ndarray:
     return table
 
 
-def _power_map(q: QParam, coeffs, inverse: bool = False) -> np.ndarray:
+def _power_map(q: QParam, coeffs) -> np.ndarray:
     """Transform coefficients c_n = a_n * n!/q_poly(2-q, n+1) of Taylor
-    coefficients a_n, or with ``inverse`` the a_n of the c_n, term by term in
-    log magnitude: finite wherever the exact value is (n! overflows past
-    n = 170); zeros stay zero and non-finite inputs non-finite."""
+    coefficients a_n, term by term in log magnitude: finite wherever the exact
+    value is (n! overflows past n = 170); zeros stay zero (+0.0) and non-finite
+    inputs non-finite.  A float array is read as it is, with no copy."""
     x = np.asarray(coeffs, dtype=float)
     log_map = _log_power_map(q.eps, len(x).bit_length())[: len(x)]
     with np.errstate(divide="ignore", over="ignore"):
-        return np.sign(x) * np.exp(np.log(np.abs(x)) + (-log_map if inverse else log_map))
+        return np.sign(x) * np.exp(np.log(np.abs(x)) + log_map)
 
 
 _TAIL = 1e-13  # a truncated series' last term, relative to its first, that may be dropped
@@ -298,13 +301,14 @@ class PowerSeries:
         c = np.asarray(self.coeffs, dtype=float)
         if not len(c):
             raise DomainError(f"empty {self._kind} series")
-        if not np.isfinite(c).all():
-            n = int(np.flatnonzero(~np.isfinite(c))[0])
-            raise QLaplaceError(f"{self._kind} coefficient c_{n} = {c[n]} is not finite")
-        object.__setattr__(self, "coeffs", tuple(c.tolist()))
         n = c.nonzero()[0]
         cn = c[n]
-        object.__setattr__(self, "_log_form", (n, np.log(np.abs(cn)), np.sign(cn)))
+        log_c = np.log(np.abs(cn))
+        if len(n) and not log_c.item(log_c.argmax()) < math.inf:  # argmax finds an inf or the first nan
+            i = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise QLaplaceError(f"{self._kind} coefficient c_{i} = {c[i]} is not finite")
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
+        object.__setattr__(self, "_log_form", (n, log_c, np.sign(cn)))
 
     @functools.cached_property
     def radius(self) -> float:

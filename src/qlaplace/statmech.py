@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -209,10 +210,9 @@ def density_of_states(
     E_arr = _grid_arg("E", E_grid)
     energies = E_arr.tolist()
     log_w = model.log_prefactor - math.lgamma(m)
-    values = _log_term_sum(*_widder_row(np.array([log_w]), np.ones(1), m - 1.0, cfg.k_schedule), E_arr, "estimate")
-    per_e, samples = [], []
-    for e, ests in zip(energies, extrapolate_schedule(cfg.k_schedule, values, cfg.extrapolate)):
-        last = ests[-1]
-        per_e.append((e, tuple(ests)))
-        samples.append((e, last.value if last.extrapolated is None else last.extrapolated))
-    return DensityOfStates(log_w, m - 1.0, tuple(samples), tuple(per_e))
+    row = _widder_row(np.array([log_w]), np.array([1.0]), m - 1.0, cfg.k_schedule)
+    ests = extrapolate_schedule(cfg.k_schedule, _log_term_sum(*row, E_arr, "estimate"), cfg.extrapolate)
+    # a sample is its last k's running extrapolation, or that k's value where there is none
+    last = attrgetter("extrapolated" if cfg.extrapolate and len(cfg.k_schedule) > 1 else "value")
+    samples = tuple(zip(energies, [last(point[-1]) for point in ests]))
+    return DensityOfStates(log_w, m - 1.0, samples, tuple(zip(energies, ests)))

@@ -89,9 +89,13 @@ class PowerSeriesTransform(PowerSeries):
     which the input function leaves its Taylor series (inf if it never
     does; at q = 1 the kernel reaches t = -log(1e-13)/s).  Values and
     derivatives, exact term by term, are one log-magnitude term sum over the
-    nonzero terms, at s in (0, inf), on a row built for the order k:
+    nonzero terms, at s in (0, inf), on a row built for the order k from the
+    powers -(n+1), a float array made at construction:
 
         F^(k)(s) = sum_n coeffs[n] * (-1)**k * (n+k)!/n! * s**-(n+k+1).
+
+    The sign (-1)**k goes on each term, not on the sum: where every term
+    underflows, the sum's zero takes its sign from the terms' signed zeros.
     """
 
     q: QParam
@@ -102,6 +106,7 @@ class PowerSeriesTransform(PowerSeries):
         super().__post_init__()
         if not self.t_cut > 0.0:
             raise DomainError(f"t_cut must be positive, got {self.t_cut}")
+        object.__setattr__(self, "_powers", -1.0 - self._log_form[0])
 
     @functools.cached_property
     def s_min(self) -> float:
@@ -133,10 +138,10 @@ class PowerSeriesTransform(PowerSeries):
         """The row of F^(k): log|c_n| + log((n+k)!/n!), the sign of (-1)**k c_n and
         the powers -(n+k+1)."""
         n, log_w, sign = self._log_form
-        if k:
-            log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
-            log_w, sign = log_w + (log_fact[n + k] - log_fact[n]), -sign if k % 2 else sign
-        return log_w, sign, -1.0 - k - n
+        if not k:
+            return log_w, sign, self._powers
+        log_fact = _log_power_map(0.0, (len(self.coeffs) + k).bit_length())  # log(j!): q = 1
+        return log_w + (log_fact[k:][n] - log_fact[n]), -sign if k % 2 else sign, self._powers - k
 
 
 # --------------------------------------------------------------------------
@@ -273,7 +278,7 @@ def catalog_transform(q: QParam, f: CatalogFunction, n_terms: int = 40) -> Power
     t**n -> n! s**-(n+1).
     """
     n_max = f.power - 1 if isinstance(f, Monomial) else _integer_arg("n_terms", n_terms, 4) - 1
-    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
+    return PowerSeriesTransform(_power_map(q, f._taylor(n_max)), q, f.cut)
 
 
 # --------------------------------------------------------------------------

@@ -190,22 +190,22 @@ class TestTaylorRecurrence:
     def test_equals_scalar_recurrence(self, qprime, c, n_max):
         eps = QParam(qprime).eps
         got = _qexp_taylor(eps, c, n_max)
-        assert got == scalar_qexp_taylor(eps, c, n_max)
-        assert len(got) == n_max + 1 and all(type(a) is float for a in got)
+        assert got.tolist() == scalar_qexp_taylor(eps, c, n_max)
+        assert got.dtype == np.float64 and got.shape == (n_max + 1,)
 
     def test_terminating_snap(self):
         # 1/(1-q') = 3 up to rounding of 1-q': the factor 1 - 3(1-q') snaps to exact 0
-        assert _qexp_taylor(QParam(2.0 / 3.0).eps, 2.5, 40)[4:] == [0.0] * 37
+        assert _qexp_taylor(QParam(2.0 / 3.0).eps, 2.5, 40)[4:].tolist() == [0.0] * 37
 
     def test_overflow_to_inf_is_quiet(self):
         # the coefficients of test_non_finite_coefficients_rejected pass double range: the
         # recurrence leaves inf with no RuntimeWarning (which the suite makes an error)
         eps = QParam(0.2).eps
-        got = _qexp_taylor(eps, 60.0, 199)
+        got = _qexp_taylor(eps, 60.0, 199).tolist()
         assert math.inf in got and got == scalar_qexp_taylor(eps, 60.0, 199)
         # a step factor d_j c/(j+1) itself past double range
         eps = QParam(0.01).eps
-        assert _qexp_taylor(eps, 1e307, 5) == scalar_qexp_taylor(eps, 1e307, 5) == [
+        assert _qexp_taylor(eps, 1e307, 5).tolist() == scalar_qexp_taylor(eps, 1e307, 5) == [
             1.0, 1e307, math.inf, -math.inf, math.inf, -math.inf]
 
 
@@ -254,6 +254,12 @@ class TestContract:
     def test_whole_float_taylor_order(self, key):
         f = make_entry(key)
         assert f.taylor_coefficients(4.0) == f.taylor_coefficients(4) and len(f.taylor_coefficients(0)) == 1
+
+    @pytest.mark.parametrize("n_max", (0, 1, 40, 200))
+    def test_taylor_coefficients_are_a_list_of_floats(self, key, n_max):
+        # the series path passes float arrays; the API edge gives the list
+        got = make_entry(key).taylor_coefficients(n_max)
+        assert type(got) is list and len(got) == n_max + 1 and all(type(a) is float for a in got)
 
 class TestScalarGuard:
     """A scalar t is checked: nan and inf are a DomainError naming t, and a huge finite t gives

@@ -1,6 +1,7 @@
 """Post-Widder inversion: classical and deformed estimators, series rule."""
 
 import importlib.util
+import itertools
 import math
 import sys
 import warnings
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 from qlaplace import (
+    CATALOG,
     DomainError,
     Exponential,
     Monomial,
     PowerSeriesTransform,
     QGaussian,
     QCosh,
+    QCosine,
     QLaplaceError,
     QParam,
     Sine,
@@ -30,7 +33,7 @@ from qlaplace import (
     xi_factor,
 )
 from qlaplace.inverse import _richardson_weights, _widder_row, extrapolate_schedule
-from qlaplace.qmath import _log_term_sum
+from qlaplace.qmath import _log_power_map, _log_term_sum, _power_map
 from pfq_oracle import CATALOG_SPECS
 from post_widder_oracle import classical_post_widder
 
@@ -218,6 +221,98 @@ class TestRichardson:
         assert [[e.value for e in row] for row in on] == values.tolist()
         assert all(row[0].extrapolated is None for row in on)
         assert [[e.extrapolated for e in row[1:]] for row in on] == want[:, 1:].tolist()
+
+    @pytest.mark.parametrize("ks", ((64,), (4, 8), (4, 8, 16, 32, 64), (3, 5, 8, 13, 21, 34)))
+    @pytest.mark.parametrize("rows", (1, 3, 10))
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_schedule_records_are_the_per_row_records(self, ks, rows, enabled):
+        # one map over the raveled values gives every record the per-row route gave, in float hex
+        values = np.random.default_rng(rows).normal(size=(rows, len(ks))) * 10.0 ** np.arange(-3, len(ks) - 3)
+        values[0, 0] = -0.0
+        got = extrapolate_schedule(ks, values, enabled)
+        assert [list(map(record_hex, row)) for row in got] == [
+            list(map(record_hex, row)) for row in per_row_schedule(ks, values, enabled)]
+        assert all(type(row) is tuple for row in got)
+
+
+def record_hex(e) -> tuple:
+    """A WidderEstimate as its type, k and the float hex of its fields (None kept)."""
+    return type(e), e.k, e.value.hex(), None if e.extrapolated is None else e.extrapolated.hex()
+
+
+def per_row_schedule(ks, values, enabled):
+    """extrapolate_schedule as it was built one row at a time: the reference for the one-map route."""
+    ks, values = [int(k) for k in ks], np.asarray(values, dtype=float)
+    if enabled:
+        extr = (values @ _richardson_weights(tuple(ks)).T).tolist()
+        for row_e in extr:
+            row_e[0] = None
+    else:
+        extr = itertools.repeat(itertools.repeat(None))
+    return [list(map(WidderEstimate._make, zip(ks, row, row_e))) for row, row_e in zip(values.tolist(), extr)]
+
+
+def list_route_transform(q, f, n_terms):
+    """catalog_transform by the list route: f's Taylor list, copied into the power map."""
+    n_max = f.power - 1 if isinstance(f, Monomial) else n_terms - 1
+    return PowerSeriesTransform(_power_map(q, f.taylor_coefficients(n_max)), q, f.cut)
+
+
+def dense_inverse(q, F):
+    """series_invert by the dense inverse map: every coefficient through log|.| and back."""
+    x = np.asarray(F.coeffs, dtype=float)
+    log_map = _log_power_map(q.eps, len(x).bit_length())[: len(x)]
+    with np.errstate(divide="ignore", over="ignore"):
+        return TaylorSeries(np.sign(x) * np.exp(np.log(np.abs(x)) + -log_map))
+
+
+def series_hex(build, *args):
+    """The float hex of a built series' coefficients, or the QLaplaceError the build raised."""
+    try:
+        return [c.hex() for c in build(*args).coeffs]
+    except QLaplaceError as exc:
+        return type(exc), str(exc)
+
+
+def entries(key: str):
+    """The entries of one CATALOG constructor: several alphas, both signs of the exponentials, and
+    for the q-families the terminating q' = 1/2 and 2/3 next to a q' whose series never ends."""
+    make = CATALOG[key]
+    if key == "monomial":
+        return [make(m) for m in (1, 3, 7)]
+    deformations = (QParam(0.5), QParam(2.0 / 3.0), QParam(0.85)) if key.startswith("q") else (None,)
+    signs = (1, -1) if key.endswith("exponential") else (None,)
+    out = []
+    for qp, alpha, sign in itertools.product(deformations, (0.8, 2.5), signs):
+        args = ((qp,) if qp else ()) + (alpha,) + ((sign,) if sign else ())
+        out.append(make(*args))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG))
+def test_array_routes_are_the_list_routes_to_the_bit(key):
+    # catalog_transform maps f's Taylor array with no list in between, and series_invert maps the
+    # transform's own log form: both give the coefficients of the routes they replace, in float hex,
+    # or raise the same error
+    for f, qv, n_terms in itertools.product(entries(key), (0.3, 0.6, 0.9, 1.0), (4, 21, 40, 200)):
+        q = QParam(qv)
+        got = series_hex(catalog_transform, q, f, n_terms)
+        assert got == series_hex(list_route_transform, q, f, n_terms), (f.label, qv, n_terms)
+        if isinstance(got, list):
+            F = catalog_transform(q, f, n_terms)
+            assert series_hex(series_invert, q, F) == series_hex(dense_inverse, q, F), (f.label, qv, n_terms)
+
+
+def test_negative_zero_coefficients_map_to_positive_zero():
+    # a terminated q-cosine flips the sign of zeros: both maps give +0.0 there, as before
+    a = QCosine(QParam(2.0 / 3.0), 2.5).taylor_coefficients(12)
+    assert [n for n, c in enumerate(a) if math.copysign(1.0, c) < 0.0 and not c] == [6, 10]
+    q = QParam(0.6)
+    F = catalog_transform(q, QCosine(QParam(2.0 / 3.0), 2.5), 13)
+    assert all(math.copysign(1.0, c) > 0.0 for c in F.coeffs if not c)
+    G = PowerSeriesTransform((1.0, -0.0, 0.5, -0.0), q)
+    assert series_hex(series_invert, q, G) == series_hex(dense_inverse, q, G)
+    assert [math.copysign(1.0, c) for c in series_invert(q, G).coeffs] == [1.0] * 4
 
 
 class TestWidderEstimate:

@@ -251,6 +251,18 @@ def test_high_orders_match_unprepared():
         assert F.derivative_value(k, 1e4) == old_term_sum(F, k, 1e4)
 
 
+def test_underflowed_sums_keep_the_sign_of_zero():
+    # every term underflows at s = 1e300: the sum's zero takes its sign from the terms' signed zeros
+    # (+0.0 for the alternating Sine series at every k), which a sign put on the sum would flip
+    F = catalog_transform(QParam(0.6), Sine(1.0), 200)
+    for k in (0, 1, 2, 3):
+        for s in (1e300, [1e300, 2.0]):
+            got, want = np.asarray(F.derivative_value(k, s)), np.asarray(old_term_sum(F, k, s))
+            assert got.tobytes() == want.tobytes(), (k, s)
+    G = PowerSeriesTransform((0.0, 0.0), QParam(0.6))
+    assert math.copysign(1.0, G.derivative_value(1, 2.0)) == math.copysign(1.0, old_term_sum(G, 1, 2.0)) == 1.0
+
+
 # --------------------------------------------------------------------------
 # a series keeps nothing an evaluation changes
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlaplace import (
+    CATALOG,
     Cosine,
     DomainError,
     Exponential,
@@ -250,6 +251,30 @@ class TestCatalogTransform:
         else:
             f = DEFORMED_FAMILIES[family](QParam(qpv), alpha)
         assert_agrees_at_s_min(QParam(qv), f, n_terms)
+
+    @given(
+        log_q=st.floats(min_value=-12.0, max_value=math.log10(0.05)),
+        key=st.sampled_from(sorted(CATALOG)),
+        alpha=st.floats(min_value=0.5, max_value=1.5),
+        qpv=st.floats(min_value=0.5, max_value=1.0),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_q_to_0_property(self, log_q, key, alpha, qpv):
+        # q -> 0+: the kernel tends to the ramp (1 - s t) on [0, 1/s], and the power map to
+        # t**n -> n!/(n+1)! s**-(n+1); the series against forward_numeric at criterion 1's
+        # bounds, and the round trip's coefficients, as at the q the other tests cover
+        q = QParam(10.0**log_q)
+        make = CATALOG[key]
+        if key == "monomial":
+            f = make(1 + round(2.0 * alpha))
+        else:
+            f = make(*((QParam(qpv),) if key.startswith("q") else ()), alpha)
+        F = catalog_transform(q, f, 40)
+        s = 1.5 * max(F.s_min, 0.4)
+        num, cat = forward_numeric(q, f, s), F.value(s)
+        tol = 1e-8 if f.kind in TIGHT_KINDS else 1e-6
+        assert abs(num - cat) <= tol * abs(cat), (f.label, q.q, s, num, cat)
+        assert roundtrip(q, f, 21).max_coeff_rel_err <= 1e-10, (f.label, q.q)
 
     def test_s_min_stays_put_as_qprime_tends_to_1(self):
         # the pFq argument carries a factor 1 - q', but the terms still grow like exp's:
