@@ -15,6 +15,14 @@ is the one recurrence `_qexp_taylor`.  The series is a float array, which
 `transform.catalog_transform` maps with no copy; ``taylor_coefficients``, the
 API edge, is the one place it becomes a list.
 
+At q' < 1 each deformed family forms its value from one scaled argument,
+u = ((1-q')*c)*t**p for its rate c = +-alpha and power p, one product a
+call, and hands it to the one body of every deformed power,
+`qmath._q_exp_u`, with the exponent (1 - order*(1-q'))/(1-q').  The
+circular pair scales w = ((1-q')*alpha)*t for its phase arctan(w) and takes
+its modulus from the body's formula at u = w*w, where no cutoff can occur.
+At q' = 1 the families are exp, cos, sin, cosh and sinh themselves.
+
 Deformed functions of a negative argument use the cutoff convention
 (value 0 once the base hits zero); closed-form transforms are quoted for
 ``s`` large enough that the kernel support stays inside the positivity
@@ -33,7 +41,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, QLaplaceError
-from .qmath import QParam, _integer_arg, _q_exp_pow, _real_arg
+from .qmath import QParam, _integer_arg, _q_exp_pow, _q_exp_u, _real_arg
 
 __all__ = [
     "Monomial",
@@ -70,8 +78,11 @@ def _scaled(eps: float, c: float, order: int, x):
 
 
 def _qexp_deriv(eps: float, c: float, arr: np.ndarray, order: int):
-    """The order-th u-derivative of q_exp(c*u) at u = arr."""
-    return _scaled(eps, c, order, _q_exp_pow(eps, c * arr, 1.0 - order * eps))
+    """The order-th t-derivative of q_exp(c*t) at t = arr: at q' < 1 the body `_q_exp_u` at
+    u = (eps*c)*t and a = (1 - order*eps)/eps, the one product that scales t."""
+    if eps == 0.0:
+        return _scaled(eps, c, order, _q_exp_pow(eps, c * arr, 1.0))
+    return _scaled(eps, c, order, _q_exp_u((eps * c) * np.asarray(arr), (1.0 - order * eps) / eps))
 
 
 _SNAP = 32.0 * float(np.finfo(float).eps)
@@ -260,7 +271,10 @@ class QGaussian(_Family):
 
     def _eval(self, arr, order: int):
         e = self.qprime.eps
-        out = _q_exp_pow(e, -self.alpha * arr**2, 1.0 - order * e)
+        if e == 0.0:
+            out = _q_exp_pow(e, -self.alpha * arr**2, 1.0)
+        else:
+            out = _q_exp_u((-e * self.alpha) * arr**2, (1.0 - order * e) / e)
         return np.polyval(_gaussian_factor(e, self.alpha, order)[::-1], arr) * out if order else out
 
     def _taylor(self, n_max: int) -> np.ndarray:
@@ -291,24 +305,30 @@ class _Paired(_Family):
 class _QTrig(_Paired):
     """Deformed circular functions in polar form.
 
-    With w = (1-q')*alpha*t, a = 1/(1-q'), rho = sqrt(1 + w**2) and
-    theta = arctan(w), the deformed exponential of an imaginary argument is
+    With w = ((1-q')*alpha)*t, one product, a = 1/(1-q'), rho = sqrt(1 + w**2)
+    and theta = arctan(w), the deformed exponential of an imaginary argument is
     rho**a * exp(i*a*theta); its real/imaginary parts give the deformed
     cosine (delta = 0) and sine (delta = 1).  Derivatives follow the same
-    polar pattern with the modulus exponent lowered by the order.  The
-    modulus rho**(a - order) is q_exp((1-q')*(alpha*t)**2)**((1 - order*(1-q'))/2).
-    At q' = 1 the modulus is 1 and the phase alpha*t.
+    polar pattern with the modulus exponent lowered by the order: the phase
+    is (a - order)*theta and the modulus rho**(a - order) is
+    exp(((1 - order*(1-q'))/(2*(1-q')))*log1p(w*w)), the formula of the body
+    `_q_exp_u` at u = w*w, which is never negative and so skips its cutoff
+    test.  At q' = 1 the modulus is 1 and the phase alpha*t.
     """
 
     _square_sign = -1.0
 
     def _eval(self, arr, order: int):
-        e, at = self.qprime.eps, self.alpha * arr
-        angle = at if e == 0.0 else (1.0 / e - order) * np.arctan(e * at)
+        e = self.qprime.eps
+        if e == 0.0:
+            angle = self.alpha * arr
+        else:
+            w = (e * self.alpha) * arr
+            angle = (1.0 / e - order) * np.arctan(w)
         circ = (np.sin if self.delta else np.cos)(angle + order * math.pi / 2.0 if order else angle)
         if e == 0.0:
             return _scaled(e, self.alpha, order, circ)
-        return _scaled(e, self.alpha, order, _q_exp_pow(e, e * at**2, (1.0 - order * e) / 2.0)) * circ
+        return _scaled(e, self.alpha, order, np.exp(np.log1p(w * w) * ((1.0 - order * e) / (2.0 * e)))) * circ
 
 
 class QCosine(_QTrig):
@@ -327,23 +347,31 @@ class _QHyper(_Paired):
     hypergeometric definition; past it, at ``cut``, the negative branch is
     cut, so for s >= s_min the kernel support stays short of it even where
     the series terminates (sinh at q' = 1/2 is the one-term alpha*t).  The
-    two branches are one `_q_exp_pow` call on the stacked arguments c*t,
-    c = +-alpha, so one cutoff test covers both; each is
-    `_qexp_deriv(eps, c, t, order)` to the bit.  At q' = 1 they are
-    cosh/sinh themselves: sinh as a difference of exponentials would lose
-    relative accuracy near t = 0.
+    two branches are one call of the body `_q_exp_u` on u, the (2, n)
+    product of t (flattened) with the column ((1-q')*alpha, -(1-q')*alpha)
+    kept on the instance, so one cutoff test covers both; each is
+    `_qexp_deriv(eps, c, t, order)` at c = +-alpha to the bit.  At q' = 1
+    they are cosh/sinh themselves: sinh as a difference of exponentials
+    would lose relative accuracy near t = 0.
     """
 
     _cut_power = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        c = self.qprime.eps * self.alpha
+        scale = np.array([[c], [-c]])
+        scale.flags.writeable = False  # not a field: eq and hash would not see a write
+        object.__setattr__(self, "_u_scale", scale)
 
     def _eval(self, arr, order: int):
         e = self.qprime.eps
         if e == 0.0:
             odd = (order + self.delta) % 2 == 1
             return _scaled(e, self.alpha, order, (np.sinh if odd else np.cosh)(self.alpha * arr))
-        plus, minus = _q_exp_pow(e, np.multiply.outer((self.alpha, -self.alpha), arr), 1.0 - order * e)
-        plus, minus = _scaled(e, self.alpha, order, plus), _scaled(e, -self.alpha, order, minus)
-        return 0.5 * (plus - minus if self.delta else plus + minus)
+        pair = _q_exp_u(self._u_scale * arr.reshape(-1), (1.0 - order * e) / e)
+        plus, minus = _scaled(e, self.alpha, order, pair[0]), _scaled(e, -self.alpha, order, pair[1])
+        return (0.5 * (plus - minus if self.delta else plus + minus)).reshape(arr.shape)
 
 
 class QCosh(_QHyper):

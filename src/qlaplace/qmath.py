@@ -11,8 +11,13 @@ reducing to ``exp(x)`` at ``q = 1``.  The cutoff branch makes the kernel
 which is what keeps every transform integral in this package finite.
 Every power of it in the package, the kernel and its s-derivative, the
 catalog's deformed functions and their derivatives, the Boltzmann weight
-and the Widder weight, is one routine, `_q_exp_pow`, which forms it as
-``exp(p*log1p(eps*x)/eps)`` and so stays exact to rounding as q -> 1; the
+and the Widder weight, is one body, `_q_exp_u(u, a)`, which takes the
+scaled argument u = eps*x and a = p/eps, forms ``exp(a*log1p(u))`` and
+holds the one cutoff test, and so stays exact to rounding as q -> 1.
+`_q_exp_pow(eps, x, p)` is u = eps*x, then that body (exp(p*x) at eps = 0);
+the catalog's deformed families form their own u = ((1-q')*c)*t**p with one
+product and call the body directly, and the deformed circular modulus, whose
+u = w*w is never negative, uses its formula without the cutoff test.  The
 kernel-pair integrand, a product of two powers, is the same form with both
 logs in one exponent (`transform.kernel_pair_integral`).
 
@@ -70,23 +75,28 @@ class QParam:
         return self.q == 1.0
 
 
+def _q_exp_u(u, a: float):
+    """The body of every deformed power: (1 + u)**a, formed as exp(a*log1p(u)), at the scaled
+    argument u = (1-q)*x and a = p/(1-q), which is q_exp(x)**p.  Exactly 0 at and past the cutoff
+    1 + u <= 0 whatever the sign of a, nan at a nan, and quiet (no RuntimeWarning) at both.  u is
+    an array of any shape or a numpy scalar, and the result has its shape."""
+    # only a sample at or past the cutoff (or a nan) pays for an errstate block, which costs
+    # as much as the rest of a 45-node kernel call; argmin is a fifth of the cost of min()
+    if not u.size or u.item(u.argmin()) > -1.0:
+        return np.exp(np.log1p(u) * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u <= -1.0, 0.0, np.exp(np.log1p(u) * a))
+
+
 def _q_exp_pow(eps: float, x, p: float = 1.0):
-    """The package's one deformed exponential: q_exp(x)**p at eps = 1-q, formed as
-    exp(p*log1p(eps*x)/eps) so that no rounded base 1 + eps*x is raised to 1/eps (that loses
-    1e-16/eps relative); exactly 0 at and past the cutoff 1 + eps*x <= 0 whatever the sign of
-    p, and exp(p*x) at eps = 0.  A scalar x gives a float, an array an array."""
+    """q_exp(x)**p at eps = 1-q: u = eps*x, then `_q_exp_u`, so that no rounded base 1 + eps*x is
+    raised to 1/eps (that loses 1e-16/eps relative); exp(p*x) at eps = 0.  A scalar x gives a
+    float, an array an array."""
     arr = np.asarray(x, dtype=float)
     if eps == 0.0:
         out = np.exp(arr if p == 1.0 else p * arr)  # 1.0 * x is x, bit for bit
     else:
-        u = eps * arr
-        # only a sample at or past the cutoff (or a nan) pays for an errstate block, which costs
-        # as much as the rest of a 45-node kernel call; argmin is a fifth of the cost of min()
-        if not u.size or u.item(u.argmin()) > -1.0:
-            out = np.exp(np.log1p(u) * (p / eps))
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(u <= -1.0, 0.0, np.exp(np.log1p(u) * (p / eps)))
+        out = _q_exp_u(eps * arr, p / eps)
     return out if arr.ndim else float(out)
 
 

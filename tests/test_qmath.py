@@ -1,6 +1,8 @@
 """Deformed special-function layer: frozen values and algebraic invariants."""
 
+import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlaplace import DomainError, QLaplaceError, QParam, q_exp, q_log, q_poly, q_product_arg, xi_factor
-from qlaplace.qmath import _log_q_poly, _log_term_sum, _radius
+from qlaplace import QCosh, QCosine, QExponential, QSine, QSinh
+from qlaplace.catalog import _scaled
+from qlaplace.qmath import _log_q_poly, _log_term_sum, _q_exp_u, _radius
+from qlaplace.transform import _kernel_table
 
 Q_GRID = (0.3, 0.6, 0.9)
 
@@ -353,3 +358,126 @@ class TestBridgeIdentities:
                 lhs = float(mpmath.rf((3.0 - 2.0 * qv) / (2.0 * e), n) * mpmath.rf((4.0 - 3.0 * qv) / (2.0 * e), n))
                 rhs = q_poly(2.0 - qv, 2 * n + 1) / (4.0**n * e ** (2 * n) * q_poly(2.0 - qv, 1))
                 assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestPowerBody:
+    """`_q_exp_u(u, a)`, the body of every deformed power: (1 + u)**a, exactly 0 at and past
+    1 + u <= 0 for either sign of a, nan at a nan, no RuntimeWarning, any shape."""
+
+    DEAD = (-1.0, -1.0 - 2.0**-52, -2.0, -1e300, -math.inf)
+
+    @pytest.mark.parametrize("a", (2.0, 1.0, 1e-9, 0.0, -0.5, -3.5))
+    def test_zero_at_and_past_the_cutoff(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _q_exp_u(np.array(self.DEAD), a)
+            assert got.tolist() == [0.0] * len(self.DEAD) and not np.signbit(got).any()
+            for u in self.DEAD:
+                assert float(_q_exp_u(np.array(u), a)) == 0.0
+            live = np.array([[-0.5, 0.0, 3.0], [-1.0, math.nan, -2.0]])
+            out = _q_exp_u(live, a)
+            assert out.shape == (2, 3)
+            assert out[0].tolist() == pytest.approx([0.5**a, 1.0, 4.0**a], rel=1e-15)
+            assert out[1, 0] == out[1, 2] == 0.0 and math.isnan(out[1, 1])
+        assert np.geterr()["divide"] == "warn"  # the errstate block is left behind
+
+    def test_nan_stays_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1.0, -2.0):
+                assert math.isnan(_q_exp_u(np.array(math.nan), a))
+                assert np.isnan(_q_exp_u(np.array([math.nan, 0.5]), a)[0])
+
+    def test_shapes(self):
+        u = np.linspace(-0.9, 2.0, 6)
+        want = np.exp(np.log1p(u) * 1.5)
+        assert _q_exp_u(u, 1.5).tobytes() == want.tobytes()
+        assert _q_exp_u(u.reshape(2, 3), 1.5).tobytes() == want.tobytes()
+        assert _q_exp_u(u.reshape(2, 3), 1.5).shape == (2, 3)
+        assert np.shape(_q_exp_u(np.array(0.25), 1.5)) == () and np.shape(_q_exp_u(np.float64(0.25), 1.5)) == ()
+        assert float(_q_exp_u(np.array(0.25), 1.5)) == pytest.approx(1.25**1.5, rel=1e-15)
+        assert _q_exp_u(np.empty(0), 1.5).shape == (0,)
+
+    @pytest.mark.parametrize("order", (0, 1, 2, 3, 4))
+    def test_catalog_derivatives_cut_for_either_sign_of_the_power(self, order):
+        # at q' = 0.5, order >= 2 makes the power 1 - order*(1 - q') <= 0: still exactly 0 at
+        # and past the cut, on the array and the scalar route, with no warning
+        for f in (QExponential(QParam(0.5), 1.3, -1), QSinh(QParam(0.5), 1.3)):
+            t = np.array([f.cut, f.cut * (1.0 + 2.0**-52), 2.0 * f.cut, 1e300])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = f.derivative(order)
+                if isinstance(f, QExponential):
+                    assert d(t).tolist() == [0.0] * 4
+                    assert [d(x) for x in t.tolist()] == [0.0] * 4
+                else:  # only the decaying branch is cut: the odd part is half the growing one
+                    grow = QExponential(QParam(0.5), 1.3, 1).derivative(order)
+                    assert d(t[:3]).tolist() == (0.5 * grow(t[:3])).tolist()
+
+    @pytest.mark.parametrize("order", (0, 1, 2, 3, 4))
+    @pytest.mark.parametrize("qprime", (0.3, 0.5, 0.9, 1.0 - 1e-9))
+    def test_circular_modulus_is_the_body(self, order, qprime):
+        # the circular pair writes the body's exp(a*log1p(u)) at u = w*w without its cutoff
+        # test (w*w >= 0): the same bits as the body itself on a w grid through 0, out to where
+        # the modulus (1 + w*w)**(1/(2e)) nears exp(500)
+        e, alpha = 1.0 - qprime, 1.7
+        w_max = min(1e3, math.sqrt(math.expm1(1000.0 * e)))
+        w_grid = np.geomspace(1e-12, w_max, 40)
+        t = np.concatenate([-w_grid[::-1], [0.0], w_grid]) / (e * alpha)
+        w = (e * alpha) * t
+        modulus = _scaled(e, alpha, order, _q_exp_u(w * w, (1.0 - order * e) / (2.0 * e)))
+        angle = (1.0 / e - order) * np.arctan(w)
+        shift = order * math.pi / 2.0 if order else 0.0
+        for f, circ in ((QCosine(QParam(qprime), alpha), np.cos), (QSine(QParam(qprime), alpha), np.sin)):
+            want = modulus * circ(angle + shift if order else angle)
+            assert f.derivative(order)(t).tobytes() == want.tobytes()
+
+    def test_hyperbolic_scale_is_read_only(self):
+        f = QCosh(QParam(0.6), 1.3)
+        with pytest.raises(ValueError):
+            f._u_scale[0, 0] = 2.0
+        assert f == QCosh(QParam(0.6), 1.3) and f(0.5) == QCosh(QParam(0.6), 1.3)(0.5)
+
+
+# sha256 of the bytes of (x, kernel, (1-q*u)**2) of `_kernel_table(q, p)`, as computed before the
+# deformed catalog families moved to the shared power body: the kernel route did not move
+KERNEL_TABLES = {
+    (0.3, 0.0): "d0f00a0028370b65ad79138b0e603092734ca8e3b59c7cc11544521a4e200830",
+    (0.3, 0.3): "bcb1dfc34403fede72886e55b1e38e24fb7695d96f445edb9f2d8e0575950276",
+    (0.3, 1.0): "aa6d20b1573336e055d45e5ad29cbbfc6bf9af3dfbad36ddb3d74a5ab40b34bf",
+    (0.6, 0.0): "3018cfe9ceeda90ffe79c6cd39114c2551efef9155605698fd6d0344b99dd8c9",
+    (0.6, 0.6): "7ea0ea17c6bad8422fd1d130b516d40d08e8f072231de4b93c785440b7f7337e",
+    (0.6, 1.0): "2bbf788fc8dda7cd5f1904df1740424a12a604be64557feb2cba38108802ad85",
+    (0.9, 0.0): "d2f39fc876bf11ad730cdcf4df71007733ccac8ce1f87d0c935e5218ad4edb4c",
+    (0.9, 0.9): "f1715dd9171dbf56fc2d81134e7c9bd14c86fcf807ee8c2b815c44ee50d94196",
+    (0.9, 1.0): "4c121dd4480ef73e2d4578d845635f93a26b958272176ab358116bb305e0fd6a",
+    (1.0, 0.0): "ed4c14671425754062d9d135b04a66a037466ac9174b2254a31f7f5e0dd9168a",
+    (1.0, 1.0): "b6c901b5778c405e21d4df8d6e43e794a4644bd071d5abb338fc83efca535cd5",
+}
+
+Q_EXP_XS = (-3.0, -1.25, -0.5, 0.0, 1e-300, 0.7, 2.0, 40.0)
+Q_EXP_HEX = {
+    0.3: ("0x0.0p+0", "0x1.a402feeb9c534p-5", "0x1.14b23fb5447ccp-1", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.c488178ea3437p+0", "0x1.bf102b7203839p+1", "0x1.eb224cef8a3b1p+6"),
+    0.6: ("0x0.0p+0", "0x1.6a09e667f3bcdp-3", "0x1.2515fdab8464ep-1", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.da88051ea83f5p+0", "0x1.1633dfc9ceabcp+2", "0x1.29e4f62ec9a94p+10"),
+    0.9: ("0x1.ceceb4e8dc4b5p-6", "0x1.0d63af1000000p-2", "0x1.328da5e9df385p-1", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.f7973b39d737bp+0", "0x1.8c4568d7ea3e2p+2", "0x1.2a05f20000010p+23"),
+    1.0 - 1e-9: ("0x1.97db0cae2045cp-5", "0x1.2561836ecd18bp-2", "0x1.368b2fc652a7dp-1", "0x1.0000000000000p+0",
+                 "0x1.0000000000000p+0", "0x1.01c2a611595cep+1", "0x1.d8e64b7d6fadbp+2", "0x1.a220bdab922cfp+57"),
+    1.0: ("0x1.97db0ccceb0afp-5", "0x1.25618372a584fp-2", "0x1.368b2fc6f960ap-1", "0x1.0000000000000p+0",
+          "0x1.0000000000000p+0", "0x1.01c2a61268987p+1", "0x1.d8e64b8d4ddaep+2", "0x1.a220d397972eap+57"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_TABLES))
+def test_kernel_table_is_pinned(key):
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in _kernel_table(*key))).hexdigest()
+    assert digest == KERNEL_TABLES[key]
+
+
+@pytest.mark.parametrize("qv", sorted(Q_EXP_HEX))
+def test_q_exp_is_pinned(qv):
+    want = list(Q_EXP_HEX[qv])
+    assert [float.hex(q_exp(QParam(qv), x)) for x in Q_EXP_XS] == want
+    assert [float.hex(x) for x in q_exp(QParam(qv), np.array(Q_EXP_XS)).tolist()] == want
