@@ -13,12 +13,15 @@ interval and implements geometric subdivision toward an endpoint where
 the integrand is continuous but not smooth (the kernel cutoff).
 
 `integrate` is a sweep of `_measure` over the initial panels, then one
-adaptive loop, `_refine`, which the transform layer's table sweep feeds too
-(one 45-node integrand call a panel, the rows written into one array and
-weighted at once, then one stacked product with `_PANEL_WEIGHTS`): the
-loop, its limits and its errors are written once.  The loop sums the
-initial panels in order first and returns that total at once when it meets
-the tolerance; only otherwise does it build its heap of panels to bisect.
+adaptive loop, `_refine`, which the transform layer's kernel route feeds too
+(its 64 initial panels from one table sweep, weighted at once and summed by
+one stacked product with `_PANEL_WEIGHTS`): the loop, its limits and its
+errors are written once.  The loop bisects through the caller's panel
+measure, ``measure(lo, hi) -> (value, err)``: `_measure` of f for
+`integrate`, the kernel route's own weighted rows for the transform, each
+measured by `_panel_value`.  It sums the initial panels in order first and
+returns that total at once when it meets the tolerance; only otherwise does
+it build its heap of panels to bisect.
 
 The tolerances are constants: every integral in the package meets
 max(_ABS_TOL, _REL_TOL*|result|), and no panel is bisected more than
@@ -134,15 +137,16 @@ def integrate(f, a: float, b: float, *, breakpoints: list[float] | None = None) 
     edges = [a, *(p for p in sorted(breakpoints or ()) if a < p < b), b]
     with np.errstate(all="ignore"):  # _measure raises on the non-finite values these warnings flag
         panels = [(lo, hi, *_measure(fv, lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        return _refine(fv, panels)
+        return _refine(lambda lo, hi: _measure(fv, lo, hi), panels)
 
 
-def _refine(f, panels: list[tuple[float, float, float, float]]) -> float:
+def _refine(measure, panels: list[tuple[float, float, float, float]]) -> float:
     """The adaptive loop of `integrate` from its initial panels (lo, hi, value, err) in order:
-    bisect the worst panel, measuring the halves by `_measure` of the vectorised f, until the
-    tolerance is met; QuadratureError as `integrate` says (the caller silences numpy).
+    bisect the worst panel, measuring each half by the caller's panel measure
+    ``measure(lo, hi) -> (value, err)`` (`_measure` of f for `integrate`), until the tolerance is
+    met; QuadratureError as `integrate` says (the caller silences numpy).
     Values and errors are summed in panel order first, and when those sums already meet the
-    tolerance their total is returned with no heap built and f never called."""
+    tolerance their total is returned with no heap built and no panel measured."""
     total, err_total = 0.0, 0.0
     for _, _, value, err in panels:
         total, err_total = total + value, err_total + err
@@ -155,7 +159,7 @@ def _refine(f, panels: list[tuple[float, float, float, float]]) -> float:
 
     def push(lo: float, hi: float, depth: int) -> None:
         nonlocal total, err_total, seq
-        value, err = _measure(f, lo, hi)
+        value, err = measure(lo, hi)
         total, err_total, seq = total + value, err_total + err, seq + 1
         heapq.heappush(heap, (-err, seq, lo, hi, value, depth))
 

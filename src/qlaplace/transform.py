@@ -12,12 +12,13 @@ other integral here, the convolution's inner one included; no function
 here takes a quadrature setting.  The route takes the kernel at a power p:
 1 for the transform, q for its exact s-derivative, 0 for the kernel-pair
 integrand.
-Its 64 initial panels read all that depends on (q, p) alone from one cached
-table, scaled by 1/s, and are measured together: the g rows written into one
-array and weighted by one product, one stacked product of the samples with the
-panel weights, one finiteness check.  The rare bisected panels
-(`quadrature._refine`) get the per-panel integrand, which gives the same
-samples to the bit.
+The integrand is sampled in one place, on rows of nodes: g called once a live
+row, in row order, and its samples weighted by the kernel.  The 64 initial
+panels are that routine on one cached table of all that depends on (q, p)
+alone, scaled by 1/s, and are measured together: one stacked product of the
+samples with the panel weights, one finiteness check.  The rare panels
+`quadrature._refine` bisects are that routine on their one row of nodes,
+measured by the panel rule; a non-finite sample is named by its t.
 The paper's identities run from one table, `IDENTITIES`, whose rows
 `identity_rows(q, s)` returns for the CLI `identities` command to print.
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import CatalogFunction, Cosine, Exponential, Monomial
-from .errors import DomainError, QLaplaceError, QuadratureError
+from .errors import DomainError, QLaplaceError
 from .qmath import (
     PowerSeries, QParam, _grid_arg, _integer_arg, _log_power_map, _log_term_sum, _power_map, _q_exp_pow, _radius,
     _real_arg, _TAIL, q_exp,
@@ -196,58 +197,47 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
 
         (1/s) integral_0^1 q_exp(-x)**p (1-q*u)**-2 g(x/s) du,
 
-    with the cutoff at u = 1 for every q.  g is evaluated only where the
-    kernel is nonzero, and a non-finite sample is reported at its t.  The
-    kernel power p is 1 for a transform, q for its s-derivative
-    (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q) and 0 for an integrand that
-    carries its own kernel (`kernel_pair_integral`).  The 64 initial panels
-    scale `_kernel_table` by 1/s as ``integrand`` would, so their samples
-    are its own to the bit.  g is still called once a panel, in edge order,
-    on every live panel before any value is checked, and which panels need
-    the kernel masked is decided once, over the whole table.  The g rows
-    fill one (64, 45) array: a fully live row gets g on its 45 nodes, a row
-    with a dead node on its live nodes only, a row with no live node no call;
-    one product on the live nodes weights it, leaving zeros elsewhere.  One
-    stacked product with `_PANEL_WEIGHTS` then gives every panel's
-    (whole, value) as `_panel_value` would, to the bit.
-    One finiteness check covers them; only when it fails is the first
-    failing panel in edge order passed to `_panel_value`, whose nodes are t,
-    for its error.  Only ``integrand``, measured by `_measure` at nodes u,
-    searches its own samples.
+    with the cutoff at u = 1 for every q.  The kernel power p is 1 for a
+    transform, q for its s-derivative (d/ds q_exp(-s*t) = -t q_exp(-s*t)**q)
+    and 0 for an integrand that carries its own kernel
+    (`kernel_pair_integral`).
+
+    The integrand is sampled in one place, ``weighted``, on rows of nodes
+    (x, kernel, (1-q*u)**2): it forms the weight w and t = x/s of each row,
+    calls g once a row, in row order, on the row's live nodes (where w > 0:
+    all 45 of a fully live row, none of a dead one, which gets no call) and
+    weights the samples, leaving zeros elsewhere.  The 64 initial panels are
+    ``weighted`` on `_kernel_table`, so g is called on every live initial
+    panel, in edge order, before any value is checked; one stacked product
+    with `_PANEL_WEIGHTS` then gives every panel's (whole, value) as
+    `_panel_value` would, to the bit, and one finiteness check covers them.
+    A panel `_refine` bisects is ``weighted`` on its one row of `_kernel_parts`
+    and measured by `_panel_value`.  Either way a non-finite sample is named
+    by its t, through `_panel_value` (for the sweep, on the first failing
+    panel in edge order).
     """
     scale = 1.0 / s
 
-    def masked(t: np.ndarray, live: np.ndarray) -> np.ndarray:
-        """g(t) on the live nodes and zeros elsewhere; g is not called when no node is live."""
-        y = np.zeros_like(t)
-        if live.any():
-            y[live] = g(t[live])
-        return y
-
-    def integrand(u: np.ndarray) -> np.ndarray:  # on a bisected panel
-        x, ker, om2 = _kernel_parts(q.q, p, u)
+    def weighted(x: np.ndarray, ker: np.ndarray, om2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted samples w*g(t) on rows of nodes, zeros where w is not > 0, and t."""
         w, t = ker * (scale / om2), scale * x
         live = w > 0.0  # False at a kernel zero and at a nan weight
-        if live.all():
-            y = w * g(t)
-        else:
-            y = masked(t, live)
-            np.multiply(w, y, out=y, where=live)
-        if not math.isfinite(y @ y):  # one dot product flags a nan or inf (or a huge) sample
-            bad = t[~np.isfinite(y)]
-            if len(bad):
-                raise QuadratureError(f"non-finite integrand sample at t = {bad[0]}")
-        return y
-
-    x, ker, om2 = _kernel_table(q.q, p)
-    with np.errstate(all="ignore"):  # _panel_value raises on what these warnings flag
-        w, t = ker * (scale / om2), scale * x
-        live = w > 0.0
         full = live.all(axis=1).tolist()
         y = np.zeros_like(w)
-        for i in np.flatnonzero(live.any(axis=1)).tolist():  # edge order; no call on a row with no live node
-            y[i] = g(t[i]) if full[i] else masked(t[i], live[i])
+        for i in np.flatnonzero(live.any(axis=1)).tolist():  # row order; no call on a row with no live node
+            if full[i]:
+                y[i] = g(t[i])
+            else:
+                y[i, live[i]] = g(t[i, live[i]])
         np.multiply(y, w, out=y, where=live)
+        return y, t
+
+    def measure(lo: float, hi: float) -> tuple[float, float]:  # a bisected panel, as `_measure` lays it out
+        y, t = weighted(*_kernel_parts(q.q, p, (lo + (hi - lo) * _FRACTIONS)[None]))
+        return _panel_value(y[0], t[0], lo, hi)
+
+    with np.errstate(all="ignore"):  # _panel_value raises on what these warnings flag
+        y, t = weighted(*_kernel_table(q.q, p))
         # row i is _panel_value's (whole, value) of panel i: the stacked product is its own to the bit
         sums = _KERNEL_WIDTHS * np.matmul(_PANEL_WEIGHTS, y[:, :, None])[:, :, 0]
         finite = np.isfinite(sums).all(axis=1)
@@ -256,7 +246,7 @@ def _kernel_quadrature(q: QParam, g, s: float, p: float = 1.0) -> float:
             _panel_value(y[i], t[i], _KERNEL_EDGES[i], _KERNEL_EDGES[i + 1])  # raises
         whole, value = sums.T
         panels = list(zip(_KERNEL_EDGES, _KERNEL_EDGES[1:], value.tolist(), abs(whole - value).tolist()))
-        return _refine(integrand, panels)
+        return _refine(measure, panels)
 
 
 # --------------------------------------------------------------------------

@@ -177,7 +177,8 @@ def test_refine_bisects_panels_just_above_the_tolerance():
     assert quadrature._refine(_never, panels) == total
     panels[1] = (lo, hi, value, math.nextafter(tol, math.inf))
     left, right = quadrature._measure(f, lo, 1.5)[0], quadrature._measure(f, 1.5, hi)[0]
-    assert quadrature._refine(counted, panels) == total - value + left + right
+    measure = lambda lo, hi: quadrature._measure(counted, lo, hi)  # noqa: E731
+    assert quadrature._refine(measure, panels) == total - value + left + right
     assert len(calls) == 2
 
 
@@ -420,6 +421,34 @@ def test_non_finite_sample_on_a_bisected_panel_is_named_by_its_t(qv):
         forward_numeric(QParam(qv), f, 1.0)
     assert len(calls) == sweep + 1 and all(np.isfinite(t).all() for t in calls[:sweep])
     assert str(info.value) == f"non-finite integrand sample at t = {bad[0]}"  # u = t/(1 + q t) here
+
+
+@pytest.mark.parametrize("s", (1e-3, 0.5, 7.0))
+def test_bisected_rows_with_dead_nodes_are_the_per_panel_route(s):
+    # at q = 1 and kernel power 0 the weight 1/(s(1-u)**2) times |s t - 0.3| = |x - 0.3| is not
+    # integrable at u = 1, so bisection runs toward u = 1 until panels are narrower than float
+    # spacing; on the last ones nodes round onto u = 1, where x = inf and the kernel exp(0 * -inf)
+    # is nan: rows with dead nodes among live ones, whose live nodes alone get g, as on the
+    # per-panel route, which ends in the same typed error
+    q = QParam(1.0)
+    _, ker, _ = transform._kernel_table(1.0, 0.0)
+    assert (ker == 1.0).all()  # every initial row is fully live
+    sizes, want_sizes = [], []
+
+    def g(t):
+        sizes.append(len(t))
+        return np.abs(s * t - 0.3)
+
+    def reference(t):
+        want_sizes.append(len(t))
+        return np.abs(s * t - 0.3)
+
+    got = _outcome(transform._kernel_quadrature, q, quadrature._vectorized(g), s, 0.0)
+    assert got == _outcome(_per_panel_route, q, reference, s, 0.0)
+    assert got == ("QuadratureError", "tolerance not met: panel narrower than float spacing")
+    assert sizes == want_sizes and sizes[:64] == [45] * 64
+    short = [n for n in sizes[64:] if n < 45]
+    assert len(short) == 8 and min(short) > 0
 
 
 def _nan_at(bad):
