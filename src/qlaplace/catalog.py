@@ -350,9 +350,12 @@ class _QHyper(_Paired):
     two branches are one call of the body `_q_exp_u` on u, the (2, n)
     product of t (flattened) with the column ((1-q')*alpha, -(1-q')*alpha)
     kept on the instance, so one cutoff test covers both; each is
-    `_qexp_deriv(eps, c, t, order)` at c = +-alpha to the bit.  At q' = 1
-    they are cosh/sinh themselves: sinh as a difference of exponentials
-    would lose relative accuracy near t = 0.
+    `_qexp_deriv(eps, c, t, order)` at c = +-alpha to the bit.  Where the
+    value is their difference ((order + delta) odd), near 0 for small t, it
+    is formed per sample as expm1(a*log1p(u)) - expm1(a*log1p(-u)) from the
+    same log1p, so no leading 1 cancels (the two-branch difference, 0.0 at
+    t = 1e-300, is kept only where a branch is at or past the cut).  At
+    q' = 1 they are cosh/sinh themselves, for the same reason.
     """
 
     _cut_power = 1
@@ -365,13 +368,24 @@ class _QHyper(_Paired):
         object.__setattr__(self, "_u_scale", scale)
 
     def _eval(self, arr, order: int):
-        e = self.qprime.eps
+        e, odd = self.qprime.eps, (order + self.delta) % 2 == 1
         if e == 0.0:
-            odd = (order + self.delta) % 2 == 1
             return _scaled(e, self.alpha, order, (np.sinh if odd else np.cosh)(self.alpha * arr))
-        pair = _q_exp_u(self._u_scale * arr.reshape(-1), (1.0 - order * e) / e)
+        u, a = self._u_scale * arr.reshape(-1), (1.0 - order * e) / e
+        # a difference with no branch at or past the cut (and no nan): expm1 of each branch leaves
+        # no leading 1 to cancel
+        if odd and u.size and u.item(u.argmin()) > -1.0:
+            em = np.expm1(np.log1p(u) * a)
+            return _scaled(e, self.alpha, order, 0.5 * (em[0] - em[1])).reshape(arr.shape)
+        pair = _q_exp_u(u, a)
         plus, minus = _scaled(e, self.alpha, order, pair[0]), _scaled(e, -self.alpha, order, pair[1])
-        return (0.5 * (plus - minus if self.delta else plus + minus)).reshape(arr.shape)
+        out = 0.5 * (plus - minus if self.delta else plus + minus)
+        if odd:  # as above, wherever neither branch is at or past the cut
+            with np.errstate(all="ignore"):
+                em = np.expm1(np.log1p(u) * a)
+                diff = _scaled(e, self.alpha, order, 0.5 * (em[0] - em[1]))
+                out = np.where((u <= -1.0).any(axis=0), out, diff)
+        return out.reshape(arr.shape)
 
 
 class QCosh(_QHyper):

@@ -387,3 +387,20 @@ def test_deformed_families_against_mpmath(make, bound):
                     want, envelope = mp_deformed_deriv(f, x, order)
                     err = float(abs(g - want) / envelope) if envelope else abs(g)
                 assert err <= bound, (f.label, order, x, g, float(want), err)
+
+
+@pytest.mark.parametrize("cls", (QCosh, QSinh), ids=("qcosh", "qsinh"))
+def test_deformed_hyperbolic_near_zero_against_mpmath(cls):
+    # relative to the value itself, where the difference of the two branches is ~alpha t and the
+    # envelope ~1: worst measured 7.5e-16 (q' = 1-1e-9, t = 1e-300, orders 1 and 4), against a
+    # value of 0.0 at t = 1e-300 and 2e-4 at t = 1e-12 when the difference was formed from the
+    # two branch values; the oracle works at 330 digits, past the 1 + 1e-300 it must resolve
+    for qpv in (0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+        f = cls(QParam(qpv), 1.3)
+        for order in range(5):
+            for t in (1e-300, 1e-12, 1e-8, 1e-4):
+                got = f.derivative(order)(t)
+                with mpmath.workdps(330):
+                    want, _ = mp_deformed_deriv(f, t, order)
+                    err = float(abs(got - want) / abs(want)) if want else abs(got)
+                assert err <= 1.2e-15, (f.label, order, t, got, float(want), err)
